@@ -500,94 +500,3 @@ def test_runtime_compiled_speedup(serving_setup):
         f"{timings['per_call'] * 1e3:.2f} ms per forward -> {speedup:.2f}x; {cache_stats}"
     )
     assert speedup >= 3.0, f"compiled plan only {speedup:.2f}x faster than per-call"
-
-
-def test_runtime_shard_scaling_latency(serving_setup):
-    """Acceptance fence: sharding one forward across 4 process workers cuts
-    its latency >= 1.5x vs the same sharded plan on a single worker.
-
-    The workload is the one intra-layer sharding exists for: a single
-    request dominated by one large, heavily *skewed* layer (a block of
-    dense rows above a long sparse tail) on the nnz-proportional
-    ``scatter-csr`` backend — the kernel whose cost actually tracks the
-    equal-nnz budgets the partitioner balances.  Like the other scaling
-    fences the ratio assertion is skipped on a single-core machine, but
-    the measurement is taken and the ``BENCH_runtime.json`` trajectory
-    point recorded everywhere.
-    """
-    del serving_setup  # shares the module fixture signature, not the model
-    from repro.nn.models.mlp import MLP
-    from repro.runtime import row_nnz_stats
-
-    model = MLP(512, hidden=(1024,), num_classes=10)
-    big = next(layer for _, layer in gemm_layers(model) if layer.weight.data.shape == (1024, 512))
-    rng = np.random.default_rng(3)
-    w = np.zeros((1024, 512))
-    w[:128] = rng.normal(size=(128, 512))  # dense block: the critical path
-    tail = np.arange(128, 1024)
-    w[tail, rng.integers(0, 512, size=tail.size)] = rng.normal(size=tail.size)
-    big.weight.data[...] = w
-    transform = TASDTransform(
-        weight_configs={name: TASDConfig.parse("2:4") for name, _ in gemm_layers(model)}
-    )
-    plan = compile_plan(model, transform, backend="scatter-csr", shards=4)
-    lp = plan.layers[next(n for n, layer in gemm_layers(model) if layer is big)]
-    _, _, _, skew = row_nnz_stats(lp.operand)
-    assert skew > 2.0 and lp.shards is not None and lp.shards.num_shards == 4
-    x = np.random.default_rng(1).normal(size=(8, 512))
-
-    def sharded_latency(workers: int) -> float:
-        with make_pool("process", model, plan, workers=workers) as pool:
-            pool.run_sharded(x)  # warm workers, slice caches, CSR prepare
-            samples = []
-            for _ in range(9):
-                t0 = time.perf_counter()
-                pool.run_sharded(x)
-                samples.append(time.perf_counter() - t0)
-        return sorted(samples)[len(samples) // 2]
-
-    single = sharded_latency(1)
-    quad = sharded_latency(4)
-    speedup = single / quad
-    print(
-        f"\nsharded forward latency (skewed {lp.shards.rows}-row layer, "
-        f"row-skew {skew:.1f}x, 4 shards at {lp.shards.imbalance:.3f}x nnz "
-        f"imbalance): 1 process worker {single * 1e3:.2f} ms, 4 workers "
-        f"{quad * 1e3:.2f} ms -> {speedup:.2f}x ({_usable_cores()} usable cores)"
-    )
-    assert single > 0 and quad > 0
-
-    bench_path = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
-    record = {
-        "workload": "intra-layer sharding: single forward, skewed 1024x512 "
-        "scatter-csr layer split into 4 equal-nnz shards",
-        "latency_ms_1_worker": round(single * 1e3, 3),
-        "latency_ms_4_workers": round(quad * 1e3, 3),
-        "shard_speedup": round(speedup, 2),
-        "shard_imbalance": round(lp.shards.imbalance, 4),
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    # Same bounded trajectory as the serving record; the flat top-level
-    # record (keyed on "throughput_rps") belongs to the metrics-overhead
-    # fence, so the latest shard point rides a dedicated key beside it.
-    previous = {}
-    if bench_path.exists():
-        try:
-            previous = json.loads(bench_path.read_text())
-        except json.JSONDecodeError:
-            previous = {}
-    history = list(previous.get("history", []))
-    history.append(record)
-    del history[:-50]
-    previous["shard_scaling"] = record
-    previous["history"] = history
-    bench_path.write_text(json.dumps(previous, indent=2) + "\n")
-
-    if _usable_cores() < 2:
-        pytest.skip(
-            f"shard-scaling fence needs >= 2 cores; this machine exposes "
-            f"{_usable_cores()} (measured {speedup:.2f}x)"
-        )
-    assert speedup >= 1.5, (
-        f"4 process workers only cut sharded latency {speedup:.2f}x vs 1 worker"
-    )

@@ -24,20 +24,12 @@ over HTTP — Prometheus ``/metrics``, ``/metrics.json``, ``/healthz``, and
 a human-readable ``/statusz`` — so you can watch a live server instead of
 waiting for a post-mortem ``report()``.
 
-It is *operable with zero downtime* (section 8): a hot ``swap_plan``
-rolls a new compiled artifact onto the live fleet behind a canary batch
-(a corrupt candidate is rejected typed-ly with the old plan still
-serving), ``scale_to`` resizes the worker fleet in place, and ``drain``
-finishes every admitted request before stopping — the CLI maps SIGHUP
-and SIGTERM to the same operations.
-
-And when one request's latency matters more than fleet throughput,
-section 9 flips the parallelism *inside* the forward: each large layer's
-gather rows are partitioned into equal-**nnz** shards (not equal rows —
-the TASD decomposition's per-row population is skewed, so row counts
-lie about work) and one request's GEMMs scatter across all the process
-workers at once, gathered bit-identically — ``submit(x, shard=True)``,
-or ``serve --shard-layers`` from the CLI.
+Finally it is *operable with zero downtime* (section 8): a hot
+``swap_plan`` rolls a new compiled artifact onto the live fleet behind a
+canary batch (a corrupt candidate is rejected typed-ly with the old plan
+still serving), ``scale_to`` resizes the worker fleet in place, and
+``drain`` finishes every admitted request before stopping — the CLI maps
+SIGHUP and SIGTERM to the same operations.
 
 Run:  python examples/serve_resnet.py
 """
@@ -271,47 +263,4 @@ if __name__ == "__main__":
         engine.drain(timeout=60.0)  # door closed, admitted work finished
         assert all(f.done() for f in futures) and engine.queue_depth == 0
         print("drained: every admitted request answered, queue empty")
-
-    # -----------------------------------------------------------------------
-    # 9. Latency mode: shard one forward across the workers.  Everything
-    #    above parallelizes *across* requests — one forward still runs on
-    #    one worker, so a single big layer bounds single-request latency.
-    #    `engine.enable_sharding()` micro-benchmarks each compiled layer
-    #    (fan-out overhead measured against the real pipes, not assumed)
-    #    and picks a per-layer shard count K; a `submit(x, shard=True)`
-    #    request then runs as a *scatter/gather*: each chosen layer's
-    #    gather rows split into K equal-nnz shards (greedy prefix split
-    #    over the per-row nnz profile — equal budgets of actual work, not
-    #    equal row counts), the shards fan out over the already-shared shm
-    #    segment as zero-copy row slices, and the partials concatenate in
-    #    the parent bit-identically.  A worker dying mid-scatter just
-    #    requeues its shards onto the survivors (section 7's machinery).
-    #    Telemetry rides along: `tasd_shard_imbalance_ratio` per layer
-    #    (max/mean shard nnz — 1.0 is perfect balance), a per-shard
-    #    latency histogram, and `tasd_sharded_forwards_total`.  The CLI
-    #    spelling:
-    #
-    #        python -m repro.cli serve --pool process --workers 4 \
-    #            --requests 100 --shard-layers
-    # -----------------------------------------------------------------------
-    pool = ProcessWorkerPool(model, plan, workers=2, respawn_backoff=0.01,
-                             health_interval=0.05)
-    with pool:
-        with ServingEngine(pool, max_batch=4, workers=2) as engine:
-            decisions = engine.enable_sharding()  # measured, per layer
-            chosen = {n: d.spec.num_shards for n, d in decisions.items()
-                      if d.spec is not None}
-            whole = engine.submit(inputs[0]).result(timeout=120.0)
-            sharded = engine.submit(inputs[0], shard=True).result(timeout=120.0)
-            np.testing.assert_array_equal(sharded, whole)  # gather is exact
-            snap = engine.metrics_snapshot()
-            gauges = snap.get("tasd_shard_imbalance_ratio", {}).get("series", [])
-            if chosen:
-                worst = max(s["value"] for s in gauges)
-                detail = (f"{len(chosen)} layers sharded (worst nnz imbalance "
-                          f"{worst:.3f}x)")
-            else:  # small layers + fast cores: the measurements said no
-                detail = "no layer beat its unsharded GEMM here, all stay whole"
-            print(f"\nlatency mode: {detail}; sharded forward bit-identical "
-                  f"either way")
 

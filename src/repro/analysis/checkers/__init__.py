@@ -7,6 +7,5 @@ from repro.analysis.checkers import (  # noqa: F401
     hotpath,
     locks,
     pickles,
-    shard,
     shm,
 )

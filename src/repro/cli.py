@@ -280,10 +280,8 @@ def _serve(args: argparse.Namespace) -> str:
     lines = [plan.summary()]
     if tune_note is not None:
         lines.append(tune_note)
-    if args.pool == "thread" and workers == 1 and not args.shard_layers:
-        # The degenerate one-worker pool — unless sharding was asked for,
-        # which needs a real pool's scatter/gather path.
-        executor_cm = PlanExecutor(model, plan)
+    if args.pool == "thread" and workers == 1:
+        executor_cm = PlanExecutor(model, plan)  # the degenerate one-worker pool
     else:
         pool_kwargs = {}
         if args.pool == "process":
@@ -308,25 +306,10 @@ def _serve(args: argparse.Namespace) -> str:
                 if args.metrics_port is not None
                 else None
             )
-            if args.shard_layers:
-                decisions = engine.enable_sharding()
-                chosen = {
-                    name: d.spec.num_shards
-                    for name, d in decisions.items()
-                    if d.spec is not None
-                }
-                lines.append(
-                    "sharding: "
-                    + (
-                        ", ".join(f"{n} x{k}" for n, k in sorted(chosen.items()))
-                        if chosen
-                        else "no layer beat its unsharded GEMM (all stay whole)"
-                    )
-                )
             flags: dict = {}
             previous_handlers = _install_serve_signals(flags)
             try:
-                futures = [engine.submit(x, shard=args.shard_layers) for x in requests]
+                futures = [engine.submit(x) for x in requests]
                 for f in futures:
                     while True:
                         if flags.pop("swap", False):
@@ -556,13 +539,6 @@ def main(argv: list[str] | None = None) -> int:
         default=True,
         help="supervise process-pool workers and respawn dead ones from the "
         "shared plan segment (serve, --pool process)",
-    )
-    parser.add_argument(
-        "--shard-layers",
-        action="store_true",
-        help="latency mode: micro-benchmark per-layer shard counts, then "
-        "scatter each request's large layers across the pool's workers "
-        "(nnz-balanced row shards, gathered bit-identically) (serve)",
     )
     parser.add_argument(
         "--drain-timeout",

@@ -131,18 +131,6 @@ from .pool import (
 )
 from .replica import ReplicaExecutor
 from .serve import DeadlineExceeded, QueueFull, ServingEngine, SwapRejected
-from .shard import (
-    ShardDecision,
-    ShardSpec,
-    choose_shard_plan,
-    make_shard_spec,
-    partition_equal_nnz,
-    partition_equal_rows,
-    plan_shards,
-    row_nnz_profile,
-    row_nnz_stats,
-    slice_operand,
-)
 from .tracing import RequestTrace, Span, TraceBuffer
 
 __all__ = [
@@ -180,8 +168,6 @@ __all__ = [
     "RequestTrace",
     "ServeReport",
     "ServingEngine",
-    "ShardDecision",
-    "ShardSpec",
     "SharedArrayRef",
     "SharedOperandStore",
     "Span",
@@ -194,7 +180,6 @@ __all__ = [
     "attach_plan",
     "autotune_operand",
     "backend_names",
-    "choose_shard_plan",
     "compile_plan",
     "exact_backend_names",
     "export_executor_stats",
@@ -202,18 +187,11 @@ __all__ = [
     "is_poisoned",
     "load_plan",
     "make_pool",
-    "make_shard_spec",
     "merge_snapshots",
     "model_fingerprint",
-    "partition_equal_nnz",
-    "partition_equal_rows",
     "plan_fingerprint",
-    "plan_shards",
     "poison_batch",
-    "row_nnz_profile",
-    "row_nnz_stats",
     "skewed_plan",
-    "slice_operand",
     "register_backend",
     "render_prometheus",
     "retune_plan",

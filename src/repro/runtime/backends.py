@@ -80,14 +80,6 @@ class GemmBackend:
     name: str = ""
     #: True when outputs are bit-identical to the reference kernel
     exact: bool = False
-    #: True when computing a row slice of the operand reproduces the
-    #: corresponding rows of the full result bit-for-bit (each output
-    #: row's reduction independent of its neighbours).  This is what lets
-    #: intra-layer sharding split a layer across workers without changing
-    #: a single bit; dense BLAS kernels are *not* row-slice stable (their
-    #: internal blocking changes with the matrix shape), so the flag is
-    #: opt-in.
-    shard_safe: bool = False
 
     def prepare(self, operand: "CompiledOperand") -> Any:
         """One-time per-operand compilation; return value is memoised."""
@@ -115,7 +107,6 @@ class EinsumGatherBackend(GemmBackend):
 
     name = DEFAULT_BACKEND
     exact = True
-    shard_safe = True
 
     def matmul(self, operand: "CompiledOperand", state: Any, b: np.ndarray) -> np.ndarray:
         rows = operand.padded_shape[0]
@@ -154,7 +145,6 @@ class FusedGatherBackend(GemmBackend):
 
     name = "fused-gather"
     exact = True
-    shard_safe = True
 
     def prepare(self, operand: "CompiledOperand") -> _FusedTables:
         rows = operand.padded_shape[0]
@@ -191,7 +181,6 @@ class BlockedGatherBackend(GemmBackend):
 
     name = "blocked-gather"
     exact = True
-    shard_safe = True  # row tiling is already this kernel's own strategy
 
     def __init__(self, block_rows: int | None = None, budget_bytes: int = 1 << 22) -> None:
         if block_rows is not None and block_rows <= 0:
@@ -247,9 +236,6 @@ class ScatterCSRBackend(GemmBackend):
 
     name = "scatter-csr"
     exact = False
-    # Each output row is one reduceat segment over its own values, so a
-    # row-sliced operand reproduces its rows of the full result bitwise.
-    shard_safe = True
 
     def prepare(self, operand: "CompiledOperand") -> tuple[_TermCSR, ...]:
         terms = []
@@ -293,7 +279,6 @@ class DenseEmulationBackend(GemmBackend):
 
     name = "dense-emulation"
     exact = False
-    shard_safe = False  # BLAS blocking depends on the matrix shape
 
     def prepare(self, operand: "CompiledOperand") -> np.ndarray:
         dense = nm_decompress(operand.terms[0]).astype(

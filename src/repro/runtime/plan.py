@@ -28,7 +28,6 @@ import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .autotune import AutotuneResult, autotune_operand
 from .backends import DEFAULT_BACKEND, get_backend
 from .cache import CompiledOperand, OperandCache, tensor_digest
 from .counters import LayerCounters
-from .shard import ShardSpec, plan_shards, row_nnz_stats
 
 __all__ = ["LayerPlan", "ExecutionPlan", "compile_plan"]
 
@@ -80,11 +78,6 @@ class LayerPlan:
     backend: str = DEFAULT_BACKEND  # structured-GEMM kernel (compiled mode)
     autotune: AutotuneResult | None = None  # sweep that chose the backend
     weight_digest: str | None = None  # content digest of the source weight
-    shards: ShardSpec | None = None  # nnz-balanced shard table (persists with the plan)
-    # Scatter/gather hook: when set (pool driver replicas only), compiled
-    # GEMMs route through ``dispatcher(self, xt)`` instead of the local
-    # backend.  Never persisted, pickled, or compared.
-    dispatcher: Callable | None = field(default=None, repr=False, compare=False)
     counters: LayerCounters = field(default_factory=LayerCounters)
 
     def __post_init__(self) -> None:
@@ -136,10 +129,7 @@ class LayerPlan:
             xt = x2.T
             if xt.shape[0] != self.operand.padded_shape[1]:
                 xt = pad_to_multiple(xt, self.weight_config.block_lcm, axis=0)
-            if self.dispatcher is not None:
-                y = self.dispatcher(self, xt).T
-            else:
-                y = self.operand.matmul(xt, backend=self.backend).T
+            y = self.operand.matmul(xt, backend=self.backend).T
             structured = self.operand.slots * batch_rows
         elif self.mode == "per_call":
             w = self.dense_weight
@@ -166,17 +156,7 @@ class LayerPlan:
     def describe(self) -> str:
         storage = "-"
         if self.operand is not None:
-            _, _, _, skew = row_nnz_stats(self.operand)
-            storage = (
-                f"{self.operand.total_nnz} nnz / "
-                f"{self.operand.compressed_bits / 8192:.1f} KiB, "
-                f"row-skew {skew:.2f}x"
-            )
-            if self.shards is not None:
-                storage += (
-                    f", {self.shards.num_shards} shards "
-                    f"({self.shards.imbalance:.2f}x nnz imbalance)"
-                )
+            storage = f"{self.operand.total_nnz} nnz / {self.operand.compressed_bits / 8192:.1f} KiB"
         backend = self.backend if self.mode == "compiled" else "-"
         if self.autotune is not None:
             backend += f" ({self.autotune.speedup_vs_reference:.1f}x ref)"
@@ -246,17 +226,10 @@ class ExecutionPlan:
             "1 per layer, keyed by execution mode and kernel backend",
             labels=("layer", "mode", "backend"),
         )
-        layer_skew = registry.gauge(
-            "tasd_plan_layer_nnz_skew",
-            "Max-row over mean-row nnz per compiled layer (1.0 = uniform work)",
-            labels=("layer",),
-        )
         for name, lp in self.layers.items():
             layer_nnz.labels(layer=name).set(lp.operand.total_nnz if lp.operand else 0)
             backend = lp.backend if lp.mode == "compiled" else lp.mode
             layer_info.labels(layer=name, mode=lp.mode, backend=backend).set(1)
-            if lp.operand is not None:
-                layer_skew.labels(layer=name).set(row_nnz_stats(lp.operand)[3])
         info = self.cache.info()
         registry.gauge("tasd_cache_resident", "Operand-cache entries resident").set(
             info["resident"]
@@ -355,7 +328,6 @@ def compile_plan(
     autotune_backends: tuple[str, ...] | None = None,
     autotune_exact_only: bool = False,
     observed_cols: dict[str, int] | None = None,
-    shards: int = 0,
 ) -> ExecutionPlan:
     """Compile a model + transform into an :class:`ExecutionPlan`.
 
@@ -375,11 +347,6 @@ def compile_plan(
     (:meth:`repro.runtime.counters.ExecutorStats.observed_cols`); when
     autotuning, a layer present in the map is timed on its observed width
     instead of the representative ``autotune_cols``.
-
-    ``shards > 1`` attaches an equal-nnz :class:`ShardSpec` table to every
-    shardable compiled layer (see :func:`repro.runtime.shard.plan_shards`);
-    the tables persist with the plan and let the pools scatter one
-    forward's big GEMMs across workers.
 
     ``cache_activations`` routes dynamic TASD-A views through the operand
     cache too.  Off by default: it only pays when identical activations
@@ -434,14 +401,10 @@ def compile_plan(
             # the operand still being resident in the (LRU-bounded) cache.
             weight_digest=w_digest,
         )
-    plan = ExecutionPlan(
+    return ExecutionPlan(
         layers=plans,
         transform=transform,
         cache=cache,
         mode=mode,
-        build_time=0.0,
+        build_time=time.perf_counter() - t0,
     )
-    if shards > 1:
-        plan_shards(plan, shards)
-    plan.build_time = time.perf_counter() - t0
-    return plan

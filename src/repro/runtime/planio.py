@@ -217,8 +217,6 @@ def _collect_entries(plan: "ExecutionPlan", put) -> tuple[list[dict], dict[str, 
                 }
                 for t, term in enumerate(op.terms)
             ]
-        if lp.shards is not None:
-            entry["shards"] = lp.shards.to_entry()
         if lp.dense_weight is not None:
             entry["dense_weight"] = put(f"L{i}.dense", lp.dense_weight)
         layer_entries.append(entry)
@@ -459,50 +457,6 @@ def _entry_configs(entry: dict) -> tuple[TASDConfig, TASDConfig]:
     )
 
 
-def _entry_shards(entry: dict, operand: CompiledOperand | None):
-    """Rebuild and re-validate a layer's shard table from its manifest entry.
-
-    The table's tiling invariant, row count, and per-shard nnz budgets are
-    all re-checked against the *stored operand* — a table that drifted
-    (recompressed weights, edited manifest) would silently misroute shard
-    work, so any mismatch is a typed :class:`PlanFormatError`.
-    """
-    raw = entry.get("shards")
-    if raw is None:
-        return None
-    from .shard import ShardSpec, row_nnz_profile
-
-    name = entry["name"]
-    if operand is None:
-        raise PlanFormatError(
-            f"plan layer {name!r} carries a shard table but no compiled "
-            f"operand to shard; the artifact was modified or written "
-            f"incompatibly"
-        )
-    try:
-        spec = ShardSpec.from_entry(name, raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PlanFormatError(
-            f"plan layer {name!r} shard table is invalid ({exc}); the "
-            f"artifact drifted or was tampered with — recompile the plan"
-        ) from None
-    if spec.rows != operand.padded_shape[0]:
-        raise PlanFormatError(
-            f"plan layer {name!r} shard table covers {spec.rows} rows but "
-            f"the stored operand has {operand.padded_shape[0]}; the table is "
-            f"stale — recompile the plan"
-        )
-    profile = row_nnz_profile(operand)
-    actual = tuple(int(profile[a:b].sum()) for a, b in spec.ranges)
-    if actual != spec.nnz:
-        raise PlanFormatError(
-            f"plan layer {name!r} shard table nnz budgets do not match the "
-            f"stored operand (stale or tampered shard table); recompile the "
-            f"plan"
-        )
-    return spec
-
-
 def _entry_layer_plan(
     entry: dict,
     weight_config: TASDConfig,
@@ -533,7 +487,6 @@ def _entry_layer_plan(
             sample_cols=sweep["sample_cols"],
         ),
         weight_digest=entry["weight_digest"],
-        shards=_entry_shards(entry, operand),
     )
 
 

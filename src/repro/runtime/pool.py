@@ -49,32 +49,20 @@ import copy
 import dataclasses
 import itertools
 import multiprocessing
-import multiprocessing.connection
 import pickle
 import queue
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro.analysis.annotations import hot_path
 from repro.nn.module import Module
 
-from .backends import get_backend
 from .counters import ExecutorStats, LayerCounters, WorkerStat
 from .executor import PlanExecutor
 from .plan import ExecutionPlan, LayerPlan
-from .shard import (
-    ShardDecision,
-    ShardSpec,
-    choose_shard_plan,
-    median_time,
-    shard_backend,
-    shard_partial,
-    slice_operand,
-)
 
 __all__ = [
     "POOL_KINDS",
@@ -171,29 +159,6 @@ class WorkerPool(abc.ABC):
         """Run a sequence of batches, returning their outputs in order."""
         return [self.run(x) for x in batches]
 
-    @hot_path
-    def run_sharded(self, x: np.ndarray, observer=None) -> np.ndarray:
-        """One forward with its large layers scattered across workers.
-
-        Substrates with a scatter/gather path override this; the default
-        is a plain :meth:`run` so callers can request sharding without
-        caring whether the pool supports it (correct, just not faster).
-        ``observer``, when given, is called with each shard's wall-clock
-        seconds (the serving engine's per-shard latency histogram).
-        """
-        del observer  # no shards to observe on the default path
-        return self.run(x)
-
-    def auto_shard(self, max_shards: int | None = None, **kwargs) -> dict:
-        """Micro-benchmark and install per-layer shard counts.
-
-        Returns per-layer :class:`~repro.runtime.shard.ShardDecision`
-        objects; substrates without a scatter path return ``{}`` and stay
-        unsharded.
-        """
-        del max_shards, kwargs
-        return {}
-
     @abc.abstractmethod
     def stats(self) -> ExecutorStats:
         """Counters merged across all workers plus whole-forward timing."""
@@ -250,212 +215,10 @@ class WorkerPool(abc.ABC):
 WorkerPool.register(PlanExecutor)
 
 
-def _replicate_model(model: Module) -> Module:
-    """Deep-copy a model while aliasing every weight/grad/buffer array.
-
-    Weights (and eval-time buffers like running BatchNorm statistics) are
-    immutable at inference: seeding the deepcopy memo with their arrays
-    makes the replica alias the source model's tensors, so a replica
-    costs layer objects and forward caches — never weights.
-    """
-    memo: dict[int, object] = {}
-    for p in model.parameters():
-        memo[id(p.data)] = p.data
-        # Replicas are inference-only, so sharing gradient storage is
-        # safe and avoids duplicating weight-sized buffers per replica.
-        memo[id(p.grad)] = p.grad
-    for _, buf in model.named_buffers():
-        memo[id(buf)] = buf
-    replica = copy.deepcopy(model, memo)
-    replica.eval()
-    return replica
-
-
-# ---------------------------------------------------------------------- #
-# Scatter/gather sharding: shared driver machinery for both pools
-# ---------------------------------------------------------------------- #
-class _ShardingMixin:
-    """Scatter/gather plumbing shared by the thread and process pools.
-
-    :meth:`run_sharded` runs one forward on a *driver* replica whose
-    shard-tabled layers dispatch through the pool's ``_scatter_layer``
-    hook (see :attr:`LayerPlan.dispatcher`): the layer's GEMM fans out as
-    K shard tasks over the pool's workers and the partial outputs are
-    concatenated back in row order.  Everything else in the forward runs
-    locally on the driver, so only the layers whose tables say sharding
-    pays ever cross a worker boundary.
-
-    Shard tables come from the plan itself (``compile_plan(...,
-    shards=K)`` / :func:`~repro.runtime.shard.plan_shards`) or from
-    :meth:`configure_sharding` (the serving engine installs
-    :meth:`auto_shard`'s measured decisions there).
-    """
-
-    def _init_sharding(self) -> None:
-        # RLock, deliberately: run_sharded holds it across the driver
-        # forward, and _scatter_layer (plus the observer read) re-enters
-        # from inside that forward.
-        self._driver_lock = threading.RLock()
-        self._shard_specs: dict[str, ShardSpec] | None = None  # guarded-by: _driver_lock
-        self._shard_driver: Module | None = None  # guarded-by: _driver_lock
-        self._shard_observer = None  # guarded-by: _driver_lock
-        # Layer-plan clones of every driver generation, retained so stats()
-        # keeps sharded forwards' counters across swaps (same contract as
-        # the thread pool's retained replica plans).
-        self._shard_driver_plans: list[dict[str, LayerPlan]] = []  # guarded-by: _driver_lock
-        self._sharded_forwards = 0  # guarded-by: _stats_lock
-        self._shard_retries = 0  # guarded-by: _stats_lock
-
-    # ------------------------------------------------------------------ #
-    def configure_sharding(self, specs: dict[str, ShardSpec] | None) -> None:
-        """Install per-layer shard tables for :meth:`run_sharded`.
-
-        ``None`` means "use the plan's own tables" (the default); an
-        explicit dict — possibly empty — overrides them (the serving
-        engine installs :meth:`auto_shard` decisions here).  The driver
-        replica is rebuilt lazily on the next sharded forward.
-        """
-        with self._driver_lock:
-            self._shard_specs = None if specs is None else dict(specs)
-            self._shard_driver = None
-
-    def _shard_tables(self) -> dict[str, ShardSpec]:
-        """Effective shard tables: the configured override, else every
-        plan layer carrying a multi-shard table on a slice-safe backend."""
-        with self._driver_lock:
-            specs = self._shard_specs
-        if specs is not None:
-            return dict(specs)
-        tables: dict[str, ShardSpec] = {}
-        for name, lp in self.plan.layers.items():
-            if (
-                lp.shards is not None
-                and lp.shards.num_shards > 1
-                and lp.operand is not None
-                and get_backend(lp.backend).shard_safe
-            ):
-                tables[name] = lp.shards
-        return tables
-
-    def _ensure_shard_driver(self) -> Module:
-        """Build (lazily) the driver replica whose shard-tabled layers
-        dispatch through :meth:`_scatter_layer`."""
-        with self._driver_lock:
-            if self._shard_driver is not None:
-                return self._shard_driver
-            tables = self._shard_tables()
-            replica = _replicate_model(self.model)
-            layer_plans = self.plan.clone_layer_plans()
-            for name, spec in tables.items():
-                lp = layer_plans.get(name)
-                if lp is None or lp.operand is None:
-                    continue
-                layer_plans[name] = dataclasses.replace(
-                    lp, shards=spec, dispatcher=self._scatter_layer
-                )
-            self.plan.install(replica, layer_plans)
-            self._shard_driver = replica
-            self._shard_driver_plans.append(layer_plans)
-            return replica
-
-    def _reset_shard_driver(self) -> None:
-        """Drop the driver replica (plan swapped / pool reconfigured).
-
-        Never call while holding ``_state_lock`` — run_sharded acquires
-        ``_driver_lock`` before (re)entering install's state lock, so the
-        opposite nesting would be an ABBA deadlock.
-        """
-        with self._driver_lock:
-            self._shard_driver = None
-
-    # ------------------------------------------------------------------ #
-    @hot_path
-    def run_sharded(self, x: np.ndarray, observer=None) -> np.ndarray:
-        """One timed forward with shard-tabled layers scattered over the
-        pool's workers; falls back to :meth:`run` when no layer has a
-        table.  ``observer`` is called with each shard's wall seconds.
-
-        Sharded forwards serialise on the driver (one in flight at a
-        time): this is the latency mode for one big request, not a
-        throughput mode — concurrent small batches keep using
-        :meth:`run`.
-        """
-        x = np.asarray(x)
-        self.install()
-        if not self._shard_tables():
-            return self.run(x)
-        driver = self._ensure_shard_driver()
-        t0 = time.perf_counter()
-        with self._driver_lock:
-            self._shard_observer = observer
-            try:
-                y = driver(x)
-            finally:
-                self._shard_observer = None
-        elapsed = time.perf_counter() - t0
-        with self._stats_lock:
-            self._batches += 1
-            self._samples += int(x.shape[0])
-            self._wall_time += elapsed
-            self._sharded_forwards += 1
-        return y
-
-    # ------------------------------------------------------------------ #
-    @property
-    def sharded_forwards(self) -> int:
-        """Forwards served through the scatter/gather path (telemetry)."""
-        with self._stats_lock:
-            return self._sharded_forwards
-
-    @property
-    def shard_retries(self) -> int:
-        """Shard tasks re-dispatched after a worker death (telemetry)."""
-        with self._stats_lock:
-            return self._shard_retries
-
-    def _measure_shard_overhead(self, sample_cols: int = 8, repeats: int = 3) -> float:
-        """Measured per-shard fan-out cost in seconds (0.0 by default)."""
-        del sample_cols, repeats
-        return 0.0
-
-    def auto_shard(
-        self,
-        max_shards: int | None = None,
-        sample_cols: int = 8,
-        repeats: int = 3,
-        min_speedup: float = 1.05,
-    ) -> dict[str, ShardDecision]:
-        """Choose per-layer shard counts from micro-benchmarks and install them.
-
-        The fan-out overhead is *measured* on this pool's actual dispatch
-        path (a full-layer shard round-trip minus the local GEMM), then
-        charged per shard in :func:`~repro.runtime.shard.choose_layer_shards`
-        — tiny layers stay unsharded because the numbers say so.  Returns
-        the per-layer decisions; layers whose decision has ``spec=None``
-        keep running unsharded.
-        """
-        self.install()
-        if max_shards is None:
-            max_shards = self.workers
-        overhead = self._measure_shard_overhead(sample_cols=sample_cols, repeats=repeats)
-        decisions = choose_shard_plan(
-            self.plan,
-            max_shards,
-            overhead_s=overhead,
-            sample_cols=sample_cols,
-            repeats=repeats,
-            min_speedup=min_speedup,
-        )
-        self.configure_sharding(
-            {name: d.spec for name, d in decisions.items() if d.spec is not None}
-        )
-        return decisions
-
-
 # ---------------------------------------------------------------------- #
 # Thread pool: one model replica per worker thread
 # ---------------------------------------------------------------------- #
-class ThreadWorkerPool(_ShardingMixin, WorkerPool):
+class ThreadWorkerPool(WorkerPool):
     """Execute batches against one compiled plan across N model replicas.
 
     The single-model :class:`PlanExecutor` must hold a lock across every
@@ -506,21 +269,28 @@ class ThreadWorkerPool(_ShardingMixin, WorkerPool):
         self._replica_uid: dict[int, int] = {}  # guarded-by: _stats_lock
         self._worker_requests: dict[int, int] = {}  # guarded-by: _stats_lock
         self._current_uids: set[int] = set()  # guarded-by: _stats_lock
-        self._init_sharding()
-        self._shard_executor: ThreadPoolExecutor | None = None  # guarded-by: _driver_lock
-        # Memoised zero-copy operand row slices keyed (layer, start, stop).
-        # Populated from shard-executor threads without a lock: entries are
-        # pure functions of the key, so a racing double-build is benign.
-        self._shard_slices: dict = {}
 
     # ------------------------------------------------------------------ #
     def _build_replica(
         self, plan: ExecutionPlan | None = None
     ) -> tuple[Module, dict[str, LayerPlan]]:
+        # Weights (and eval-time buffers like running BatchNorm statistics)
+        # are immutable at inference: seeding the deepcopy memo with their
+        # arrays makes every replica alias the source model's tensors, so a
+        # replica costs layer objects and forward caches — never weights.
         plan = plan if plan is not None else self.plan
-        replica = _replicate_model(self.model)
+        memo: dict[int, object] = {}
+        for p in self.model.parameters():
+            memo[id(p.data)] = p.data
+            # Replicas are inference-only, so sharing gradient storage is
+            # safe and avoids duplicating weight-sized buffers per replica.
+            memo[id(p.grad)] = p.grad
+        for _, buf in self.model.named_buffers():
+            memo[id(buf)] = buf
+        replica = copy.deepcopy(self.model, memo)
         layer_plans = plan.clone_layer_plans()
         plan.install(replica, layer_plans)
+        replica.eval()
         return replica, layer_plans
 
     # lint: disable=guarded-field — every caller (install/scale_to/swap_plan)
@@ -553,15 +323,6 @@ class ThreadWorkerPool(_ShardingMixin, WorkerPool):
         as :class:`PlanExecutor`.  A later :meth:`run`/:meth:`install`
         builds a fresh replica generation whose counters merge on top.
         """
-        # Shard teardown strictly before the state lock: run_sharded nests
-        # _driver_lock -> _state_lock, so the opposite order would deadlock.
-        with self._driver_lock:
-            executor = self._shard_executor
-            self._shard_executor = None
-            self._shard_driver = None
-            self._shard_slices.clear()
-        if executor is not None:
-            executor.shutdown(wait=True)
         with self._state_lock:
             if not self._installed:
                 return
@@ -616,64 +377,6 @@ class ThreadWorkerPool(_ShardingMixin, WorkerPool):
         return y
 
     # ------------------------------------------------------------------ #
-    # Scatter/gather sharding (thread substrate)
-    # ------------------------------------------------------------------ #
-    def _ensure_shard_executor(self) -> ThreadPoolExecutor:
-        # Separate from the replica pool on purpose: shard tasks are slices
-        # of one forward and must not compete with whole-forward checkouts
-        # for the same workers (a K-way fan-out deadlocking on its own pool).
-        with self._driver_lock:
-            if self._shard_executor is None:
-                self._shard_executor = ThreadPoolExecutor(
-                    max_workers=max(2, self.workers), thread_name_prefix="tasd-shard"
-                )
-            return self._shard_executor
-
-    @hot_path
-    def _shard_slice_matmul(
-        self, lp: LayerPlan, start: int, stop: int, xt: np.ndarray
-    ) -> tuple[np.ndarray, float]:
-        """One shard task: rows ``[start, stop)`` of ``lp``'s GEMM."""
-        key = (lp.name, int(start), int(stop))
-        sliced = self._shard_slices.get(key)
-        if sliced is None:
-            sliced = slice_operand(lp.operand, start, stop)
-            self._shard_slices[key] = sliced
-        t0 = time.perf_counter()
-        part = sliced.matmul(xt, backend=shard_backend(lp.backend))
-        return part, time.perf_counter() - t0
-
-    @hot_path
-    def _scatter_layer(self, lp: LayerPlan, xt: np.ndarray) -> np.ndarray:
-        """Driver dispatch hook: fan one layer's GEMM out as shard tasks.
-
-        NumPy releases the GIL inside the kernels, so the slices genuinely
-        overlap; outputs concatenate in row order, bit-identical to the
-        unsharded GEMM (every shard backend is row-slice bit-safe).
-        """
-        spec = lp.shards
-        pool = self._ensure_shard_executor()
-        futures = [
-            pool.submit(self._shard_slice_matmul, lp, start, stop, xt)
-            for start, stop in spec.ranges
-        ]
-        with self._driver_lock:
-            observer = self._shard_observer
-        parts = []
-        for fut in futures:
-            part, elapsed = fut.result()
-            parts.append(part)
-            if observer is not None:
-                observer(elapsed)
-        return np.concatenate(parts, axis=0)
-
-    def _measure_shard_overhead(self, sample_cols: int = 8, repeats: int = 3) -> float:
-        """Per-shard fan-out cost: one executor submit/result round-trip."""
-        del sample_cols  # thread fan-out cost is payload-size independent
-        pool = self._ensure_shard_executor()
-        return median_time(lambda: pool.submit(int).result(), repeats=repeats)
-
-    # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:
         """Counters merged across all replicas plus whole-forward timing.
 
@@ -687,8 +390,6 @@ class ThreadWorkerPool(_ShardingMixin, WorkerPool):
             batches, samples, wall = self._batches, self._samples, self._wall_time
         with self._state_lock:
             replica_plans = list(self._replica_plans)
-        with self._driver_lock:
-            replica_plans.extend(self._shard_driver_plans)
         layers: dict[str, LayerCounters] = {}
         for name in self.plan.layers:
             merged = LayerCounters()
@@ -778,13 +479,7 @@ class ThreadWorkerPool(_ShardingMixin, WorkerPool):
             for _ in range(self.workers - 1):
                 replica, layer_plans = self._build_replica()
                 self._enroll_replica(replica, layer_plans)
-            swapped = self.workers
-        # Outside the state lock (lock-order discipline, see close()): the
-        # driver and the operand slices belong to the plan just replaced.
-        with self._driver_lock:
-            self._shard_driver = None
-            self._shard_slices.clear()
-        return swapped
+            return self.workers
 
     def reset_stats(self) -> None:
         with self._stats_lock:
@@ -793,8 +488,6 @@ class ThreadWorkerPool(_ShardingMixin, WorkerPool):
             self._worker_requests = {uid: 0 for uid in self._worker_requests}
         with self._state_lock:
             replica_plans = list(self._replica_plans)
-        with self._driver_lock:
-            replica_plans.extend(self._shard_driver_plans)
         for layer_plans in replica_plans:
             for plan in layer_plans.values():
                 plan.counters.reset()
@@ -847,9 +540,6 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
         return
     served = 0
     swaps = 0
-    # Memoised zero-copy operand row slices for "run_shard" — views into
-    # the attached segment keyed (layer, start, stop); dropped on swap.
-    shard_slices: dict = {}
     try:
         conn.send(("ready", None))
         while True:
@@ -872,27 +562,6 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                 # lint: disable=broad-except — every request failure is
                 # shipped to the parent as ("err", exc, tb); the serving loop
                 # must survive any single bad request
-                except Exception as exc:
-                    tb = traceback.format_exc()
-                    try:
-                        conn.send(("err", (exc, tb)))
-                    # lint: disable=broad-except — unpicklable exception
-                    # object: degrade to a string-carrying RuntimeError
-                    except Exception:
-                        conn.send(("err", (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)))
-            elif cmd == "run_shard":
-                # One shard of a sharded forward: output rows [start, stop)
-                # of one compiled layer's GEMM, computed on a zero-copy row
-                # slice of the shared operand.  No chaos injection and no
-                # served-count bump — a shard is a slice of the driver's
-                # forward, not a request of its own.
-                try:
-                    name, xt, start, stop = payload
-                    t0 = time.perf_counter()
-                    part = shard_partial(plan, name, xt, start, stop, shard_slices)
-                    conn.send(("ok", (part, time.perf_counter() - t0)))
-                # lint: disable=broad-except — shard failures are shipped to
-                # the parent as ("err", exc, tb) like any request failure
                 except Exception as exc:
                     tb = traceback.format_exc()
                     try:
@@ -936,9 +605,6 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                     plan, store = new_plan, new_store
                     # Drop the old plan's operand views *before* detaching
                     # the old segment (same discipline as shutdown below).
-                    # Shard slices are views too — and their (layer, range)
-                    # keys would collide with the new plan's operands.
-                    shard_slices.clear()
                     del new_plan, old_plan
                     if old_store is not None:
                         old_store.close()
@@ -973,7 +639,7 @@ class _ProcWorker:
     conn: object  # parent end of the pipe
 
 
-class ProcessWorkerPool(_ShardingMixin, WorkerPool):
+class ProcessWorkerPool(WorkerPool):
     """Execute batches across N worker *processes* sharing one compiled plan.
 
     The parent pays plan compilation once, exports it once
@@ -1098,7 +764,6 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         self._next_respawn_at = 0.0  # monotonic time the backoff gate opens
         self.respawns = 0
         self.deaths = 0
-        self._init_sharding()
 
     # ------------------------------------------------------------------ #
     def _start_worker(self) -> _ProcWorker:
@@ -1386,12 +1051,16 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
             self._installed = False
 
     # ------------------------------------------------------------------ #
-    def _checkout_worker(self) -> _ProcWorker:
-        """Block until a live worker frees up (degraded-aware).
+    @hot_path
+    def run(self, x: np.ndarray) -> np.ndarray:
+        """One timed forward on whichever worker process frees first.
 
-        One blocking wait per liveness re-check: a dead pool wakes this up
-        via the timeout, a respawn wakes it via put().
+        Raises :class:`WorkerCrashError` (retryable) when the worker dies
+        or misses ``request_timeout`` with this request in flight, and
+        :class:`PoolDegradedError` when the pool as a whole cannot serve
+        (breaker open, or all workers dead with respawn off).
         """
+        x = np.asarray(x)
         while True:
             self.install()
             if self.degraded:
@@ -1403,194 +1072,12 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
                     "close() and re-run, or serve through a fallback executor"
                 )
             try:
-                return self._free.get(timeout=0.5)
+                # One blocking wait per liveness check — a dead pool wakes
+                # this up via the timeout, a respawn wakes it via put().
+                worker = self._free.get(timeout=0.5)
+                break
             except queue.Empty:
                 continue  # re-check degraded/installed only on wakeup
-
-    # ------------------------------------------------------------------ #
-    # Scatter/gather sharding (process substrate)
-    # ------------------------------------------------------------------ #
-    def _send_shard(
-        self, worker: _ProcWorker, name: str, rng: tuple[int, int], xt: np.ndarray
-    ) -> bool:
-        """Dispatch one shard task; False (worker retired) on a dead pipe."""
-        start, stop = rng
-        try:
-            worker.conn.send(("run_shard", (name, xt, start, stop)))
-            return True
-        except (BrokenPipeError, OSError):
-            self._retire(worker)
-            return False
-
-    def _reclaim_shard_workers(self, busy: dict) -> None:
-        """Bring mid-shard workers back to a known pipe state before a raise.
-
-        A worker returned to the free queue with an unread shard reply in
-        its pipe would pair that stale reply with the *next* request — so
-        each busy worker either drains its reply within a grace period and
-        goes home, or is retired.
-        """
-        grace = self.request_timeout if self.request_timeout is not None else 5.0
-        for worker, _idx, _sent in busy.values():
-            try:
-                if worker.conn.poll(grace):
-                    worker.conn.recv()  # drain the stale shard reply
-                    self._free.put(worker)
-                else:
-                    self._retire(worker)
-            except (EOFError, OSError):
-                self._retire(worker)
-
-    @hot_path
-    def _scatter_layer(self, lp: LayerPlan, xt: np.ndarray) -> np.ndarray:
-        """Driver dispatch hook: fan one layer's GEMM out across workers.
-
-        Each shard task ships only the input activations and a row range —
-        workers slice the *already-attached* shm operands zero-copy, so no
-        operand bytes move.  A shard whose worker dies (pipe error or a
-        missed ``request_timeout``) is retired exactly like a crashed
-        batch and the shard is re-dispatched on a surviving or respawned
-        worker; partial outputs concatenate in row order.
-        """
-        spec = lp.shards
-        name = spec.layer
-        k = spec.num_shards
-        pending = collections.deque(range(k))
-        parts: list = [None] * k
-        busy: dict = {}  # conn -> (worker, shard index, sent-at monotonic)
-        crashes = 0
-        # Enough retry budget to survive a rolling crash per shard twice
-        # over, small enough that a poisoned layer fails fast.
-        crash_cap = max(2, 2 * k)
-        with self._driver_lock:
-            observer = self._shard_observer
-        try:
-            while pending or busy:
-                if crashes > crash_cap:
-                    raise WorkerCrashError(
-                        f"sharded forward of layer {name!r} lost {crashes} "
-                        "workers; giving up"
-                    )
-                # Fan out: block for the first worker when nothing is in
-                # flight (degraded-aware, like run()), take extras only if
-                # they are free right now — shards must never queue behind
-                # each other waiting for more workers than exist.
-                while pending:
-                    if busy:
-                        try:
-                            worker = self._free.get_nowait()
-                        except queue.Empty:
-                            break
-                    else:
-                        worker = self._checkout_worker()
-                    idx = pending.popleft()
-                    if self._send_shard(worker, name, spec.ranges[idx], xt):
-                        busy[worker.conn] = (worker, idx, time.monotonic())
-                    else:
-                        pending.appendleft(idx)
-                        crashes += 1
-                        with self._stats_lock:
-                            self._shard_retries += 1
-                        break  # back to the cap check / blocking checkout
-                if not busy:
-                    continue
-                ready = multiprocessing.connection.wait(list(busy), timeout=0.05)
-                for conn in ready:
-                    worker, idx, _sent = busy.pop(conn)
-                    try:
-                        tag, payload = conn.recv()
-                    except (EOFError, OSError):
-                        self._retire(worker)
-                        pending.append(idx)
-                        crashes += 1
-                        with self._stats_lock:
-                            self._shard_retries += 1
-                        continue
-                    if tag == "err":
-                        # Worker healthy, request bad: not retryable.
-                        self._free.put(worker)
-                        exc, tb = payload if isinstance(payload, tuple) else (payload, None)
-                        if tb is not None:
-                            exc.__cause__ = RemoteTraceback(tb)
-                        raise exc
-                    part, elapsed = payload
-                    parts[idx] = part
-                    if observer is not None:
-                        observer(elapsed)
-                    self._free.put(worker)  # the top-up loop re-grabs it
-                if self.request_timeout is not None:
-                    now = time.monotonic()
-                    for conn, (worker, idx, sent) in list(busy.items()):
-                        if now - sent > self.request_timeout:
-                            # Wedged worker: its eventual reply can never be
-                            # trusted to pair with the right shard again.
-                            del busy[conn]
-                            self._retire(worker)
-                            pending.append(idx)
-                            crashes += 1
-                            with self._stats_lock:
-                                self._shard_retries += 1
-        except BaseException:
-            self._reclaim_shard_workers(busy)
-            raise
-        return np.concatenate(parts, axis=0)
-
-    def _measure_shard_overhead(self, sample_cols: int = 8, repeats: int = 3) -> float:
-        """Per-shard fan-out cost: a full-layer shard round-trip over the
-        pipe minus the same GEMM computed locally, clamped at zero."""
-        candidates = [
-            (name, lp)
-            for name, lp in self.plan.layers.items()
-            if lp.operand is not None and lp.operand.flat_values
-        ]
-        if not candidates:
-            return 0.0
-        # The smallest layer: its round-trip is dominated by the fixed
-        # dispatch cost, so the subtraction isolates overhead with the
-        # least compute noise.
-        name, lp = min(candidates, key=lambda item: item[1].operand.padded_shape[0])
-        operand = lp.operand
-        rows = operand.padded_shape[0]
-        rng = np.random.default_rng(0)
-        xt = rng.standard_normal((operand.padded_shape[1], int(sample_cols))).astype(
-            operand.flat_values[0].dtype
-        )
-        worker = self._checkout_worker()
-        healthy = True
-
-        def roundtrip() -> None:
-            worker.conn.send(("run_shard", (name, xt, 0, rows)))
-            tag, payload = worker.conn.recv()
-            if tag != "ok":
-                exc, _tb = payload if isinstance(payload, tuple) else (payload, None)
-                raise exc
-
-        try:
-            remote = median_time(roundtrip, repeats=repeats)
-        except (EOFError, BrokenPipeError, OSError):
-            healthy = False
-            self._retire(worker)
-            return 0.0
-        finally:
-            if healthy:
-                self._free.put(worker)
-        local = median_time(
-            lambda: operand.matmul(xt, backend=shard_backend(lp.backend)), repeats=repeats
-        )
-        return max(0.0, remote - local)
-
-    # ------------------------------------------------------------------ #
-    @hot_path
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """One timed forward on whichever worker process frees first.
-
-        Raises :class:`WorkerCrashError` (retryable) when the worker dies
-        or misses ``request_timeout`` with this request in flight, and
-        :class:`PoolDegradedError` when the pool as a whole cannot serve
-        (breaker open, or all workers dead with respawn off).
-        """
-        x = np.asarray(x)
-        worker = self._checkout_worker()
         pid = worker.process.pid
         healthy = False
         try:
@@ -1799,9 +1286,6 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
                     self.plan = new_plan
                     self._spec = new_spec
                     self._store = new_store
-                # The driver replica (if any) still serves the old plan's
-                # clones; workers cleared their own shard slices in-swap.
-                self._reset_shard_driver()
                 if old_store is not None:
                     # Every worker detached inside its swap command; the
                     # old segment has no readers left.
@@ -1917,13 +1401,6 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
         with self._stats_lock:
             batches, samples, wall = self._batches, self._samples, self._wall_time
             snapshots = list(self._counter_snapshots.values())
-        with self._driver_lock:
-            # Sharded forwards run on the parent-side driver replica; its
-            # clones count like one more worker's snapshot.
-            snapshots.extend(
-                {name: lp.counters for name, lp in plans.items()}
-                for plans in self._shard_driver_plans
-            )
         layers: dict[str, LayerCounters] = {}
         for name in self.plan.layers:
             merged = LayerCounters()
@@ -1989,10 +1466,6 @@ class ProcessWorkerPool(_ShardingMixin, WorkerPool):
             self._wall_time = 0.0
             self._counter_snapshots.clear()
             self._worker_requests = {uid: 0 for uid in self._worker_requests}
-        with self._driver_lock:
-            for plans in self._shard_driver_plans:
-                for lp in plans.values():
-                    lp.counters.reset()
         self.plan.cache.counters.reset()
 
 

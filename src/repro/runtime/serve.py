@@ -114,7 +114,6 @@ class _Request:
     collected_at: float = field(default=0.0)  # when a worker pulled it off the queue
     deadline_at: float = field(default=0.0)  # perf_counter bound; 0.0 = none
     attempts: int = field(default=0)  # dispatch attempts (retries show > 1)
-    shard: bool = field(default=False)  # latency mode: scatter layers across workers
 
 
 class ServingEngine:
@@ -231,9 +230,6 @@ class ServingEngine:
         self._swap_lock = threading.Lock()
         self._last_input: "np.ndarray | None" = None  # guarded-by: _state_lock
         self._request_stats: list[RequestStats] = []  # guarded-by: _stats_lock
-        # Per-layer shard decisions from enable_sharding() (scrape-time
-        # telemetry + /statusz explainability); set-once-per-call dict.
-        self._shard_decisions: dict = {}
         self._started_at = 0.0  # guarded-by: _state_lock
         self._stopped_at = 0.0  # guarded-by: _state_lock
         self._traces = TraceBuffer(trace_capacity)
@@ -305,10 +301,6 @@ class ServingEngine:
             self._m_target_workers.set(getattr(executor, "workers", workers))
             self._m_drain = metrics.histogram(
                 "tasd_serve_drain_seconds", "Graceful-drain duration"
-            ).labels()
-            self._m_shard_latency = metrics.histogram(
-                "tasd_shard_latency_seconds",
-                "Wall time of one shard task inside a sharded forward",
             ).labels()
 
     # ------------------------------------------------------------------ #
@@ -386,9 +378,7 @@ class ServingEngine:
         self.stop()
 
     # ------------------------------------------------------------------ #
-    def submit(
-        self, x: np.ndarray, deadline: float | None = None, shard: bool = False
-    ) -> Future:
+    def submit(self, x: np.ndarray, deadline: float | None = None) -> Future:
         """Enqueue one request; the future resolves to its output batch.
 
         ``deadline`` is a per-request latency budget in seconds: a request
@@ -396,13 +386,6 @@ class ServingEngine:
         future raises :class:`DeadlineExceeded` — no compute is spent on an
         answer the client has stopped waiting for.  Raises
         :class:`QueueFull` when the ``max_queue`` admission bound is hit.
-
-        ``shard=True`` is the latency mode: the request is never coalesced
-        with others and its large layers scatter across the pool's workers
-        (:meth:`~repro.runtime.pool.WorkerPool.run_sharded`), so one big
-        request finishes in less wall time instead of more throughput.
-        On substrates without a scatter path it degrades to a normal
-        unbatched forward — same bits, no speedup.
         """
         x = np.asarray(x)
         if x.ndim < 1 or x.shape[0] < 1:
@@ -411,9 +394,7 @@ class ServingEngine:
             raise ValueError(f"deadline must be positive seconds, got {deadline}")
         now = time.perf_counter()
         deadline_at = now + deadline if deadline is not None else 0.0
-        request = _Request(
-            next(self._ids), x, Future(), now, deadline_at=deadline_at, shard=shard
-        )
+        request = _Request(next(self._ids), x, Future(), now, deadline_at=deadline_at)
         with self._state_lock:
             # A drained engine stays typed: drain() promises QueueFull to
             # late submitters, even after the wind-down finished and the
@@ -716,28 +697,6 @@ class ServingEngine:
         with self._depth_lock:
             return self._depth
 
-    def enable_sharding(self, max_shards: int | None = None, **kwargs) -> dict:
-        """Micro-benchmark and install per-layer shard counts on the pool.
-
-        Runs :meth:`~repro.runtime.pool.WorkerPool.auto_shard` on the
-        executor — fan-out overhead is measured on the pool's actual
-        dispatch path, and layers shard only where the numbers beat the
-        unsharded GEMM — then remembers the decisions for telemetry
-        (``tasd_shard_imbalance_ratio`` per sharded layer at scrape time).
-        Requests submitted with ``shard=True`` route through the result.
-        Raises :class:`ValueError` on substrates without a scatter path
-        (e.g. a bare :class:`PlanExecutor`).
-        """
-        auto_shard = getattr(self.executor, "auto_shard", None)
-        if auto_shard is None:
-            raise ValueError(
-                f"{type(self.executor).__name__} has no scatter/gather path; "
-                "serve through a thread or process pool to shard layers"
-            )
-        decisions = auto_shard(max_shards=max_shards, **kwargs)
-        self._shard_decisions = dict(decisions)
-        return decisions
-
     def _request_resolved(self) -> None:
         """One admitted request reached a terminal state (result set,
         failed, deadline-dropped, or cancelled-and-skipped); wakes
@@ -757,12 +716,6 @@ class ServingEngine:
         """
         batch = [first]
         carry: _Request | None = None
-        if first.shard:
-            # A sharded request is a latency request: it owns its forward
-            # (the whole pool scatters one batch), so waiting the batch
-            # window to coalesce it would only add the latency it exists
-            # to remove.
-            return batch, carry
         deadline = time.perf_counter() + self.batch_window
         while len(batch) < self.max_batch:
             remaining = deadline - time.perf_counter()
@@ -777,14 +730,9 @@ class ServingEngine:
                 break
             self._dec_depth()
             req.collected_at = time.perf_counter()
-            if (
-                req.shard
-                or req.x.shape[1:] != first.x.shape[1:]
-                or req.x.dtype != first.x.dtype
-            ):
-                # Mismatched sample shape or dtype (concatenating would
-                # reshape/upcast and change the request's exact result), or
-                # a sharded request that must open its own singleton batch.
+            if req.x.shape[1:] != first.x.shape[1:] or req.x.dtype != first.x.dtype:
+                # Mismatched sample shape or dtype: concatenating would
+                # reshape/upcast and change the request's exact result.
                 carry = req
                 break
             batch.append(req)
@@ -861,9 +809,7 @@ class ServingEngine:
         sizes = [req.x.shape[0] for req in batch]
         inputs = np.concatenate([req.x for req in batch], axis=0) if len(batch) > 1 else batch[0].x
         try:
-            # Sharded requests ride singleton batches (_gather_batch never
-            # coalesces them), so batch[0] speaks for the whole batch.
-            outputs = self._dispatch(inputs, shard=batch[0].shard)
+            outputs = self._dispatch(inputs)
         except WorkerCrashError as exc:
             if self._note_degraded() is not None:
                 self._run_batch(batch, retries_left)  # pool collapsed: fallback serves it
@@ -949,7 +895,7 @@ class ServingEngine:
     # ------------------------------------------------------------------ #
     # Recovery plumbing.
     # ------------------------------------------------------------------ #
-    def _dispatch(self, inputs: np.ndarray, shard: bool = False) -> np.ndarray:
+    def _dispatch(self, inputs: np.ndarray) -> np.ndarray:
         # lint: disable=guarded-field — set-once pointer published before
         # _degraded flips; never rebound, so the unlocked read is stable
         fallback = self._fallback_pool
@@ -957,13 +903,6 @@ class ServingEngine:
             if self.metrics is not None:
                 self._m_fallback.inc()
             return fallback.run(inputs)
-        if shard:
-            run_sharded = getattr(self.executor, "run_sharded", None)
-            if run_sharded is not None:
-                observer = (
-                    self._m_shard_latency.observe if self.metrics is not None else None
-                )
-                return run_sharded(inputs, observer=observer)
         return self.executor.run(inputs)
 
     def _note_degraded(self) -> "WorkerPool | None":
@@ -1170,38 +1109,6 @@ class ServingEngine:
             "tasd_serve_degraded",
             "1 while the pool has collapsed and the engine serves degraded",
         ).set(1.0 if degraded else 0.0)
-        # Shard telemetry: the pools count sharded forwards / shard retries
-        # on their own attributes (no registry on the hot path, same as
-        # deaths/respawns); the nnz-imbalance gauge reports the installed
-        # tables — enable_sharding() decisions first, the plan's own
-        # compile-time tables otherwise.
-        sharded = getattr(self.executor, "sharded_forwards", None)
-        if sharded is not None:
-            registry.counter(
-                "tasd_sharded_forwards_total",
-                "Forwards served through the scatter/gather shard path",
-            ).inc(sharded)
-        shard_retries = getattr(self.executor, "shard_retries", None)
-        if shard_retries is not None:
-            registry.counter(
-                "tasd_shard_retries_total",
-                "Shard tasks re-dispatched after a worker death",
-            ).inc(shard_retries)
-        shard_specs = {
-            name: d.spec for name, d in self._shard_decisions.items() if d.spec is not None
-        }
-        if not shard_specs and plan is not None:
-            shard_specs = {
-                name: lp.shards for name, lp in plan.layers.items() if lp.shards is not None
-            }
-        if shard_specs:
-            imbalance_g = registry.gauge(
-                "tasd_shard_imbalance_ratio",
-                "Max/mean per-shard nnz of the layer's installed shard table",
-                labels=("layer",),
-            )
-            for name, spec in shard_specs.items():
-                imbalance_g.labels(layer=name).set(spec.imbalance)
         snaps.append(registry.snapshot())
         return merge_snapshots(*snaps)
 

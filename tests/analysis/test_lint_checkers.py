@@ -526,86 +526,3 @@ def test_cross_process_undecorated_class_ignored():
         )
         == []
     )
-
-
-# ---------------------------------------------------------------------- #
-# shard-spec
-# ---------------------------------------------------------------------- #
-SHARD_CLEAN = """
-    from repro.analysis.annotations import cross_process, hot_path
-    from dataclasses import dataclass
-
-    @cross_process
-    @dataclass(frozen=True)
-    class ShardSpec:
-        layer: str
-        ranges: tuple
-
-    @hot_path
-    def shard_partial(plan, name, xt, start, stop, slices):
-        return slices[(name, start, stop)].matmul(xt)
-
-    class Pool:
-        @hot_path
-        def run_sharded(self, x, observer=None):
-            return x
-
-        @hot_path
-        def _scatter_layer(self, lp, xt):
-            return xt
-"""
-
-
-def test_shard_spec_clean_when_decorated():
-    assert lint(SHARD_CLEAN, path="src/repro/runtime/fake.py") == []
-
-
-def test_shard_spec_flags_undecorated_shard_table():
-    # The mutation check: ShardSpec with its @cross_process deleted.
-    diags = lint(
-        """
-        from dataclasses import dataclass
-
-        @dataclass(frozen=True)
-        class ShardSpec:
-            layer: str
-            ranges: tuple
-        """,
-        path="src/repro/runtime/fake.py",
-    )
-    assert rules_of(diags) == ["shard-spec"]
-    assert "cross_process" in diags[0].message
-    assert "ShardSpec" in diags[0].message
-
-
-def test_shard_spec_flags_unfenced_dispatch_paths():
-    # run_sharded and shard_partial with their @hot_path fences deleted.
-    diags = lint(
-        """
-        class Pool:
-            def run_sharded(self, x, observer=None):
-                return x
-
-        def shard_partial(plan, name, xt, start, stop, slices):
-            return xt
-        """,
-        path="src/repro/runtime/fake.py",
-    )
-    assert sorted(rules_of(diags)) == ["shard-spec", "shard-spec"]
-    assert all("hot_path" in d.message for d in diags)
-
-
-def test_shard_spec_other_names_ignored():
-    assert (
-        lint(
-            """
-            class OtherSpec:
-                pass
-
-            def run_batches(x):
-                return x
-            """,
-            path="src/repro/runtime/fake.py",
-        )
-        == []
-    )

@@ -205,6 +205,43 @@ class TestRoundTrip:
         assert path.exists()
         assert load_plan(path, model).backend_choices() == plan.backend_choices()
 
+    def test_old_row_partition_entries_ignored(self, sparse_resnet, batch, tmp_path):
+        """Version-1 files from older writers carry a per-layer row-partition
+        schedule entry.  It is a schedule, not weights: the loader ignores it
+        and serves bit-identical outputs, while the checksum still covers it."""
+        from repro.runtime.planio import _manifest_checksum
+
+        model, transform = sparse_resnet
+        plan = compile_plan(model, transform)
+        path = plan.save(tmp_path / "plan.npz")
+        arrays = _npz_dict(path)
+        manifest = json.loads(bytes(arrays[_MANIFEST_KEY]).decode())
+        for entry in manifest["layers"]:
+            operand = plan.layers[entry["name"]].operand
+            if operand is None:
+                continue
+            rows, half = operand.padded_shape[0], operand.padded_shape[0] // 2
+            entry["sh" "ards"] = {  # the key older writers used
+                "rows": rows,
+                "ranges": [[0, half], [half, rows]],
+                "nnz": [operand.total_nnz // 2, operand.total_nnz - operand.total_nnz // 2],
+            }
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
+        arrays[_MANIFEST_KEY] = np.frombuffer(manifest_bytes, dtype=np.uint8)
+        _rewrite(path, arrays)
+        with pytest.raises(PlanFormatError, match="checksum"):
+            load_plan(path, model)
+        arrays[_CHECKSUM_KEY] = np.frombuffer(
+            _manifest_checksum(manifest_bytes).encode(), dtype=np.uint8
+        )
+        _rewrite(path, arrays)
+        loaded = load_plan(path, model)
+        with PlanExecutor(model, plan) as executor:
+            fresh = executor.run(batch)
+        with PlanExecutor(model, loaded) as executor:
+            warm = executor.run(batch)
+        np.testing.assert_array_equal(warm, fresh)
+
 
 class TestRefusals:
     def test_mismatched_weight_digest_refused(self, sparse_resnet, tmp_path):

@@ -147,16 +147,20 @@ def test_mismatched_request_survives_immediate_stop(executor):
 
 
 def test_mixed_dtype_requests_keep_exact_results(executor):
-    """float32 and float64 requests must not be coalesced (concat upcasts)."""
+    """float32 and float64 requests must not be coalesced (concat upcasts),
+    nor requests of different sample shapes: each is carried into its own
+    batch and answered exactly."""
     rng = np.random.default_rng(16)
     a32 = rng.normal(size=(1, 3, 8, 8)).astype(np.float32)
     b64 = rng.normal(size=(1, 3, 8, 8))
-    expect_a, expect_b = executor.run(a32), executor.run(b64)
+    c16 = rng.normal(size=(1, 3, 16, 16))
+    requests = [a32, b64, c16]
+    expected = [executor.run(x) for x in requests]
     with ServingEngine(executor, max_batch=4, batch_window=0.05) as engine:
-        fa, fb = engine.submit(a32), engine.submit(b64)
-        out_a, out_b = fa.result(timeout=30.0), fb.result(timeout=30.0)
-    np.testing.assert_array_equal(out_a, expect_a)
-    np.testing.assert_array_equal(out_b, expect_b)
+        futures = [engine.submit(x) for x in requests]
+        outputs = [f.result(timeout=30.0) for f in futures]
+    for out, expect in zip(outputs, expected):
+        np.testing.assert_array_equal(out, expect)
 
 
 # ---------------------------------------------------------------------- #
