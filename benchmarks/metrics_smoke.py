@@ -24,7 +24,7 @@ from repro.core import TASDConfig
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
-from repro.runtime import ServingEngine, compile_plan, make_pool
+from repro.runtime import ProcessWorkerPool, ServingEngine, compile_plan
 from repro.tasder.transform import TASDTransform
 
 WORKERS = 4
@@ -64,7 +64,7 @@ def main() -> int:
     rng = np.random.default_rng(0)
     requests = [rng.normal(size=(1, 3, 8, 8)) for _ in range(REQUESTS)]
 
-    with make_pool("process", model, plan, workers=WORKERS) as pool:
+    with ProcessWorkerPool(model, plan, workers=WORKERS) as pool:
         with ServingEngine(pool, max_batch=4, batch_window=0.002, workers=WORKERS) as engine:
             with engine.serve_metrics(port=0) as server:
                 futures = [engine.submit(x) for x in requests]

@@ -1,10 +1,10 @@
-"""Quick-bench smoke: process-pool serving must equal thread-pool serving.
+"""Quick-bench smoke: process-pool serving must equal in-process serving.
 
 Compiles a small sparse model, serves the same request stream through the
-thread worker pool and the process worker pool (workers attached to the
-compiled plan via shared memory), and asserts the outputs are
-**bit-identical** and that both pools merge per-worker counters into a
-consistent ``stats()`` view.  Runs everywhere — including single-core CI
+in-process :class:`PlanExecutor` and the process worker pool (workers
+attached to the compiled plan via shared memory), and asserts the outputs
+are **bit-identical** and that both report consistent counters — the
+pool merging its per-worker counters into one ``stats()`` view.  Runs everywhere — including single-core CI
 boxes, where the scaling *fences* are skipped but correctness must still
 hold.  Run by CI on every push::
 
@@ -22,15 +22,15 @@ from repro.core import TASDConfig
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
-from repro.runtime import ServingEngine, compile_plan, make_pool
+from repro.runtime import PlanExecutor, ProcessWorkerPool, ServingEngine, compile_plan
 from repro.tasder.transform import TASDTransform
 
 WORKERS = 2
 REQUESTS = 12
 
 
-def _serve(kind: str, model, plan, requests) -> tuple[list[np.ndarray], object, object]:
-    with make_pool(kind, model, plan, workers=WORKERS) as pool:
+def _serve(pool, requests) -> tuple[list[np.ndarray], object, object]:
+    with pool:
         with ServingEngine(pool, max_batch=1, batch_window=0.0, workers=WORKERS) as engine:
             futures = [engine.submit(x) for x in requests]
             outputs = [f.result(timeout=120.0) for f in futures]
@@ -49,33 +49,35 @@ def main() -> int:
     requests = [rng.normal(size=(1, 3, 8, 8)) for _ in range(REQUESTS)]
 
     t0 = time.perf_counter()
-    thread_out, thread_report, thread_stats = _serve("thread", model, plan, requests)
-    thread_time = time.perf_counter() - t0
+    local_out, local_report, local_stats = _serve(PlanExecutor(model, plan), requests)
+    local_time = time.perf_counter() - t0
     t0 = time.perf_counter()
-    process_out, process_report, process_stats = _serve("process", model, plan, requests)
+    process_out, process_report, process_stats = _serve(
+        ProcessWorkerPool(model, plan, workers=WORKERS), requests
+    )
     process_time = time.perf_counter() - t0
 
-    assert thread_report.count == process_report.count == REQUESTS
-    for i, (a, b) in enumerate(zip(thread_out, process_out)):
+    assert local_report.count == process_report.count == REQUESTS
+    for i, (a, b) in enumerate(zip(local_out, process_out)):
         np.testing.assert_array_equal(
-            b, a, err_msg=f"request {i}: process pool diverged from thread pool"
+            b, a, err_msg=f"request {i}: process pool diverged from PlanExecutor"
         )
-    print(f"{REQUESTS} requests served bit-identically by both pools "
-          f"(thread {thread_time * 1e3:.0f} ms, process {process_time * 1e3:.0f} ms, "
-          f"{WORKERS} workers each)")
+    print(f"{REQUESTS} requests served bit-identically by both executors "
+          f"(in-process {local_time * 1e3:.0f} ms, "
+          f"{WORKERS} process workers {process_time * 1e3:.0f} ms)")
 
     # Counter merging: max_batch=1, so every layer ran once per request in
     # both substrates, regardless of which worker served it.
-    for name, stats in (("thread", thread_stats), ("process", process_stats)):
+    for name, stats in (("in-process", local_stats), ("process", process_stats)):
         assert stats.batches == REQUESTS, (name, stats.batches)
         bad = {ln: c.calls for ln, c in stats.layers.items() if c.calls != REQUESTS}
-        assert not bad, f"{name} pool counters out of step: {bad}"
+        assert not bad, f"{name} counters out of step: {bad}"
         assert stats.total.structured_macs > 0
         widths = stats.observed_cols()
-        assert widths, f"{name} pool recorded no GEMM widths"
-    print(f"per-worker counters merge consistently: {len(thread_stats.layers)} layers x "
-          f"{REQUESTS} calls in both pools; observed widths recorded for "
-          f"{len(thread_stats.observed_cols())} layers")
+        assert widths, f"{name} executor recorded no GEMM widths"
+    print(f"per-worker counters merge consistently: {len(process_stats.layers)} layers x "
+          f"{REQUESTS} calls in both executors; observed widths recorded for "
+          f"{len(process_stats.observed_cols())} layers")
     print("POOL SMOKE OK")
     return 0
 

@@ -10,10 +10,9 @@ trajectory tracks it.
 On top of that sit the kernel-backend fences: ``test_runtime_autotune_speedup``
 requires the compile-time autotuner to beat the reference ``einsum-gather``
 compiled path by >= 1.5x on the same serving workload, and the worker-pool
-benches track how serving throughput scales across the pool substrates:
-thread replicas (asserted >= 1.5x for 4 workers where the machine has
-cores to scale onto) and process workers over shared-memory operands
-(asserted >= 2x for 4 workers — no GIL in common, so the fence is higher).
+benches track how serving throughput scales across process workers over
+shared-memory operands (asserted >= 2x for 4 workers where the machine has
+cores to scale onto — no GIL in common).
 
 ``test_runtime_plan_persistence_warm_restart`` fences the restart story:
 loading a persisted plan artifact must be >= 5x faster than compile +
@@ -49,12 +48,10 @@ from repro.runtime import (
     OperandCache,
     PlanExecutor,
     ProcessWorkerPool,
-    ReplicaExecutor,
     ServingEngine,
     backend_names,
     compile_plan,
     load_plan,
-    make_pool,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -141,28 +138,9 @@ def test_bench_autotuned_forward(benchmark, serving_setup):
     assert out.shape == (BATCH, 10)
 
 
-def test_bench_replica_serving(benchmark, serving_setup):
-    """Serving throughput with 4 replica workers draining 24 requests."""
-    model, transform, x = serving_setup
-    plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
-
-    def serve_round():
-        with ReplicaExecutor(model, plan, replicas=4) as executor:
-            with ServingEngine(executor, max_batch=4, batch_window=0.0, workers=4) as engine:
-                futures = [engine.submit(x[:1]) for _ in range(24)]
-                for f in futures:
-                    f.result(timeout=120.0)
-        return engine.report()
-
-    report = benchmark.pedantic(serve_round, rounds=1, iterations=1)
-    assert report.count == 24
-
-
-def _serve_throughput(
-    model, plan, x, workers: int, requests: int, kind: str = "thread"
-) -> float:
+def _serve_throughput(model, plan, x, workers: int, requests: int) -> float:
     """Requests/second over one drain of ``requests`` pre-submitted inputs."""
-    with make_pool(kind, model, plan, workers=workers) as executor:
+    with ProcessWorkerPool(model, plan, workers=workers) as executor:
         executor.install()  # workers built outside the measured window
         with ServingEngine(
             executor, max_batch=2, batch_window=0.0, workers=workers
@@ -171,33 +149,6 @@ def _serve_throughput(
             for f in futures:
                 f.result(timeout=120.0)
     return engine.report().throughput
-
-
-def test_replica_scaling_throughput(serving_setup):
-    """Acceptance fence: 4 replica workers >= 1.5x single-worker throughput.
-
-    True parallel speedup needs cores to scale onto: on a single-core
-    machine the fence is physically unsatisfiable (all forwards share one
-    CPU no matter how many replicas exist), so there the ratio assertion is
-    skipped and only sanity is checked.  Correctness of replica serving is
-    covered by ``tests/runtime/test_runtime_replica.py``.
-    """
-    model, transform, x = serving_setup
-    plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
-    _serve_throughput(model, plan, x, workers=1, requests=8)  # warm caches
-    single = _serve_throughput(model, plan, x, workers=1, requests=32)
-    quad = _serve_throughput(model, plan, x, workers=4, requests=32)
-    scaling = quad / single
-    print(f"\nserving throughput: 1 worker {single:.1f} req/s, "
-          f"4 replica workers {quad:.1f} req/s -> {scaling:.2f}x "
-          f"({_usable_cores()} usable cores)")
-    assert single > 0 and quad > 0
-    if _usable_cores() < 2:
-        pytest.skip(
-            f"replica scaling fence needs >= 2 cores; this machine exposes "
-            f"{_usable_cores()} (measured {scaling:.2f}x)"
-        )
-    assert scaling >= 1.5, f"4 replica workers only {scaling:.2f}x single-worker throughput"
 
 
 def test_bench_process_pool_serving(benchmark, serving_setup):
@@ -220,10 +171,9 @@ def test_bench_process_pool_serving(benchmark, serving_setup):
 def test_process_pool_scaling_throughput(serving_setup):
     """Acceptance fence: 4 process workers >= 2x single-worker throughput.
 
-    The whole point of the process pool — thread replicas serialise every
-    non-BLAS part of a forward on the GIL, worker processes don't, so the
-    process pool must scale harder (>= 2x at 4 workers, vs the thread
-    pool's 1.5x fence).  Like the replica fence, true parallel speedup
+    The whole point of the process pool — threads in one interpreter
+    serialise every non-BLAS part of a forward on the GIL, worker processes
+    don't, so 4 workers must reach >= 2x.  True parallel speedup
     needs cores to scale onto: on a single-core machine the ratio
     assertion is physically unsatisfiable and is skipped (correctness of
     process-pool serving is covered by
@@ -232,9 +182,9 @@ def test_process_pool_scaling_throughput(serving_setup):
     """
     model, transform, x = serving_setup
     plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
-    _serve_throughput(model, plan, x, workers=1, requests=8, kind="process")  # warm
-    single = _serve_throughput(model, plan, x, workers=1, requests=32, kind="process")
-    quad = _serve_throughput(model, plan, x, workers=4, requests=32, kind="process")
+    _serve_throughput(model, plan, x, workers=1, requests=8)  # warm
+    single = _serve_throughput(model, plan, x, workers=1, requests=32)
+    quad = _serve_throughput(model, plan, x, workers=4, requests=32)
     scaling = quad / single
     print(f"\nserving throughput: 1 process worker {single:.1f} req/s, "
           f"4 process workers {quad:.1f} req/s -> {scaling:.2f}x "

@@ -4,8 +4,8 @@ A sparse ResNet-18's weights are decomposed and compressed into structured
 N:M operands exactly once, at plan-build time; every request after that
 runs only the structured sparse GEMMs.  Compilation also *autotunes* the
 kernel backend per layer (micro-benchmarking the registry of structured
-GEMM implementations), and serving runs replica-parallel: each engine
-worker executes on its own model replica sharing the one compiled plan.
+GEMM implementations), and serving runs through one in-process executor
+that binds the compiled plan to the model.
 
 The compiled plan also *persists*: it is saved to a digest-keyed ``.npz``
 artifact and reloaded as a warm restart would — no re-decomposition, no
@@ -45,11 +45,11 @@ from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
 from repro.runtime import (
     OperandCache,
-    ReplicaExecutor,
+    PlanExecutor,
+    ProcessWorkerPool,
     ServingEngine,
     compile_plan,
     load_plan,
-    make_pool,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -88,12 +88,13 @@ with tempfile.TemporaryDirectory() as tmpdir:
 assert plan.backend_choices() == fresh_choices  # tuning survived the restart
 
 # ---------------------------------------------------------------------------
-# 4. Serve replica-parallel: four engine workers, each with its own model
-#    replica (weights aliased, operands shared) — no executor lock.
+# 4. Serve in-process: the engine micro-batches queued requests and runs
+#    each batch through the PlanExecutor, which installs the compiled plan
+#    on the model (the CLI's `serve --workers 1`).
 # ---------------------------------------------------------------------------
 rng = np.random.default_rng(0)
-with ReplicaExecutor(model, plan, replicas=4) as executor:
-    with ServingEngine(executor, max_batch=4, batch_window=0.002, workers=4) as engine:
+with PlanExecutor(model, plan) as executor:
+    with ServingEngine(executor, max_batch=4, batch_window=0.002) as engine:
         futures = [engine.submit(rng.normal(size=(1, 3, 8, 8))) for _ in range(16)]
         outputs = [f.result(timeout=120.0) for f in futures]
     print(engine.report().summary(), "\n")
@@ -107,25 +108,25 @@ assert all(out.shape == (1, 10) for out in outputs)
 #    weights) is exported once into a shared-memory segment; each worker
 #    process attaches zero-copy, installs the plan on its own model copy,
 #    and serves with no GIL in common.  Outputs are bit-identical to the
-#    thread pool; per-worker counters merge into one stats() view.  This
-#    is the compile-once / serve-everywhere step a production deployment
-#    takes after `compile --autotune --save-plan plan.npz`:
+#    in-process PlanExecutor; per-worker counters merge into one stats()
+#    view.  This is the compile-once / serve-everywhere step a production
+#    deployment takes after `compile --autotune --save-plan plan.npz`:
 #
-#        python -m repro.cli serve --plan plan.npz --pool process --workers 4
+#        python -m repro.cli serve --plan plan.npz --workers 4
 #
 #    Guarded so spawn-start platforms (which re-import this script inside
 #    each worker) don't recursively spawn pools from the re-import.
 # ---------------------------------------------------------------------------
 if __name__ == "__main__":
     inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(16)]
-    with make_pool("thread", model, plan, workers=2) as pool:
-        thread_outputs = pool.run_many(inputs)
-    with make_pool("process", model, plan, workers=2) as pool:
+    with PlanExecutor(model, plan) as executor:
+        local_outputs = executor.run_many(inputs)
+    with ProcessWorkerPool(model, plan, workers=2) as pool:
         process_outputs = pool.run_many(inputs)
         print("\nprocess pool:", pool.stats().table().splitlines()[-1])
-    for a, b in zip(thread_outputs, process_outputs):
+    for a, b in zip(local_outputs, process_outputs):
         np.testing.assert_array_equal(b, a)  # bit-identical across substrates
-    print("process-pool outputs bit-identical to thread-pool outputs")
+    print("process-pool outputs bit-identical to PlanExecutor outputs")
 
     # -----------------------------------------------------------------------
     # 6. Watch it live: serve with the metrics endpoint up and scrape your
@@ -141,7 +142,7 @@ if __name__ == "__main__":
     import json
     import urllib.request
 
-    with make_pool("process", model, plan, workers=2) as pool:
+    with ProcessWorkerPool(model, plan, workers=2) as pool:
         with ServingEngine(pool, max_batch=4, batch_window=0.002, workers=2) as engine:
             with engine.serve_metrics(port=0) as server:  # port=0: ephemeral
                 print(f"\nmetrics live at {server.url}/metrics")
@@ -172,7 +173,7 @@ if __name__ == "__main__":
     #    ("degraded": still serving, via respawn-in-progress or the
     #    in-process fallback; "dead": 503).  Try it against a real server:
     #
-    #        python -m repro.cli serve --pool process --workers 4 \
+    #        python -m repro.cli serve --workers 4 \
     #            --metrics-port 9100 --requests 500 &
     #        kill -9 <a worker pid>; curl -s localhost:9100/metrics | \
     #            grep tasd_worker_respawns_total
@@ -180,8 +181,6 @@ if __name__ == "__main__":
     import os
     import signal
     import time
-
-    from repro.runtime import ProcessWorkerPool
 
     pool = ProcessWorkerPool(model, plan, workers=2, respawn_backoff=0.01,
                              health_interval=0.05)
@@ -225,7 +224,7 @@ if __name__ == "__main__":
     #    signals — SIGHUP hot-reloads `--plan`, SIGTERM drains and exits
     #    0:
     #
-    #        python -m repro.cli serve --plan plan.npz --pool process \
+    #        python -m repro.cli serve --plan plan.npz \
     #            --workers 4 --requests 500 &
     #        kill -HUP %1   # hot-swap to the (updated) plan.npz artifact
     #        kill -TERM %1  # drain: finish admitted work, exit 0

@@ -11,11 +11,10 @@ Usage::
     python -m repro.cli compile --config 2:4          # build an execution plan
     python -m repro.cli compile --autotune            # + pick kernels per layer
     python -m repro.cli serve --requests 32 --max-batch 8   # serving demo
-    python -m repro.cli serve --pool thread --workers 4     # replica-parallel
-    python -m repro.cli serve --pool process --workers 4    # past the GIL
+    python -m repro.cli serve --workers 4                   # process pool, past the GIL
     python -m repro.cli serve --autotune --tune-observed    # tune on real shapes
     python -m repro.cli serve --metrics-port 9100           # live /metrics scrape
-    python -m repro.cli serve --pool process --max-queue 64 --request-timeout 30 \
+    python -m repro.cli serve --workers 2 --max-queue 64 --request-timeout 30 \
         --max-retries 2 --no-respawn                        # fault-tolerance knobs
     python -m repro.cli compile --metrics-json plan_metrics.json
     python -m repro.cli lint --strict        # runtime invariant linter
@@ -254,12 +253,17 @@ def _restore_serve_signals(previous: "dict | None") -> None:
 def _serve(args: argparse.Namespace) -> str:
     import numpy as np
 
-    from repro.runtime import PlanExecutor, ServingEngine, SwapRejected, make_pool
+    from repro.runtime import PlanExecutor, ProcessWorkerPool, ServingEngine, SwapRejected
 
     _check_runtime_flags(args)
-    workers = args.workers if args.workers is not None else args.replicas
+    workers = args.workers
     if workers <= 0:
         raise SystemExit(f"--workers must be positive, got {workers}")
+    if workers == 1 and (not args.respawn or args.request_timeout is not None):
+        raise SystemExit(
+            "--no-respawn / --request-timeout supervise process-pool workers; "
+            "they need --workers 2 or more (--workers 1 serves in-process)"
+        )
     if args.max_queue is not None and args.max_queue <= 0:
         raise SystemExit(f"--max-queue must be positive, got {args.max_queue}")
     if args.max_retries < 0:
@@ -280,17 +284,16 @@ def _serve(args: argparse.Namespace) -> str:
     lines = [plan.summary()]
     if tune_note is not None:
         lines.append(tune_note)
-    if args.pool == "thread" and workers == 1:
+    if workers == 1:
         executor_cm = PlanExecutor(model, plan)  # the degenerate one-worker pool
     else:
-        pool_kwargs = {}
-        if args.pool == "process":
-            # Supervision knobs only exist on the process pool (thread
-            # workers share the parent and cannot die independently).
-            pool_kwargs["respawn"] = args.respawn
-            if args.request_timeout is not None:
-                pool_kwargs["request_timeout"] = args.request_timeout
-        executor_cm = make_pool(args.pool, model, plan, workers=workers, **pool_kwargs)
+        executor_cm = ProcessWorkerPool(
+            model,
+            plan,
+            workers=workers,
+            respawn=args.respawn,
+            request_timeout=args.request_timeout,
+        )
     metrics_note = None
     with executor_cm as executor:
         with ServingEngine(
@@ -461,24 +464,11 @@ def main(argv: list[str] | None = None) -> int:
         help="fix one structured-GEMM backend for every compiled layer (compile/serve)",
     )
     parser.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        help="legacy spelling of --workers for the thread pool (serve)",
-    )
-    parser.add_argument(
-        "--pool",
-        choices=["thread", "process"],
-        default="thread",
-        help="worker-pool substrate: thread replicas (share the GIL) or "
-        "worker processes attached to shared-memory operands (serve)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="pool workers; with --pool thread, 1 means a plain single "
-        "executor (defaults to --replicas) (serve)",
+        default=1,
+        help="1 serves through one in-process executor; N > 1 serves through "
+        "N worker processes attached to shared-memory operands (serve)",
     )
     parser.add_argument(
         "--tune-observed",
@@ -523,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="S",
         help="seconds a process-pool worker may hold one dispatch before it "
-        "is declared hung and retired (serve, --pool process)",
+        "is declared hung and retired (serve, --workers 2+)",
     )
     parser.add_argument(
         "--max-retries",
@@ -538,7 +528,7 @@ def main(argv: list[str] | None = None) -> int:
         action=argparse.BooleanOptionalAction,
         default=True,
         help="supervise process-pool workers and respawn dead ones from the "
-        "shared plan segment (serve, --pool process)",
+        "shared plan segment (serve, --workers 2+)",
     )
     parser.add_argument(
         "--drain-timeout",

@@ -19,18 +19,14 @@ The structured GEMMs behind every compiled forward dispatch through a
 pluggable kernel-backend registry (:mod:`repro.runtime.backends`);
 ``compile_plan(..., autotune=True)`` micro-benchmarks the candidates per
 layer and records each winner in the plan.  For worker-parallel serving,
-swap the :class:`PlanExecutor` for a worker pool
-(:mod:`repro.runtime.pool`): thread replicas share one process, process
-workers attach the compiled plan through shared memory and scale past the
-GIL::
+swap the :class:`PlanExecutor` for a :class:`ProcessWorkerPool`
+(:mod:`repro.runtime.pool`): its worker processes attach the compiled plan
+through shared memory and scale past the GIL::
 
     plan = compile_plan(model, transform, autotune=True)
-    with make_pool("process", model, plan, workers=4) as executor:
+    with ProcessWorkerPool(model, plan, workers=4) as executor:
         with ServingEngine(executor, workers=4) as engine:
             y = engine.infer(x)                    # forwards run concurrently
-
-(:class:`ReplicaExecutor` remains the established name for the thread
-pool, with its ``replicas=`` spelling.)
 
 Compiled plans persist across restarts (:mod:`repro.runtime.planio`):
 ``plan.save("plan.npz")`` writes a digest-keyed artifact and
@@ -42,7 +38,7 @@ processes as zero-copy shared-memory views.
 
 The runtime is observable end to end (:mod:`repro.runtime.metrics`,
 :mod:`repro.runtime.tracing`): per-layer GEMM latency histograms with
-fixed buckets merge exactly across thread and process workers, the
+fixed buckets merge exactly across process workers, the
 serving engine records queue-wait / batch-size / end-to-end latency
 histograms plus per-request traces in a bounded ring, and
 ``engine.serve_metrics(port=9100)`` exposes it all over HTTP —
@@ -119,17 +115,13 @@ from .planio import (
 from .autoscale import Autoscaler
 from .chaos import ChaosMonkey, ChaosSpec, is_poisoned, poison_batch, skewed_plan
 from .pool import (
-    POOL_KINDS,
     PlanSwapError,
     PoolDegradedError,
     ProcessWorkerPool,
     RemoteTraceback,
-    ThreadWorkerPool,
     WorkerCrashError,
     WorkerPool,
-    make_pool,
 )
-from .replica import ReplicaExecutor
 from .serve import DeadlineExceeded, QueueFull, ServingEngine, SwapRejected
 from .tracing import RequestTrace, Span, TraceBuffer
 
@@ -154,7 +146,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsServer",
     "OperandCache",
-    "POOL_KINDS",
     "PlanDigestError",
     "PlanExecutor",
     "PlanFormatError",
@@ -163,7 +154,6 @@ __all__ = [
     "ProcessWorkerPool",
     "QueueFull",
     "RemoteTraceback",
-    "ReplicaExecutor",
     "RequestStats",
     "RequestTrace",
     "ServeReport",
@@ -172,7 +162,6 @@ __all__ = [
     "SharedOperandStore",
     "Span",
     "SwapRejected",
-    "ThreadWorkerPool",
     "TraceBuffer",
     "WorkerCrashError",
     "WorkerPool",
@@ -186,7 +175,6 @@ __all__ = [
     "get_backend",
     "is_poisoned",
     "load_plan",
-    "make_pool",
     "merge_snapshots",
     "model_fingerprint",
     "plan_fingerprint",

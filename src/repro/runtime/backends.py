@@ -70,8 +70,8 @@ class GemmBackend:
 
     ``prepare`` derives whatever per-operand state the kernel needs
     (fused tables, CSR arrays, a decompressed matrix, ...) exactly once;
-    the operand memoises it, so serving replicas share prepared state the
-    same way they share the compressed terms.  ``matmul`` must treat both
+    the operand memoises it, so every forward shares prepared state the
+    same way it shares the compressed terms.  ``matmul`` must treat both
     the operand and the prepared state as immutable — backends are shared
     across threads.
     """

@@ -11,11 +11,9 @@ serialising their forwards.
 This is the degenerate, single-worker case of the
 :class:`repro.runtime.pool.WorkerPool` seam (it honours the same
 ``install`` / ``run`` / ``stats`` contract and registers as a virtual
-subclass).  When worker throughput should scale instead, use a real pool:
-:class:`~repro.runtime.pool.ThreadWorkerPool` runs each worker against
-its own model replica sharing this same compiled plan, and
-:class:`~repro.runtime.pool.ProcessWorkerPool` runs worker processes over
-shared-memory operands, past the GIL.
+subclass).  When worker throughput should scale instead, use
+:class:`~repro.runtime.pool.ProcessWorkerPool`: it runs worker processes
+over shared-memory operands, past the GIL.
 """
 
 from __future__ import annotations

@@ -246,19 +246,6 @@ class ExecutionPlan:
         export_executor_stats(registry, stats, self.backend_choices())
         return registry
 
-    def clone_layer_plans(self) -> dict[str, LayerPlan]:
-        """Per-replica layer plans: shared operands, private counters.
-
-        Everything expensive (compressed terms, gather tables, backend
-        state, the operand cache) is shared by reference — operands are
-        immutable — while each clone gets its own :class:`LayerCounters`
-        so concurrent replicas never race on the hot-path counters.
-        """
-        return {
-            name: dataclasses.replace(plan, counters=LayerCounters())
-            for name, plan in self.layers.items()
-        }
-
     # ------------------------------------------------------------------ #
     def save(self, path) -> Path:
         """Persist this plan to a single ``.npz`` + JSON-manifest artifact.
@@ -273,25 +260,20 @@ class ExecutionPlan:
         return save_plan(self, path)
 
     # ------------------------------------------------------------------ #
-    def install(self, model: Module, layer_plans: dict[str, LayerPlan] | None = None) -> None:
+    def install(self, model: Module) -> None:
         """Attach layer plans to the model's GEMM layers (the fast path).
 
         Any TASD transform applied via ``tasder.apply`` is cleared first:
         the plan subsumes both the weight and activation sides, and leaving
         the transform's forward wrappers in place would decompose every
-        activation twice per request.  ``layer_plans`` substitutes a clone
-        set (see :meth:`clone_layer_plans`) — the replica executor installs
-        one clone set per model replica.
+        activation twice per request.
         """
-        plans = layer_plans if layer_plans is not None else self.layers
-        if set(plans) != set(self.layers):
-            raise KeyError("layer_plans must cover exactly the plan's layers")
         layers = dict(gemm_layers(model, include_head=True))
-        missing = set(plans) - set(layers)
+        missing = set(self.layers) - set(layers)
         if missing:
             raise KeyError(f"plan names layers the model lacks: {sorted(missing)}")
         clear_transform(model)
-        for name, plan in plans.items():
+        for name, plan in self.layers.items():
             layers[name].set_compiled_plan(plan)
 
     def uninstall(self, model: Module) -> None:

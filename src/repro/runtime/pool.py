@@ -1,33 +1,24 @@
 """Worker pools: the pluggable execution substrate behind the serving engine.
 
-The serving engine used to be hardwired to *thread* replicas
-(:class:`~repro.runtime.replica.ReplicaExecutor`): each worker thread ran
-forwards on its own model replica, but every non-BLAS part of a forward
-still serialised on the GIL.  This module extracts the seam —
-:class:`WorkerPool`, the install/run/stats contract the engine actually
-drives — and provides two substrates behind it:
+:class:`WorkerPool` is the install/run/stats contract the serving engine
+actually drives.  Two substrates honour it:
 
-- :class:`ThreadWorkerPool` — one model replica per worker thread.
-  Weights and the compiled plan are shared by reference; only the GIL
-  bounds scaling.  This is exactly the old ``ReplicaExecutor`` behaviour.
+- :class:`~repro.runtime.executor.PlanExecutor` — the serial in-process
+  executor (a single lock-serialised worker), registered as a virtual
+  subclass so everything the engine accepts is a :class:`WorkerPool`.
 - :class:`ProcessWorkerPool` — one worker *process* per worker.  The
   parent exports the compiled plan once through
   :func:`~repro.runtime.planio.share_plan` (operand arrays in a
   shared-memory segment); each child attaches zero-copy, installs the
   plan on its own unpickled model, and serves forwards with no GIL in
-  common.  This is the scaling unlock past thread replicas: decomposition
-  and compression cost is paid once (SparseRT's AOT specialisation), the
-  compressed operands are held once (S2TA keeps them resident across
-  PEs), and N cores run N forwards.
+  common.  Decomposition and compression cost is paid once (SparseRT's
+  AOT specialisation), the compressed operands are held once (S2TA keeps
+  them resident across PEs), and N cores run N forwards.
 
-:class:`~repro.runtime.executor.PlanExecutor` satisfies the same contract
-(a single lock-serialised worker) and is registered as a virtual subclass,
-so everything the engine accepts is a :class:`WorkerPool` — pick with
-:func:`make_pool` (CLI: ``serve --pool {thread,process} --workers N``).
-
-Both pools merge per-worker layer counters into one :meth:`stats` view and
-produce **bit-identical** outputs: thread replicas alias the same arrays,
-and process workers run the same kernels over byte-equal shared operands.
+The CLI serves through the executor at ``serve --workers 1`` and through
+the process pool at ``--workers N``.  Both produce **bit-identical**
+outputs: process workers run the same kernels over byte-equal shared
+operands.
 
 The process pool is *supervised*: a background supervisor thread detects
 dead workers (pipe errors on a request, plus a periodic health-check ping
@@ -45,7 +36,6 @@ from __future__ import annotations
 
 import abc
 import collections
-import copy
 import dataclasses
 import itertools
 import multiprocessing
@@ -62,18 +52,15 @@ from repro.nn.module import Module
 
 from .counters import ExecutorStats, LayerCounters, WorkerStat
 from .executor import PlanExecutor
-from .plan import ExecutionPlan, LayerPlan
+from .plan import ExecutionPlan
 
 __all__ = [
-    "POOL_KINDS",
     "RemoteTraceback",
     "WorkerCrashError",
     "PoolDegradedError",
     "PlanSwapError",
     "WorkerPool",
-    "ThreadWorkerPool",
     "ProcessWorkerPool",
-    "make_pool",
 ]
 
 
@@ -213,285 +200,6 @@ class WorkerPool(abc.ABC):
 # serialises forwards); registering it keeps `isinstance(x, WorkerPool)`
 # true for everything the serving engine accepts.
 WorkerPool.register(PlanExecutor)
-
-
-# ---------------------------------------------------------------------- #
-# Thread pool: one model replica per worker thread
-# ---------------------------------------------------------------------- #
-class ThreadWorkerPool(WorkerPool):
-    """Execute batches against one compiled plan across N model replicas.
-
-    The single-model :class:`PlanExecutor` must hold a lock across every
-    forward — layers cache forward state on ``self``, so one model
-    instance cannot run concurrent batches — which serialises all of the
-    serving engine's workers.  This pool removes the lock by giving each
-    worker its own *replica* of the model while sharing everything
-    immutable:
-
-    - parameter storage is aliased back to the source model (replicas add
-      per-layer Python objects and forward caches, not weight copies);
-    - the compiled :class:`ExecutionPlan` is shared — every replica serves
-      from the same :class:`CompiledOperand` terms, gather tables,
-      prepared backend state, and operand cache;
-    - only the per-layer perf counters are private per replica (cloned via
-      :meth:`ExecutionPlan.clone_layer_plans`), so the hot path never
-      races; :meth:`stats` merges them back into one view.
-
-    Replicas are checked out of a pool for the duration of one forward, so
-    up to ``workers`` batches execute concurrently with no shared mutable
-    state between them.  Throughput then scales with workers as far as the
-    machine's cores *and the GIL* allow — NumPy releases it inside BLAS,
-    but every Python-level part of a forward still serialises.  For
-    scaling past that, use :class:`ProcessWorkerPool`.
-
-    The source ``model`` itself is never touched: replicas are built from
-    it (weights aliased, not copied) and the plan is installed on the
-    replicas only, so the caller's model keeps its uncompiled forward.
-    """
-
-    def __init__(self, model: Module, plan: ExecutionPlan, workers: int = 2) -> None:
-        if workers <= 0:
-            raise ValueError(f"workers must be positive, got {workers}")
-        self.model = model
-        self.plan = plan
-        self.workers = workers
-        self._pool: "queue.Queue[Module]" = queue.Queue()
-        self._replica_plans: list[dict[str, LayerPlan]] = []  # guarded-by: _state_lock
-        self._installed = False  # guarded-by: _state_lock
-        self._state_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
-        self._batches = 0  # guarded-by: _stats_lock
-        self._samples = 0  # guarded-by: _stats_lock
-        self._wall_time = 0.0  # guarded-by: _stats_lock
-        # Worker identity for telemetry: uid per replica, unique across
-        # generations; request counts survive close() like the counters do.
-        self._uids = itertools.count()
-        self._replica_uid: dict[int, int] = {}  # guarded-by: _stats_lock
-        self._worker_requests: dict[int, int] = {}  # guarded-by: _stats_lock
-        self._current_uids: set[int] = set()  # guarded-by: _stats_lock
-
-    # ------------------------------------------------------------------ #
-    def _build_replica(
-        self, plan: ExecutionPlan | None = None
-    ) -> tuple[Module, dict[str, LayerPlan]]:
-        # Weights (and eval-time buffers like running BatchNorm statistics)
-        # are immutable at inference: seeding the deepcopy memo with their
-        # arrays makes every replica alias the source model's tensors, so a
-        # replica costs layer objects and forward caches — never weights.
-        plan = plan if plan is not None else self.plan
-        memo: dict[int, object] = {}
-        for p in self.model.parameters():
-            memo[id(p.data)] = p.data
-            # Replicas are inference-only, so sharing gradient storage is
-            # safe and avoids duplicating weight-sized buffers per replica.
-            memo[id(p.grad)] = p.grad
-        for _, buf in self.model.named_buffers():
-            memo[id(buf)] = buf
-        replica = copy.deepcopy(self.model, memo)
-        layer_plans = plan.clone_layer_plans()
-        plan.install(replica, layer_plans)
-        replica.eval()
-        return replica, layer_plans
-
-    # lint: disable=guarded-field — every caller (install/scale_to/swap_plan)
-    # already holds _state_lock around the _replica_plans append
-    def _enroll_replica(self, replica: Module, layer_plans: dict[str, LayerPlan]) -> None:
-        """Register one built replica: uid, telemetry, the checkout pool."""
-        uid = next(self._uids)
-        with self._stats_lock:
-            self._replica_uid[id(replica)] = uid
-            self._worker_requests.setdefault(uid, 0)
-            self._current_uids.add(uid)
-        self._pool.put(replica)
-        self._replica_plans.append(layer_plans)
-
-    def install(self) -> "ThreadWorkerPool":
-        with self._state_lock:
-            if not self._installed:
-                for _ in range(self.workers):
-                    replica, layer_plans = self._build_replica()
-                    self._enroll_replica(replica, layer_plans)
-                self._installed = True
-        return self
-
-    def close(self) -> None:
-        """Discard the replica pool (the source model was never modified).
-
-        Waits for in-flight forwards, then drops the replicas.  Their
-        layer-plan clones are kept so :meth:`stats` keeps reporting the
-        accumulated counters after close — the same post-close behaviour
-        as :class:`PlanExecutor`.  A later :meth:`run`/:meth:`install`
-        builds a fresh replica generation whose counters merge on top.
-        """
-        with self._state_lock:
-            if not self._installed:
-                return
-            # Wait for in-flight forwards: every replica must be back home.
-            for _ in range(self.workers):
-                replica = self._pool.get()
-                with self._stats_lock:
-                    # Drop the id mapping: the replica is about to be GC'd
-                    # and a later generation's replica could reuse its id().
-                    self._replica_uid.pop(id(replica), None)
-            with self._stats_lock:
-                self._current_uids.clear()
-            self._installed = False
-
-    # ------------------------------------------------------------------ #
-    @hot_path
-    def run(self, x: np.ndarray) -> np.ndarray:
-        """One timed forward on whichever replica is free first.
-
-        Blocks until a replica is available; no lock is held while the
-        forward runs, so up to ``workers`` calls proceed concurrently.
-        """
-        x = np.asarray(x)
-        # install() then checkout with one blocking wait per liveness
-        # re-check: a close() racing this call can drain the pool after our
-        # install() check, and a plain blocking get() would then hang
-        # forever.  On wakeup the install() is what refills the pool (lazy
-        # reinstall-after-close); a generous timeout keeps the idle path
-        # from busy-spinning through install()'s state lock.
-        while True:
-            self.install()
-            try:
-                replica = self._pool.get(timeout=0.5)
-                break
-            except queue.Empty:
-                continue
-        try:
-            t0 = time.perf_counter()
-            y = replica(x)
-            elapsed = time.perf_counter() - t0
-        finally:
-            self._pool.put(replica)
-        with self._stats_lock:
-            # uid looked up under the lock: a concurrent close() popping the
-            # mapping mid-read would otherwise race this .get().
-            uid = self._replica_uid.get(id(replica))
-            self._batches += 1
-            self._samples += int(x.shape[0])
-            self._wall_time += elapsed
-            if uid is not None:
-                self._worker_requests[uid] = self._worker_requests.get(uid, 0) + 1
-        return y
-
-    # ------------------------------------------------------------------ #
-    def stats(self) -> ExecutorStats:
-        """Counters merged across all replicas plus whole-forward timing.
-
-        ``wall_time`` sums per-forward time across replicas, so with
-        concurrent workers it can exceed elapsed wall-clock — it measures
-        compute volume, like CPU time.  The snapshot is taken without
-        stopping in-flight forwards; concurrently-running batches may be
-        partially reflected.
-        """
-        with self._stats_lock:
-            batches, samples, wall = self._batches, self._samples, self._wall_time
-        with self._state_lock:
-            replica_plans = list(self._replica_plans)
-        layers: dict[str, LayerCounters] = {}
-        for name in self.plan.layers:
-            merged = LayerCounters()
-            for layer_plans in replica_plans:
-                merged = merged.merged_with(layer_plans[name].counters)
-            layers[name] = merged
-        return ExecutorStats(
-            batches=batches,
-            samples=samples,
-            wall_time=wall,
-            layers=layers,
-            cache=dataclasses.replace(self.plan.cache.counters),
-        )
-
-    def worker_stats(self) -> list[WorkerStat]:
-        with self._state_lock:
-            installed = self._installed
-        with self._stats_lock:
-            current = set(self._current_uids)
-            return [
-                WorkerStat(uid=uid, alive=installed and uid in current, requests=n)
-                for uid, n in sorted(self._worker_requests.items())
-            ]
-
-    # ------------------------------------------------------------------ #
-    # Zero-downtime operations: hot plan-swap and elastic resize
-    # ------------------------------------------------------------------ #
-    def utilization(self) -> float:
-        """Fraction of replicas checked out right now (autoscaler signal)."""
-        with self._state_lock:
-            if not self._installed:
-                return 0.0
-            total = self.workers
-        busy = total - self._pool.qsize()
-        return max(0.0, min(1.0, busy / max(total, 1)))
-
-    def scale_to(self, n: int) -> int:
-        """Resize to ``n`` replicas; returns the delta applied.
-
-        Scale-ups build fresh replicas (weights aliased, plan shared);
-        scale-downs wait for busy replicas to come home, then drop them.
-        Dropped replicas' layer-plan clones stay behind so :meth:`stats`
-        keeps their accumulated counters.
-        """
-        if n <= 0:
-            raise ValueError(f"workers must be positive, got {n}")
-        with self._state_lock:
-            delta = n - self.workers
-            if not self._installed:
-                self.workers = n
-                return delta
-            for _ in range(max(0, delta)):
-                replica, layer_plans = self._build_replica()
-                self._enroll_replica(replica, layer_plans)
-            for _ in range(max(0, -delta)):
-                replica = self._pool.get()  # waits for in-flight forwards
-                with self._stats_lock:
-                    uid = self._replica_uid.pop(id(replica), None)
-                    if uid is not None:
-                        self._current_uids.discard(uid)
-            self.workers = n
-            return delta
-
-    def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
-        """Replace the serving plan across every replica.
-
-        A probe replica is built on ``new_plan`` first and — when
-        ``canary`` is given — validated *before* any serving replica is
-        touched, so a rejected plan never serves a request.  On success
-        the pool quiesces (waits for in-flight forwards), retires the old
-        replicas, and enrolls a fresh generation on the new plan, with
-        the probe replica recycled as the first worker.  Old replicas'
-        counters stay merged into :meth:`stats`.
-        """
-        self.install()
-        with self._state_lock:
-            probe, probe_plans = self._build_replica(new_plan)
-            if canary is not None:
-                canary(lambda x: probe(np.asarray(x)))  # raising rejects the swap
-            old = [self._pool.get() for _ in range(self.workers)]
-            with self._stats_lock:
-                for replica in old:
-                    self._replica_uid.pop(id(replica), None)
-                self._current_uids.clear()
-            self.plan = new_plan
-            self._enroll_replica(probe, probe_plans)
-            for _ in range(self.workers - 1):
-                replica, layer_plans = self._build_replica()
-                self._enroll_replica(replica, layer_plans)
-            return self.workers
-
-    def reset_stats(self) -> None:
-        with self._stats_lock:
-            self._batches = self._samples = 0
-            self._wall_time = 0.0
-            self._worker_requests = {uid: 0 for uid in self._worker_requests}
-        with self._state_lock:
-            replica_plans = list(self._replica_plans)
-        for layer_plans in replica_plans:
-            for plan in layer_plans.values():
-                plan.counters.reset()
-        self.plan.cache.counters.reset()
 
 
 # ---------------------------------------------------------------------- #
@@ -648,10 +356,9 @@ class ProcessWorkerPool(WorkerPool):
     worker process attaches the segment zero-copy — N workers hold one
     copy of the compressed operands — and runs forwards with no GIL in
     common, so throughput scales with cores even for the Python-level
-    parts of a forward that thread replicas serialise.
+    parts of a forward.
 
-    Outputs are bit-identical to the thread pool (and to
-    :class:`PlanExecutor`): workers run the same kernels over byte-equal
+    Outputs are bit-identical to :class:`PlanExecutor`: workers run the same kernels over byte-equal
     operand storage, and request arrays round-trip the pipe losslessly.
 
     ``mp_context`` picks the start method: the default prefers ``fork``
@@ -741,8 +448,7 @@ class ProcessWorkerPool(WorkerPool):
         self._samples = 0  # guarded-by: _stats_lock
         self._wall_time = 0.0  # guarded-by: _stats_lock
         # Latest cumulative per-layer counters per worker uid.  Kept across
-        # close() so stats survive it (old generations merge with new ones,
-        # exactly like the thread pool's retained replica plans).
+        # close() so stats survive it (old generations merge with new ones).
         self._counter_snapshots: dict[int, dict[str, LayerCounters]] = {}  # guarded-by: _stats_lock
         # Telemetry: liveness + served-forward count per worker uid.  Kept
         # across close() too, so a scrape can still see retired workers.
@@ -998,8 +704,7 @@ class ProcessWorkerPool(WorkerPool):
         Waits for in-flight forwards (workers come home before stopping),
         keeps accumulated counters readable afterwards, and a later
         :meth:`run`/:meth:`install` brings up a fresh worker generation
-        whose counters merge on top — the same post-close contract as the
-        thread pool.
+        whose counters merge on top.
         """
         # Stop the supervisor before taking the state lock: it must not
         # respawn (or hold workers out for pings) while teardown collects
@@ -1394,9 +1099,9 @@ class ProcessWorkerPool(WorkerPool):
         """Counters merged across all worker processes plus forward timing.
 
         Each worker ships its cumulative per-layer counters with every
-        ``run`` reply, so merging here needs no cross-process round-trip;
-        like the thread pool, ``wall_time`` sums per-forward time across
-        workers (compute volume, not elapsed wall-clock).
+        ``run`` reply, so merging here needs no cross-process round-trip.
+        ``wall_time`` sums per-forward time across workers (compute volume,
+        not elapsed wall-clock).
         """
         with self._stats_lock:
             batches, samples, wall = self._batches, self._samples, self._wall_time
@@ -1468,26 +1173,3 @@ class ProcessWorkerPool(WorkerPool):
             self._worker_requests = {uid: 0 for uid in self._worker_requests}
         self.plan.cache.counters.reset()
 
-
-# ---------------------------------------------------------------------- #
-POOL_KINDS = ("thread", "process")
-
-
-def make_pool(
-    kind: str,
-    model: Module,
-    plan: ExecutionPlan,
-    workers: int = 2,
-    **kwargs,
-) -> WorkerPool:
-    """Build a worker pool by kind (the CLI's ``--pool`` seam).
-
-    ``"thread"`` → :class:`ThreadWorkerPool`, ``"process"`` →
-    :class:`ProcessWorkerPool`; extra keyword arguments pass through to
-    the pool constructor (e.g. ``mp_context=`` for the process pool).
-    """
-    if kind == "thread":
-        return ThreadWorkerPool(model, plan, workers=workers, **kwargs)
-    if kind == "process":
-        return ProcessWorkerPool(model, plan, workers=workers, **kwargs)
-    raise ValueError(f"unknown pool kind {kind!r}; options: {POOL_KINDS}")

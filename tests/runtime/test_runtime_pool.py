@@ -1,15 +1,15 @@
 """Tests for the worker-pool execution substrate.
 
-The contract: every pool behind the :class:`WorkerPool` seam is
-observationally identical to a :class:`PlanExecutor` over the same
-compiled plan — bit-identical outputs, merged counters — whether workers
-are threads sharing the process or child processes attached to the plan
-through shared memory.
+The contract: a :class:`ProcessWorkerPool` is observationally identical
+to a :class:`PlanExecutor` over the same compiled plan — bit-identical
+outputs, merged counters — while its workers are child processes attached
+to the plan through shared memory.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -24,12 +24,10 @@ from repro.runtime import (
     ProcessWorkerPool,
     ServingEngine,
     SharedOperandStore,
-    ThreadWorkerPool,
     WorkerPool,
     attach_plan,
     compile_plan,
     exact_backend_names,
-    make_pool,
     retune_plan,
     share_plan,
 )
@@ -184,15 +182,65 @@ class TestProcessWorkerPool:
             np.testing.assert_array_equal(out, ref)
 
     @pytest.mark.parametrize("backend", exact_backend_names())
-    def test_exact_backends_bit_identical_to_thread_pool(self, batch, backend):
+    def test_exact_backends_bit_identical_to_plan_executor(self, batch, backend):
         model, transform = _sparse_model()
         plan = compile_plan(model, transform, backend=backend)
-        with ThreadWorkerPool(model, plan, workers=2) as tpool:
-            ref = tpool.run_many([batch] * 2)
+        with PlanExecutor(model, plan) as ex:
+            ref = ex.run_many([batch] * 2)
         with ProcessWorkerPool(model, plan, workers=2) as ppool:
             out = ppool.run_many([batch] * 2)
         for a, b in zip(ref, out):
             np.testing.assert_array_equal(b, a)
+
+    def test_run_racing_close_never_hangs(self, compiled, batch):
+        """run() overlapping close() must resolve (reinstall), not block forever."""
+        model, _, plan = compiled
+        with PlanExecutor(model, plan) as ex:
+            ref = ex.run(batch)
+        pool = ProcessWorkerPool(model, plan, workers=2)
+        pool.install()
+        results = []
+
+        def hammer():
+            for _ in range(3):
+                results.append(pool.run(batch))
+
+        threads = [threading.Thread(target=hammer) for _ in range(3)]
+        try:
+            for t in threads:
+                t.start()
+            pool.close()  # races the hammer threads on purpose
+            for t in threads:
+                t.join(timeout=120.0)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            pool.close()
+        assert len(results) == 9
+        for out in results:
+            np.testing.assert_array_equal(out, ref)
+        assert pool.stats().batches == 9
+
+    def test_more_client_threads_than_workers(self, compiled, batch):
+        """Six threads on two workers: exact outputs and exact counters."""
+        model, _, plan = compiled
+        with PlanExecutor(model, plan) as ex:
+            ref = ex.run(batch)
+        results = [None] * 6
+        with ProcessWorkerPool(model, plan, workers=2) as pool:
+
+            def work(i):
+                results[i] = pool.run(batch)
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+            stats = pool.stats()
+        for out in results:
+            np.testing.assert_array_equal(out, ref)
+        assert stats.batches == 6
+        assert all(c.calls == 6 for c in stats.layers.values())
 
     def test_stats_merge_across_processes(self, compiled, batch):
         model, _, plan = compiled
@@ -284,7 +332,7 @@ class TestProcessWorkerPool:
                 outputs = [f.result(timeout=120.0) for f in futures]
         assert engine.report().count == 8
         # Micro-batching changes the GEMM width, so allclose (same tolerance
-        # as the thread-pool serving tests).
+        # as the single-executor serving tests).
         for single, served in zip(singles, outputs):
             np.testing.assert_allclose(served, single, atol=1e-12)
 
@@ -308,20 +356,12 @@ class TestProcessWorkerPool:
 
 
 # ---------------------------------------------------------------------- #
-# Seam / factory
+# Seam
 # ---------------------------------------------------------------------- #
 class TestWorkerPoolSeam:
-    def test_make_pool_kinds(self, compiled):
-        model, _, plan = compiled
-        assert isinstance(make_pool("thread", model, plan, workers=2), ThreadWorkerPool)
-        assert isinstance(make_pool("process", model, plan, workers=2), ProcessWorkerPool)
-        with pytest.raises(ValueError, match="pool kind"):
-            make_pool("fiber", model, plan)
-
     def test_every_executor_is_a_worker_pool(self, compiled):
         model, _, plan = compiled
         assert isinstance(PlanExecutor(model, plan), WorkerPool)
-        assert isinstance(ThreadWorkerPool(model, plan), WorkerPool)
         assert isinstance(ProcessWorkerPool(model, plan), WorkerPool)
 
 

@@ -16,10 +16,10 @@ from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
 from repro.runtime import (
     PlanExecutor,
+    ProcessWorkerPool,
     ServeReport,
     ServingEngine,
     compile_plan,
-    make_pool,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -268,9 +268,8 @@ def _scrape(url: str):
         return resp.status, resp.read().decode()
 
 
-@pytest.mark.parametrize("pool_kind", ["thread", "process"])
-def test_live_metrics_endpoint_end_to_end(pool_kind):
-    """Serve over a real pool, scrape /metrics mid-flight, and check the
+def test_live_metrics_endpoint_end_to_end():
+    """Serve over a process pool, scrape /metrics mid-flight, and check the
     scrape agrees with the engine's own report."""
     model = resnet18(num_classes=10, base_width=16)
     global_magnitude_prune(model, 0.6)
@@ -279,7 +278,7 @@ def test_live_metrics_endpoint_end_to_end(pool_kind):
     )
     plan = compile_plan(model, transform)
     rng = np.random.default_rng(25)
-    with make_pool(pool_kind, model, plan, workers=2) as pool:
+    with ProcessWorkerPool(model, plan, workers=2) as pool:
         with ServingEngine(pool, max_batch=4, batch_window=0.005, workers=2) as engine:
             with engine.serve_metrics(port=0) as server:
                 futures = [engine.submit(rng.normal(size=(2, 3, 8, 8))) for _ in range(8)]

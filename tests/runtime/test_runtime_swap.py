@@ -30,7 +30,6 @@ from repro.runtime import (
     QueueFull,
     ServingEngine,
     SwapRejected,
-    ThreadWorkerPool,
     compile_plan,
     load_plan,
     plan_fingerprint,
@@ -96,7 +95,7 @@ def _foreign_plan():
 
 
 # --------------------------------------------------------------------- #
-# Executor-level swap: PlanExecutor, ThreadWorkerPool, ProcessWorkerPool
+# Executor-level swap: PlanExecutor, ProcessWorkerPool
 # --------------------------------------------------------------------- #
 class TestExecutorSwap:
     def test_plan_executor_swap_commits(self, compiled, candidate, batch, reference):
@@ -125,35 +124,6 @@ class TestExecutorSwap:
                 executor.swap_plan(candidate, canary=failing_canary)
             assert executor.plan is plan
             np.testing.assert_allclose(executor.run(batch), reference)
-
-    def test_thread_pool_swap_rolls_every_replica(
-        self, compiled, candidate, batch, reference
-    ):
-        model, plan = compiled
-        with ThreadWorkerPool(model, plan, workers=3) as pool:
-            before = pool.run(batch)
-            assert pool.swap_plan(
-                candidate,
-                canary=lambda run: np.testing.assert_allclose(run(batch), reference),
-            ) == 3
-            assert pool.plan is candidate
-            np.testing.assert_array_equal(pool.run(batch), before)
-
-    def test_thread_pool_swap_validates_before_touching_replicas(
-        self, compiled, batch, reference
-    ):
-        model, plan = compiled
-        with ThreadWorkerPool(model, plan, workers=2) as pool:
-            bad = skewed_plan(plan)
-            with pytest.raises(AssertionError):
-                pool.swap_plan(
-                    bad,
-                    canary=lambda run: np.testing.assert_allclose(
-                        run(batch), reference
-                    ),
-                )
-            assert pool.plan is plan
-            np.testing.assert_allclose(pool.run(batch), reference)
 
     def test_process_pool_swap_rolls_all_workers_and_releases_old_segment(
         self, compiled, candidate, batch, reference
