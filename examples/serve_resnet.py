@@ -3,8 +3,8 @@
 A sparse ResNet-18's weights are decomposed and compressed into structured
 N:M operands exactly once, at plan-build time; every request after that
 runs only the structured sparse GEMMs.  Compilation also *autotunes* the
-kernel backend per layer (micro-benchmarking the registry of structured
-GEMM implementations), and serving runs through one in-process executor
+kernel backend per layer (micro-benchmarking the three structured GEMM
+implementations), and serving runs through one in-process executor
 that binds the compiled plan to the model.
 
 The compiled plan also *persists*: it is saved to a digest-keyed ``.npz``

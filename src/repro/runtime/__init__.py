@@ -15,10 +15,10 @@ Quickstart::
         with ServingEngine(executor, max_batch=8) as engine:
             y = engine.infer(x)                    # compile once, serve many
 
-The structured GEMMs behind every compiled forward dispatch through a
-pluggable kernel-backend registry (:mod:`repro.runtime.backends`);
-``compile_plan(..., autotune=True)`` micro-benchmarks the candidates per
-layer and records each winner in the plan.  For worker-parallel serving,
+The structured GEMMs behind every compiled forward dispatch to one of
+three kernel backends (:mod:`repro.runtime.backends`);
+``compile_plan(..., autotune=True)`` micro-benchmarks them per layer and
+records each winner in the plan.  For worker-parallel serving,
 swap the :class:`PlanExecutor` for a :class:`ProcessWorkerPool`
 (:mod:`repro.runtime.pool`): its worker processes attach the compiled plan
 through shared memory and scale past the GIL::
@@ -72,7 +72,6 @@ from .backends import (
     backend_names,
     exact_backend_names,
     get_backend,
-    register_backend,
 )
 from .cache import (
     CompiledOperand,
@@ -180,7 +179,6 @@ __all__ = [
     "plan_fingerprint",
     "poison_batch",
     "skewed_plan",
-    "register_backend",
     "render_prometheus",
     "retune_plan",
     "save_plan",

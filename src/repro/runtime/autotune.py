@@ -14,17 +14,21 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .backends import DEFAULT_BACKEND, backend_names, exact_backend_names, get_backend
+from .backends import DEFAULT_BACKEND, backend_names, exact_backend_names
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cache import CompiledOperand
     from .plan import ExecutionPlan
 
-__all__ = ["AutotuneResult", "autotune_operand", "retune_plan"]
+__all__ = ["DEFAULT_SAMPLE_COLS", "AutotuneResult", "autotune_operand", "retune_plan"]
+
+#: GEMM column width a layer is timed at when no served width is known
+#: (``compile_plan(autotune=True)``, and layers a profile never touched).
+DEFAULT_SAMPLE_COLS = 32
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,8 @@ class AutotuneResult:
 
 def autotune_operand(
     operand: "CompiledOperand",
-    sample_cols: int = 32,
+    sample_cols: int = DEFAULT_SAMPLE_COLS,
     repeats: int = 3,
-    backends: Sequence[str] | None = None,
     exact_only: bool = False,
     seed: int = 0,
 ) -> AutotuneResult:
@@ -78,17 +81,13 @@ def autotune_operand(
     candidate is warmed up once (building its prepared state, which is
     memoised on the operand and therefore *not* billed to steady-state
     serving) and timed over ``repeats`` calls; the median decides.  Ties
-    resolve toward registration order, i.e. toward the reference.
+    resolve toward :func:`backend_names` order, i.e. toward the reference.
     """
     if repeats <= 0:
         raise ValueError(f"repeats must be positive, got {repeats}")
     if sample_cols <= 0:
         raise ValueError(f"sample_cols must be positive, got {sample_cols}")
-    candidates = tuple(backends) if backends is not None else (
-        exact_backend_names() if exact_only else backend_names()
-    )
-    if not candidates:
-        raise ValueError("no candidate backends to autotune over")
+    candidates = exact_backend_names() if exact_only else backend_names()
     rng = np.random.default_rng(seed)
     # Sample in the dtype the operand will actually serve: a float32 model
     # timed against a float64 right-hand side would measure upcast
@@ -97,7 +96,6 @@ def autotune_operand(
     b = rng.normal(size=(operand.padded_shape[1], sample_cols)).astype(dtype, copy=False)
     timings: dict[str, float] = {}
     for name in candidates:
-        get_backend(name)  # fail fast on unknown names
         operand.matmul(b, backend=name)  # warm-up; builds memoised state
         samples = []
         for _ in range(repeats):
@@ -107,9 +105,9 @@ def autotune_operand(
         timings[name] = sorted(samples)[len(samples) // 2]
     best = min(candidates, key=lambda name: timings[name])
     # Keep only the winner's prepared state resident: losing candidates'
-    # state (dense-emulation's decompressed matrix, fused tables, ...) can
-    # dwarf the compressed operand itself, and it rebuilds lazily if a
-    # plan ever dispatches to that backend anyway.
+    # state (dense-emulation's decompressed matrix) can dwarf the
+    # compressed operand itself, and it rebuilds lazily if a plan ever
+    # dispatches to that backend anyway.
     for name in list(operand.backend_states):
         if name != best:
             operand.backend_states.pop(name, None)
@@ -119,9 +117,7 @@ def autotune_operand(
 def retune_plan(
     plan: "ExecutionPlan",
     observed_cols: dict[str, int],
-    default_cols: int = 32,
     repeats: int = 3,
-    backends: Sequence[str] | None = None,
     exact_only: bool = False,
 ) -> dict[str, str]:
     """Re-tune a compiled plan on the GEMM shapes a serving run observed.
@@ -129,20 +125,19 @@ def retune_plan(
     ``observed_cols`` is the per-layer dominant column width a profiling
     run recorded (:meth:`ExecutorStats.observed_cols`); each compiled
     layer is re-swept on its own observed width (falling back to
-    ``default_cols`` for layers the profile never touched) and the plan's
-    backend choice and autotune record are updated in place.  Returns the
-    resulting ``backend_choices()`` — re-tuning an already-installed plan
-    takes effect on the next forward, since ``LayerPlan.gemm`` reads the
-    backend per call.
+    :data:`DEFAULT_SAMPLE_COLS` for layers the profile never touched) and
+    the plan's backend choice and autotune record are updated in place.
+    Returns the resulting ``backend_choices()`` — re-tuning an
+    already-installed plan takes effect on the next forward, since
+    ``LayerPlan.gemm`` reads the backend per call.
     """
     for name, layer_plan in plan.layers.items():
         if layer_plan.mode != "compiled":
             continue
         sweep = autotune_operand(
             layer_plan.operand,
-            sample_cols=observed_cols.get(name, default_cols),
+            sample_cols=observed_cols.get(name, DEFAULT_SAMPLE_COLS),
             repeats=repeats,
-            backends=backends,
             exact_only=exact_only,
         )
         layer_plan.backend = sweep.backend

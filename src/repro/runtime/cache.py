@@ -85,7 +85,7 @@ class CompiledOperand:
     # row indices into the right-hand operand.
     flat_values: tuple[np.ndarray, ...] = field(repr=False)
     flat_rows: tuple[np.ndarray, ...] = field(repr=False)
-    # Memoised per-backend prepared state (fused tables, CSR arrays, ...).
+    # Memoised per-backend prepared state (dense-emulation's matrix).
     # Mutated under the GIL only; a racing first call at worst prepares
     # twice and keeps one result — never corrupts.
     backend_states: dict = field(default_factory=dict, repr=False, compare=False)

@@ -156,9 +156,9 @@ def skewed_plan(plan, scale: float = 2.0):
             # exist, exactly once each.
             if not np.shares_memory(flat, values):
                 flat *= scale
-            # Prepared backend state (fused tables, CSR arrays, dense
-            # emulation) was derived from the un-skewed values: drop it so
-            # every backend recomputes from the corrupt storage.
+            # Prepared backend state (dense-emulation's matrix) was
+            # derived from the un-skewed values: drop it so every backend
+            # recomputes from the corrupt storage.
             op.backend_states.clear()
             return bad
         if layer_plan.dense_weight is not None:

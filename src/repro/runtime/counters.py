@@ -164,7 +164,6 @@ class ExecutorStats:
         """Per-layer dominant GEMM column width observed by this run.
 
         The shape profile a serving run actually exercised — feed it to
-        ``compile_plan(autotune=True, observed_cols=...)`` or
         :func:`repro.runtime.autotune.retune_plan` to tune each layer on
         its real serving shape instead of a representative guess.  Layers
         that recorded no widths (never called, dense-only runs) are

@@ -305,11 +305,8 @@ def compile_plan(
     cache_activations: bool = False,
     backend: str = DEFAULT_BACKEND,
     autotune: bool = False,
-    autotune_cols: int = 32,
     autotune_repeats: int = 3,
-    autotune_backends: tuple[str, ...] | None = None,
     autotune_exact_only: bool = False,
-    observed_cols: dict[str, int] | None = None,
 ) -> ExecutionPlan:
     """Compile a model + transform into an :class:`ExecutionPlan`.
 
@@ -321,14 +318,13 @@ def compile_plan(
     every forward re-decomposes through ``tasd_matmul``).
 
     ``backend`` fixes the structured-GEMM kernel for every compiled layer;
-    ``autotune=True`` instead micro-benchmarks the candidate backends per
-    layer (see :func:`repro.runtime.autotune.autotune_operand`) and records
-    each winner — ``autotune_exact_only`` restricts the sweep to backends
-    bit-identical to the reference kernel.  ``observed_cols`` maps layer
-    names to the GEMM column widths a previous serving run actually saw
-    (:meth:`repro.runtime.counters.ExecutorStats.observed_cols`); when
-    autotuning, a layer present in the map is timed on its observed width
-    instead of the representative ``autotune_cols``.
+    ``autotune=True`` instead micro-benchmarks the backends per layer at
+    :data:`~repro.runtime.autotune.DEFAULT_SAMPLE_COLS` columns (see
+    :func:`repro.runtime.autotune.autotune_operand`) and records each
+    winner — ``autotune_exact_only`` restricts the sweep to backends
+    bit-identical to the reference kernel.  To tune on the widths a serving
+    run actually saw, pass the compiled plan to
+    :func:`repro.runtime.autotune.retune_plan`.
 
     ``cache_activations`` routes dynamic TASD-A views through the operand
     cache too.  Off by default: it only pays when identical activations
@@ -358,13 +354,7 @@ def compile_plan(
         layer_backend, sweep = backend, None
         if autotune and layer_mode == "compiled":
             sweep = autotune_operand(
-                operand,
-                sample_cols=observed_cols.get(name, autotune_cols)
-                if observed_cols
-                else autotune_cols,
-                repeats=autotune_repeats,
-                backends=autotune_backends,
-                exact_only=autotune_exact_only,
+                operand, repeats=autotune_repeats, exact_only=autotune_exact_only
             )
             layer_backend = sweep.backend
         plans[name] = LayerPlan(

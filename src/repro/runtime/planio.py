@@ -266,8 +266,10 @@ def save_plan(plan: "ExecutionPlan", path: str | Path) -> Path:
     # artifact and the last os.replace wins.
     tmp = path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
     try:
+        # Stored, not deflated: zlib dominated load time, and load_plan
+        # reads both this and the older compressed artifacts.
         with open(tmp, "wb") as f:
-            np.savez_compressed(f, **arrays)
+            np.savez(f, **arrays)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -446,9 +448,8 @@ def _entry_configs(entry: dict) -> tuple[TASDConfig, TASDConfig]:
         )
     if entry["mode"] == "compiled" and entry["backend"] not in backend_names():
         raise PlanFormatError(
-            f"plan layer {name!r} uses GEMM backend {entry['backend']!r}, "
-            f"which is not registered in this process (registered: "
-            f"{backend_names()}); register it before loading, or "
+            f"plan layer {name!r} uses unknown GEMM backend "
+            f"{entry['backend']!r} (known: {backend_names()}); "
             f"recompile the plan"
         )
     return (

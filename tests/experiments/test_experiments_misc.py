@@ -58,11 +58,11 @@ class TestCli:
 
     def test_autotune_and_backend_are_mutually_exclusive(self):
         with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(["compile", "--autotune", "--backend", "fused-gather"])
+            main(["compile", "--autotune", "--backend", "blocked-gather"])
 
     def test_compile_with_fixed_backend(self, capsys):
-        assert main(["compile", "--backend", "fused-gather", "--sparsity", "0.5"]) == 0
-        assert "fused-gather" in capsys.readouterr().out
+        assert main(["compile", "--backend", "blocked-gather", "--sparsity", "0.5"]) == 0
+        assert "blocked-gather" in capsys.readouterr().out
 
     def test_unknown_backend_exits_cleanly_listing_names(self):
         """serve --backend bogus must not die mid-compile with a KeyError."""

@@ -389,20 +389,6 @@ class TestObservedShapeAutotune:
             observed = ex.stats().observed_cols()
         assert observed["head"] == 1  # served twice vs once
 
-    def test_compile_plan_uses_observed_cols(self):
-        model, transform = _sparse_model()
-        name = next(iter(transform.weight_configs))
-        plan = compile_plan(
-            model,
-            transform,
-            autotune=True,
-            autotune_repeats=1,
-            observed_cols={name: 7},
-        )
-        assert plan.layers[name].autotune.sample_cols == 7
-        other = next(n for n in transform.weight_configs if n != name)
-        assert plan.layers[other].autotune.sample_cols == 32  # the default
-
     def test_retune_plan_updates_choices_in_place(self, batch):
         model, transform = _sparse_model()
         plan = compile_plan(model, transform)
