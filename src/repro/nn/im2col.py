@@ -73,23 +73,34 @@ def im2col(
     Returns ``(cols, (oh, ow))`` where ``cols`` has shape
     ``(batch * oh * ow, in_ch * kernel * kernel)`` — one row per output
     position, matching :class:`GemmShape`'s M x K operand.
+
+    ``cols`` is the transpose of a C-contiguous ``(K, M)`` buffer, written
+    in ``(c, kh, kw, b, oh, ow)`` order by one copy.  The plan's GEMM
+    contracts ``cols.T`` against the compressed weights, and autotune times
+    every kernel on exactly that C-contiguous ``(K, cols)`` right-hand side,
+    so the served operand needs no further copy and matches the measured
+    layout.  Padding goes through a zero buffer in ``x``'s own memory order
+    (a channel-major conv output stays channel-major), so the windows are
+    read along contiguous rows.
     """
     b, c, h, w = x.shape
     oh = conv_out_size(h, kernel, stride, padding)
     ow = conv_out_size(w, kernel, stride, padding)
     if padding > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    # Strided window view: (b, c, oh, ow, kernel, kernel), zero-copy.
+        xp = np.zeros_like(x, shape=(b, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        x = xp
+    # Strided window view: (c, kh, kw, b, oh, ow), zero-copy.
     sb, sc, sh, sw = x.strides
     windows = np.lib.stride_tricks.as_strided(
         x,
-        shape=(b, c, oh, ow, kernel, kernel),
-        strides=(sb, sc, sh * stride, sw * stride, sh, sw),
+        shape=(c, kernel, kernel, b, oh, ow),
+        strides=(sc, sh, sw, sb, sh * stride, sw * stride),
         writeable=False,
     )
-    # -> (b, oh, ow, c, kh, kw) -> (b*oh*ow, c*k*k)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b * oh * ow, c * kernel * kernel)
-    return np.ascontiguousarray(cols), (oh, ow)
+    # -> C-contiguous (c*k*k, b*oh*ow); its transpose is the M x K operand.
+    cols_t = np.ascontiguousarray(windows).reshape(c * kernel * kernel, b * oh * ow)
+    return cols_t.T, (oh, ow)
 
 
 def col2im(

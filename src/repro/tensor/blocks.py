@@ -22,9 +22,11 @@ def pad_to_multiple(x: np.ndarray, multiple: int, axis: int = -1) -> np.ndarray:
     pad = (-length) % multiple
     if pad == 0:
         return x
-    widths = [(0, 0)] * x.ndim
-    widths[axis] = (0, pad)
-    return np.pad(x, widths)
+    shape = list(x.shape)
+    shape[axis] = length + pad
+    out = np.zeros_like(x, shape=shape)
+    out[(slice(None),) * axis + (slice(0, length),)] = x
+    return out
 
 
 def crop_to_shape(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from repro.nn import (
     Adam,
@@ -48,6 +50,51 @@ class TestIm2col:
         lhs = float((cols * y).sum())
         rhs = float((x * col2im(y, x.shape, 3, 1, 1)).sum())
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+    @given(
+        batch=st.integers(1, 3),
+        channels=st.integers(1, 5),
+        height=st.integers(1, 9),
+        width=st.integers(1, 9),
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        padding=st.integers(0, 2),
+        layout=st.sampled_from(["c-order", "channel-major", "strided-slice"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_im2col_matches_naive_windows(
+        self, batch, channels, height, width, kernel, stride, padding, layout, seed
+    ):
+        """Bitwise equal to a per-position loop, whatever the input's memory
+        order, and ``cols.T`` is the C-contiguous (K, M) GEMM operand."""
+        try:
+            oh = conv_out_size(height, kernel, stride, padding)
+            ow = conv_out_size(width, kernel, stride, padding)
+        except ValueError:
+            assume(False)
+        rng = np.random.default_rng(seed)
+        shape = (batch, channels, height, width)
+        if layout == "c-order":
+            x = rng.normal(size=shape)
+        elif layout == "channel-major":  # how a conv output arrives
+            x = rng.normal(size=(channels, batch, height, width)).transpose(1, 0, 2, 3)
+        else:
+            x = rng.normal(size=(batch, channels, 2 * height, width + 1))[:, :, ::2, 1:]
+        cols, out_hw = im2col(x, kernel, stride, padding)
+
+        xp = np.zeros((batch, channels, height + 2 * padding, width + 2 * padding))
+        xp[:, :, padding : padding + height, padding : padding + width] = x
+        expected = np.empty((batch * oh * ow, channels * kernel * kernel))
+        row = 0
+        for b in range(batch):
+            for i in range(oh):
+                for j in range(ow):
+                    r, c = i * stride, j * stride
+                    expected[row] = xp[b, :, r : r + kernel, c : c + kernel].reshape(-1)
+                    row += 1
+        assert out_hw == (oh, ow)
+        np.testing.assert_array_equal(cols, expected)
+        assert cols.T.flags.c_contiguous
 
     def test_gemm_shape_table4_l1(self):
         """Table 4's L1 comes from a 3x3 conv on 28x28 with 128 channels."""

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core import TASDConfig, tasd_matmul
-from repro.nn.layers import Linear
+from repro.nn.layers import Conv2d, Linear
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
-from repro.runtime import OperandCache, PlanExecutor, compile_plan
+from repro.runtime import CompiledOperand, OperandCache, PlanExecutor, compile_plan
 from repro.tasder.transform import (
     TASDTransform,
     apply_activation_transform,
@@ -173,6 +173,30 @@ class TestCompiledModelForward:
         assert stats.wall_time > 0.0
         assert 0.4 < stats.total.mac_fraction < 0.6  # 2:4 everywhere but the head
         assert "total" in stats.table()
+
+    def test_conv_layers_serve_a_c_contiguous_operand(self, sparse_resnet, batch, monkeypatch):
+        """Every conv hands its kernel a C-contiguous ``(K, cols)`` right-hand
+        side: the layout ``autotune_operand`` times the backends on."""
+        model, transform = sparse_resnet
+        plan = compile_plan(model, transform)
+        convs = {
+            id(plan.layers[name].operand): name
+            for name, layer in gemm_layers(model)
+            if isinstance(layer, Conv2d)
+        }
+        served: dict[str, list[bool]] = {}
+        matmul = CompiledOperand.matmul
+
+        def recording_matmul(operand, b, *args, **kwargs):
+            if id(operand) in convs:
+                served.setdefault(convs[id(operand)], []).append(b.flags.c_contiguous)
+            return matmul(operand, b, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledOperand, "matmul", recording_matmul)
+        with PlanExecutor(model, plan) as executor:
+            executor.run(batch)
+        assert set(served) == set(convs.values())
+        assert all(all(flags) for flags in served.values()), served
 
     def test_plan_summary_mentions_every_layer(self, sparse_resnet):
         model, transform = sparse_resnet
