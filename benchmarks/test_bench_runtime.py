@@ -20,10 +20,9 @@ autotune, with identical backend choices and bit-identical served outputs.
 
 ``test_runtime_metrics_overhead`` fences the telemetry spine: serving with
 the metrics registry and request tracing enabled must stay within 5 % of
-the uninstrumented engine's throughput, and it writes the repo's
-``BENCH_runtime.json`` trajectory point (throughput, p50/p95/p99) —
-appending to the file's bounded ``history`` list, so the perf trajectory
-accumulates across runs instead of overwriting itself.
+the uninstrumented engine's throughput, and prints the instrumented
+round's p50/p95/p99.  No test here writes a file: the perf trajectory is
+the ``perfbench/`` records.
 
 ``test_runtime_supervision_overhead`` fences the fault-tolerance layer
 the same way: a supervised process pool (respawn + health pings on) must
@@ -32,10 +31,8 @@ serve within 5 % of the same pool with supervision disabled.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,11 +265,10 @@ def test_runtime_metrics_overhead(serving_setup):
     counter increments per micro-batch — bisect into a fixed bucket table
     under an uncontended lock — so instrumentation must be throughput-
     neutral.  Interleaved rounds with best-of medians damp scheduler noise;
-    the winning instrumented round also provides the latency percentiles
-    for the ``BENCH_runtime.json`` trajectory point.  Like the scaling
-    fences, the ratio assertion is skipped on a single-core machine,
-    where run-to-run jitter dwarfs the 5 % budget (the measurement and
-    trajectory point are still taken everywhere).
+    the winning instrumented round also provides the printed latency
+    percentiles.  Like the scaling fences, the ratio assertion is skipped
+    on a single-core machine, where run-to-run jitter dwarfs the 5 %
+    budget (the measurement is still taken everywhere).
     """
     model, transform, x = serving_setup
     plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
@@ -305,37 +301,6 @@ def test_runtime_metrics_overhead(serving_setup):
         f"{best.p50 * 1e3:.2f} ms / p95 {best.p95 * 1e3:.2f} ms / "
         f"p99 {best.p99 * 1e3:.2f} ms"
     )
-    bench_path = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
-    record = {
-        "workload": "serving: 48 x 1-sample requests, autotuned sparse "
-        "ResNet-18, 2 engine workers, max_batch 4",
-        "throughput_rps": round(on, 2),
-        "throughput_uninstrumented_rps": round(off, 2),
-        "metrics_overhead_pct": round(overhead * 100.0, 2),
-        "latency_ms": {
-            "p50": round(best.p50 * 1e3, 3),
-            "p95": round(best.p95 * 1e3, 3),
-            "p99": round(best.p99 * 1e3, 3),
-        },
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    # Accumulate a perf trajectory instead of overwriting the single data
-    # point: the latest record stays flat at the top level (existing
-    # readers key on "throughput_rps" there) and every run appends to a
-    # bounded "history" list.
-    history: list = []
-    if bench_path.exists():
-        try:
-            previous = json.loads(bench_path.read_text())
-        except json.JSONDecodeError:
-            previous = {}
-        history = list(previous.get("history", []))
-        if not history and "throughput_rps" in previous:
-            # Seed the trajectory with the pre-history flat record.
-            history.append({k: v for k, v in previous.items() if k != "history"})
-    history.append(record)
-    del history[:-50]
-    bench_path.write_text(json.dumps({**record, "history": history}, indent=2) + "\n")
     assert on > 0 and off > 0
     if _usable_cores() < 2:
         pytest.skip(
@@ -358,10 +323,9 @@ def test_runtime_supervision_overhead(serving_setup):
     workers, and the request path adds one liveness branch — so a
     process pool with respawn + health checks on must serve within 5 %
     of the same pool with supervision disabled.  Same machine, same
-    workload, interleaved best-of rounds (a cross-machine comparison
-    against the committed ``BENCH_runtime.json`` absolute numbers would
-    fence the hardware, not the code — the baseline is printed for the
-    trajectory instead).  Like the scaling fences, the ratio assertion
+    workload, interleaved best-of rounds (a comparison against absolute
+    numbers recorded elsewhere would fence the hardware, not the code).
+    Like the scaling fences, the ratio assertion
     is skipped on a single-core machine, where the supervisor thread has
     no spare core to hide on and jitter dwarfs the 5 % budget.
     """
@@ -394,15 +358,9 @@ def test_runtime_supervision_overhead(serving_setup):
         supervised.append(serve_round(True))
     on, off = max(supervised), max(unsupervised)
     overhead = 1.0 - on / off
-    baseline = Path(__file__).resolve().parents[1] / "BENCH_runtime.json"
-    baseline_note = ""
-    if baseline.exists():
-        recorded = json.loads(baseline.read_text()).get("throughput_rps")
-        if recorded:
-            baseline_note = f"; BENCH_runtime.json baseline {recorded:.1f} req/s"
     print(
         f"\nprocess-pool serving: unsupervised {off:.1f} req/s, supervised "
-        f"{on:.1f} req/s -> {overhead * 100.0:+.1f}% overhead{baseline_note}"
+        f"{on:.1f} req/s -> {overhead * 100.0:+.1f}% overhead"
     )
     assert on > 0 and off > 0
     if _usable_cores() < 2:

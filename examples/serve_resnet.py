@@ -27,9 +27,8 @@ waiting for a post-mortem ``report()``.
 Finally it is *operable with zero downtime* (section 8): a hot
 ``swap_plan`` rolls a new compiled artifact onto the live fleet behind a
 canary batch (a corrupt candidate is rejected typed-ly with the old plan
-still serving), ``scale_to`` resizes the worker fleet in place, and
-``drain`` finishes every admitted request before stopping — the CLI maps
-SIGHUP and SIGTERM to the same operations.
+still serving), and ``drain`` finishes every admitted request before
+stopping — the CLI maps SIGHUP and SIGTERM to the same operations.
 
 Run:  python examples/serve_resnet.py
 """
@@ -204,8 +203,8 @@ if __name__ == "__main__":
                   f"worker_respawns_total {int(respawns)}")
 
     # -----------------------------------------------------------------------
-    # 8. Rolling upgrades and drain: change the plan, the fleet size, or
-    #    shut down — all without dropping a request.
+    # 8. Rolling upgrades and drain: change the plan or shut down — both
+    #    without dropping a request.
     #
     #    `engine.swap_plan(plan_or_path)` rolls a new compiled artifact
     #    onto the live workers one at a time: a *canary* batch validates
@@ -215,11 +214,9 @@ if __name__ == "__main__":
     #    worker detaches.  A candidate that computes the wrong function —
     #    wrong weights (fingerprint gate), corrupt arithmetic, a crash —
     #    raises a typed `SwapRejected` and the old plan never stops
-    #    serving.  `engine.scale_to(n)` resizes the worker fleet in place
-    #    (an `Autoscaler` can drive it from queue depth + utilization
-    #    with hysteresis and cooldown), and `engine.drain()` closes the
-    #    admission door (`/healthz` reports "draining", late submits get
-    #    `QueueFull`), finishes everything already accepted, then stops.
+    #    serving.  `engine.drain()` closes the admission door (`/healthz`
+    #    reports "draining", late submits get `QueueFull`), finishes
+    #    everything already accepted, then stops.
     #    Against a real server the CLI wires the same operations to
     #    signals — SIGHUP hot-reloads `--plan`, SIGTERM drains and exits
     #    0:
@@ -254,9 +251,6 @@ if __name__ == "__main__":
             engine.swap_plan(skewed_plan(candidate), canary=inputs[0])
         except SwapRejected as exc:
             print(f"corrupt candidate rejected: {exc.reason.split(';')[0]}")
-
-        engine.scale_to(3)  # spawned from the already-shared segment
-        print(f"scaled to {len(pool.worker_pids())} workers in place")
 
         futures = [engine.submit(x) for x in inputs]
         engine.drain(timeout=60.0)  # door closed, admitted work finished

@@ -87,12 +87,12 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-# name -> (forward, derivative, induces_exact_zeros)
+# name -> (forward, derivative)
 ACTIVATIONS: dict[str, tuple] = {
-    "relu": (relu, relu_grad, True),
-    "relu6": (relu6, relu6_grad, True),
-    "squared_relu": (squared_relu, squared_relu_grad, True),
-    "gelu": (gelu, gelu_grad, False),
-    "silu": (silu, silu_grad, False),
-    "swish": (silu, silu_grad, False),
+    "relu": (relu, relu_grad),
+    "relu6": (relu6, relu6_grad),
+    "squared_relu": (squared_relu, squared_relu_grad),
+    "gelu": (gelu, gelu_grad),
+    "silu": (silu, silu_grad),
+    "swish": (silu, silu_grad),
 }

@@ -336,8 +336,9 @@ class LayerNorm(Module):
 class Activation(Module):
     """Pointwise non-linearity from :data:`repro.nn.functional.ACTIVATIONS`.
 
-    The paper's TASD layers attach right after these (Fig. 8), so the module
-    records the sparsity of its most recent output for calibration.
+    The paper's TASD layers attach right after these (Fig. 8); calibration
+    measures the sparsity they produce with its own input hooks
+    (:mod:`repro.tasder.calibrate`), so the forward does no bookkeeping.
     """
 
     def __init__(self, kind: str = "relu") -> None:
@@ -345,15 +346,12 @@ class Activation(Module):
         if kind not in F.ACTIVATIONS:
             raise ValueError(f"unknown activation {kind!r}; options: {sorted(F.ACTIVATIONS)}")
         self.kind = kind
-        self._fwd, self._grad, self.induces_zeros = F.ACTIVATIONS[kind]
+        self._fwd, self._grad = F.ACTIVATIONS[kind]
         self._x: np.ndarray | None = None
-        self.last_output_sparsity: float | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        y = self._fwd(x)
-        self.last_output_sparsity = 1.0 - np.count_nonzero(y) / y.size if y.size else 0.0
-        return y
+        return self._fwd(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         return grad * self._grad(self._x)

@@ -58,9 +58,7 @@ Operations are zero-downtime: ``engine.swap_plan(path_or_plan)`` rolls a
 new compiled artifact onto live workers one at a time behind a canary
 batch (mismatch, attach failure, or a mid-roll crash rolls everything
 back and raises :class:`SwapRejected` — the old plan never stops
-serving), ``engine.scale_to(n)`` resizes the worker fleet in place (an
-:class:`Autoscaler` can drive it from queue depth and utilization with
-hysteresis and cooldown), and ``engine.drain(timeout)`` stops admission,
+serving), and ``engine.drain(timeout)`` stops admission,
 finishes every accepted request, then shuts down — the CLI maps SIGTERM
 to drain and SIGHUP to a plan reload.
 """
@@ -111,7 +109,6 @@ from .planio import (
     save_plan,
     share_plan,
 )
-from .autoscale import Autoscaler
 from .chaos import ChaosMonkey, ChaosSpec, is_poisoned, poison_batch, skewed_plan
 from .pool import (
     PlanSwapError,
@@ -125,7 +122,6 @@ from .serve import DeadlineExceeded, QueueFull, ServingEngine, SwapRejected
 from .tracing import RequestTrace, Span, TraceBuffer
 
 __all__ = [
-    "Autoscaler",
     "AutotuneResult",
     "CacheCounters",
     "ChaosMonkey",

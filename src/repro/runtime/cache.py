@@ -1,10 +1,10 @@
-"""Content-addressed cache of decomposed / compressed operands.
+"""Content-addressed cache of compiled (decomposed + compressed) weights.
 
-The TASD decomposition of a tensor is a pure function of (tensor bytes,
-series configuration, axis) — so its results can be cached by content
-digest.  Static weights hit the cache on every forward after plan build;
-dynamic activations hit it whenever the same tensor recurs (retried
-requests, calibration replays, deduplicated micro-batches).
+The TASD decomposition of a weight matrix is a pure function of (tensor
+bytes, series configuration) — so its compiled form can be cached by
+content digest.  Plans compiled against one cache share the operand of
+every weight they have in common, and plan persistence re-registers
+loaded operands so a later compile of the same weight hits.
 
 Entries are LRU-evicted under a capacity bound and hits return the *same*
 object that was stored, so compiled plans can share operands by identity.
@@ -53,8 +53,8 @@ def tensor_digest(a: np.ndarray) -> str:
     """Content digest of an array: dtype + shape + raw bytes (BLAKE2b).
 
     BLAKE2b is measurably faster than SHA-1/SHA-2 over large buffers, and
-    this runs over the *full* tensor bytes on every activation-cache view —
-    the digest is the activation path's fixed toll.  ``digest_size=20``
+    this runs over the *full* weight bytes once per layer at compile time
+    and again when a saved plan is verified.  ``digest_size=20``
     keeps the hex length (and any persisted keys) identical to the old
     SHA-1 digests while changing the key space, so stale cross-version
     cache hits are impossible.
@@ -158,10 +158,10 @@ def _compile_operand(matrix: np.ndarray, config: TASDConfig) -> CompiledOperand:
 
 
 class OperandCache:
-    """Thread-safe LRU cache of compiled operands and decomposed views.
+    """Thread-safe LRU cache of compiled operands.
 
-    Keys are (kind, content digest, configuration, axis) — content-addressed,
-    so identical tensors share one entry regardless of where they came from.
+    Keys are (content digest, configuration) — content-addressed, so
+    identical weights share one entry regardless of where they came from.
     ``capacity`` bounds the number of resident entries; the least recently
     used entry is evicted first.
     """
@@ -233,7 +233,7 @@ class OperandCache:
         compiler records it per layer) skip the second full-tensor pass; it
         must be ``tensor_digest(matrix)`` or the content addressing breaks.
         """
-        key = ("compress", digest if digest is not None else tensor_digest(matrix), str(config))
+        key = (digest if digest is not None else tensor_digest(matrix), str(config))
         return self._get_or_build(key, lambda: _compile_operand(matrix, config))
 
     def adopt(self, digest: str, config: TASDConfig, operand: CompiledOperand) -> CompiledOperand:
@@ -246,7 +246,7 @@ class OperandCache:
         If the key is already resident, the incumbent wins (plans sharing
         this cache keep sharing one object by identity).
         """
-        key = ("compress", digest, str(config))
+        key = (digest, str(config))
         with self._lock:
             incumbent = self._store.get(key)
             if incumbent is not None:
@@ -265,18 +265,9 @@ class OperandCache:
         """
         with self._lock:
             for key, value in self._store.items():
-                if value is operand and key[0] == "compress":
-                    return key[1]
+                if value is operand:
+                    return key[0]
         return None
-
-    def view(self, x: np.ndarray, config: TASDConfig, axis: int = -1) -> np.ndarray:
-        """Cached TASD series view of ``x`` (the dynamic-activation path)."""
-        if config.is_dense:
-            return np.asarray(x)
-        from repro.tasder.transform import decompose_activation
-
-        key = ("view", tensor_digest(x), str(config), int(axis) % np.asarray(x).ndim)
-        return self._get_or_build(key, lambda: decompose_activation(x, config, axis))
 
 
 # ---------------------------------------------------------------------- #

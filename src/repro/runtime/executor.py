@@ -94,10 +94,6 @@ class PlanExecutor:
         return [self.run(x) for x in batches]
 
     # ------------------------------------------------------------------ #
-    def utilization(self) -> float:
-        """1.0 while a forward holds the lock, else 0.0 (autoscaler signal)."""
-        return 1.0 if self._lock.locked() else 0.0
-
     def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
         """Hot-swap the compiled plan on this single-worker executor.
 

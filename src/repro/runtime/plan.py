@@ -74,7 +74,6 @@ class LayerPlan:
     activation_axis: int
     operand: CompiledOperand | None  # compressed weights (compiled mode)
     dense_weight: np.ndarray | None  # weight matrix (dense / per-call modes)
-    cache: OperandCache | None = None
     backend: str = DEFAULT_BACKEND  # structured-GEMM kernel (compiled mode)
     autotune: AutotuneResult | None = None  # sweep that chose the backend
     weight_digest: str | None = None  # content digest of the source weight
@@ -107,8 +106,6 @@ class LayerPlan:
         """Dynamic TASD-A decomposition of the incoming activation, if any."""
         if self.activation_config.is_dense:
             return x
-        if self.cache is not None:
-            return self.cache.view(x, self.activation_config, self.activation_axis)
         return decompose_activation(x, self.activation_config, self.activation_axis)
 
     # ------------------------------------------------------------------ #
@@ -302,7 +299,6 @@ def compile_plan(
     transform: TASDTransform,
     cache: OperandCache | None = None,
     mode: str = "compiled",
-    cache_activations: bool = False,
     backend: str = DEFAULT_BACKEND,
     autotune: bool = False,
     autotune_repeats: int = 3,
@@ -326,11 +322,9 @@ def compile_plan(
     run actually saw, pass the compiled plan to
     :func:`repro.runtime.autotune.retune_plan`.
 
-    ``cache_activations`` routes dynamic TASD-A views through the operand
-    cache too.  Off by default: it only pays when identical activations
-    recur (retries, replayed calibration batches) — in steady-state serving
-    the hit rate is ~0 while every forward would pay a full-tensor digest
-    and the cache would pin large activation copies.
+    Dynamic TASD-A activations are decomposed on every forward, never
+    cached: like the paper's TASD units, each activation block is
+    decomposed as it is produced.
     """
     if mode not in ("compiled", "per_call"):
         raise ValueError(f"compile mode must be 'compiled' or 'per_call', got {mode!r}")
@@ -366,7 +360,6 @@ def compile_plan(
             activation_axis=_activation_axis(layer),
             operand=operand,
             dense_weight=dense_weight,
-            cache=cache if cache_activations else None,
             backend=layer_backend,
             autotune=sweep,
             # Recorded at compile time so plan persistence never depends on

@@ -44,7 +44,9 @@ import json
 import os
 import threading
 import time
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -93,6 +95,23 @@ class PlanFormatError(ValueError):
 
 class PlanDigestError(ValueError):
     """The artifact is a valid plan, but for different weights than the model's."""
+
+
+# What reading a damaged artifact can raise: a zip CRC or header mismatch
+# (BadZipFile), a truncated or garbled stream (EOFError, OSError,
+# zlib.error), an unparsable ``.npy`` header (ValueError, SyntaxError,
+# tokenize.TokenError), or zip flags the reader does not support
+# (NotImplementedError).  Each becomes a PlanFormatError at the read.
+_READ_ERRORS = (
+    zipfile.BadZipFile,
+    EOFError,
+    OSError,
+    zlib.error,
+    ValueError,
+    SyntaxError,
+    tokenize.TokenError,
+    NotImplementedError,
+)
 
 
 # ---------------------------------------------------------------------- #
@@ -201,7 +220,6 @@ def _collect_entries(plan: "ExecutionPlan", put) -> tuple[list[dict], dict[str, 
             "activation_config": str(lp.activation_config),
             "activation_axis": lp.activation_axis,
             "backend": lp.backend,
-            "cache_activations": lp.cache is not None,
             "weight_digest": weight_digest,
             "autotune": _autotune_entry(lp.autotune),
         }
@@ -279,13 +297,24 @@ def save_plan(plan: "ExecutionPlan", path: str | Path) -> Path:
 # ---------------------------------------------------------------------- #
 # Load
 # ---------------------------------------------------------------------- #
+def _member(data, key: str) -> np.ndarray:
+    """Read one stored array; a damaged member raises PlanFormatError."""
+    try:
+        return data[key]
+    except _READ_ERRORS as exc:
+        raise PlanFormatError(
+            f"plan artifact entry {key!r} is unreadable ({type(exc).__name__}: "
+            f"{exc}); the artifact was modified or corrupted"
+        ) from exc
+
+
 def _read_manifest(data) -> dict:
     if _MANIFEST_KEY not in data or _CHECKSUM_KEY not in data:
         raise PlanFormatError(
             "not a persisted execution plan: missing manifest/checksum entries"
         )
-    manifest_bytes = bytes(data[_MANIFEST_KEY])
-    stored_checksum = bytes(data[_CHECKSUM_KEY]).decode(errors="replace")
+    manifest_bytes = bytes(_member(data, _MANIFEST_KEY))
+    stored_checksum = bytes(_member(data, _CHECKSUM_KEY)).decode(errors="replace")
     if _manifest_checksum(manifest_bytes) != stored_checksum:
         raise PlanFormatError(
             "plan manifest checksum mismatch: the artifact was modified or corrupted"
@@ -309,7 +338,7 @@ def _read_manifest(data) -> dict:
 def _array(data, manifest: dict, key: str) -> np.ndarray:
     if key not in data:
         raise PlanFormatError(f"plan artifact is missing array {key!r}")
-    a = data[key]
+    a = _member(data, key)
     expected = manifest["array_digests"].get(key)
     if expected is None:
         raise PlanFormatError(f"plan manifest lacks a digest for array {key!r}")
@@ -409,11 +438,11 @@ def load_plan(
         data = np.load(path, allow_pickle=False)
     except FileNotFoundError:
         raise  # a missing path is the caller's error, not a bad artifact
-    except (zipfile.BadZipFile, ValueError, OSError) as exc:
+    except _READ_ERRORS as exc:
         # Truncated zip, arbitrary bytes, numpy's "pickled data" refusal, ...
         raise PlanFormatError(
             f"cannot read plan artifact {path}: {exc}"
-        ) from None
+        ) from exc
     with data:
         manifest = _read_manifest(data)
         try:
@@ -464,8 +493,13 @@ def _entry_layer_plan(
     activation_config: TASDConfig,
     operand: CompiledOperand | None,
     dense_weight: np.ndarray | None,
-    cache: OperandCache,
 ):
+    """The :class:`LayerPlan` one manifest/spec entry describes.
+
+    Keys that older version-1 writers recorded and this runtime no longer
+    uses (row-partition schedules, the activation-cache flag) are ignored;
+    the manifest checksum still covers them.
+    """
     from .plan import LayerPlan
 
     sweep = entry["autotune"]
@@ -478,7 +512,6 @@ def _entry_layer_plan(
         activation_axis=entry["activation_axis"],
         operand=operand,
         dense_weight=dense_weight,
-        cache=cache if entry["cache_activations"] else None,
         backend=entry["backend"],
         autotune=None
         if sweep is None
@@ -533,7 +566,7 @@ def _rebuild_plan(data, manifest: dict, model: "Module", cache: OperandCache):
         if "dense_weight" in entry:
             dense_weight = _array(data, manifest, entry["dense_weight"])
         layers[name] = _entry_layer_plan(
-            entry, weight_config, activation_config, operand, dense_weight, cache
+            entry, weight_config, activation_config, operand, dense_weight
         )
     return _assemble_plan(layers, weight_configs, activation_configs, cache, manifest["mode"])
 
@@ -666,7 +699,7 @@ def attach_plan(
         if "dense_weight" in entry:
             dense_weight = get(entry["dense_weight"])
         layers[name] = _entry_layer_plan(
-            entry, weight_config, activation_config, operand, dense_weight, cache
+            entry, weight_config, activation_config, operand, dense_weight
         )
     plan = _assemble_plan(layers, weight_configs, activation_configs, cache, spec["mode"])
     return plan, store

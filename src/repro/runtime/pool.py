@@ -163,21 +163,6 @@ class WorkerPool(abc.ABC):
         """
         return []
 
-    def utilization(self) -> float:
-        """Fraction of workers busy right now, in [0, 1] (autoscaler signal).
-
-        Substrates with no worker identity report 0.0.
-        """
-        return 0.0
-
-    def scale_to(self, n: int) -> int:
-        """Resize the pool to ``n`` workers; returns the delta applied.
-
-        Optional: fixed-size substrates raise ``NotImplementedError`` and
-        the autoscaler leaves them alone.
-        """
-        raise NotImplementedError(f"{type(self).__name__} cannot be resized")
-
     def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
         """Roll every worker onto ``new_plan``; returns workers swapped.
 
@@ -436,7 +421,7 @@ class ProcessWorkerPool(WorkerPool):
         self._installed = False  # guarded-by: _state_lock
         self._state_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        # Zero-downtime operations: one swap/scale at a time, and the
+        # Zero-downtime operations: one swap at a time, and the
         # supervisor stands down while one owns the worker fleet (a
         # respawn mid-roll would come up on an ambiguous plan spec).
         self._ops_lock = threading.Lock()
@@ -692,7 +677,7 @@ class ProcessWorkerPool(WorkerPool):
             if woken:
                 self._wake.clear()
             if self._ops_pause.is_set():
-                continue  # a swap/scale owns the fleet right now
+                continue  # a swap owns the fleet right now
             if self.health_interval > 0 and not woken:
                 self._health_check()
             if self.respawn:
@@ -829,17 +814,8 @@ class ProcessWorkerPool(WorkerPool):
         return y
 
     # ------------------------------------------------------------------ #
-    # Zero-downtime operations: hot plan-swap and elastic resize
+    # Zero-downtime operation: hot plan-swap
     # ------------------------------------------------------------------ #
-    def utilization(self) -> float:
-        """Fraction of live workers busy right now (autoscaler signal)."""
-        with self._stats_lock:
-            live = self._live
-        if live <= 0:
-            return 0.0
-        busy = live - self._free.qsize()
-        return max(0.0, min(1.0, busy / live))
-
     def _probe(self, worker: _ProcWorker, x: np.ndarray) -> np.ndarray:
         """One forward on a specific held-out worker (canary traffic).
 
@@ -1031,68 +1007,6 @@ class ProcessWorkerPool(WorkerPool):
                 self._retire(worker)
                 continue
             self._free.put(worker)
-
-    def _retire_idle(self, worker: _ProcWorker) -> None:
-        """Gracefully stop one idle worker (scale-down, not a death:
-        ``deaths`` stays untouched and the breaker never sees it)."""
-        with self._stats_lock:
-            if not self._worker_alive.get(worker.uid, False):
-                return
-            self._worker_alive[worker.uid] = False
-            self._live -= 1
-            self._procs.pop(worker.uid, None)
-        try:
-            worker.conn.send(("stop", None))
-            if worker.conn.poll(5.0):
-                worker.conn.recv()  # the stop ack
-        except (BrokenPipeError, EOFError, OSError):
-            pass
-        worker.conn.close()
-        worker.process.join(timeout=10.0)
-        if worker.process.is_alive():  # pragma: no cover - stuck worker
-            worker.process.terminate()
-            worker.process.join(timeout=5.0)
-
-    def scale_to(self, n: int) -> int:
-        """Resize the pool to ``n`` workers; returns the delta applied.
-
-        Scale-ups start workers directly from the already-shared plan
-        segment — *not* through the respawn path, so elastic growth never
-        ages the crash-loop breaker's window.  Scale-downs retire idle
-        workers gracefully, waiting for busy ones to finish their
-        in-flight forward first.  On a pool that is not installed yet the
-        target is recorded and applied by the next :meth:`install`.
-        """
-        if n <= 0:
-            raise ValueError(f"workers must be positive, got {n}")
-        with self._ops_lock:
-            with self._state_lock:
-                installed = self._installed
-            if not installed:
-                delta = n - self.workers
-                self.workers = n
-                return delta
-            self._ops_pause.set()
-            try:
-                before = self.workers
-                self.workers = n
-                while not self._closing.is_set():
-                    with self._stats_lock:
-                        live = self._live
-                    if live < n:
-                        self._enroll(self._start_worker())
-                    elif live > n:
-                        try:
-                            worker = self._free.get(timeout=0.5)
-                        except queue.Empty:
-                            continue  # busy workers come home eventually
-                        self._retire_idle(worker)
-                    else:
-                        break
-                return n - before
-            finally:
-                self._ops_pause.clear()
-                self._wake.set()
 
     # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:

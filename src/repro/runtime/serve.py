@@ -213,9 +213,8 @@ class ServingEngine:
         # Queue depth, counted exactly: Queue.qsize() is read outside the
         # workers' dequeue path, so an admission bound checked against it
         # can overshoot under contention.  This counter moves under its own
-        # lock at every enqueue/dequeue, so the max_queue bound, the
-        # autoscaler's depth signal, and the tasd_serve_queue_depth gauge
-        # all see the same exact value.
+        # lock at every enqueue/dequeue, so the max_queue bound and the
+        # tasd_serve_queue_depth gauge both see the same exact value.
         self._depth = 0  # guarded-by: _depth_lock
         self._depth_lock = threading.Lock()
         # Drain machinery: _pending counts admitted-but-unresolved requests;
@@ -292,13 +291,6 @@ class ServingEngine:
                 "tasd_swap_rollbacks_total",
                 "Hot plan-swaps rejected or rolled back",
             ).labels()
-            self._m_scale_events = metrics.counter(
-                "tasd_pool_scale_events_total", "Autoscale resize events applied"
-            ).labels()
-            self._m_target_workers = metrics.gauge(
-                "tasd_pool_target_workers", "Current worker-count target"
-            ).labels()
-            self._m_target_workers.set(getattr(executor, "workers", workers))
             self._m_drain = metrics.histogram(
                 "tasd_serve_drain_seconds", "Graceful-drain duration"
             ).labels()
@@ -440,7 +432,7 @@ class ServingEngine:
             raise
 
     # ------------------------------------------------------------------ #
-    # Zero-downtime operations: drain, hot plan-swap, elastic resize
+    # Zero-downtime operations: drain and hot plan-swap
     # ------------------------------------------------------------------ #
     def drain(self, timeout: float | None = None) -> bool:
         """Gracefully wind the engine down: finish everything admitted,
@@ -631,49 +623,6 @@ class ServingEngine:
                 "reference_latency": ref_elapsed,
             }
 
-    def scale_to(self, n: int) -> int:
-        """Resize serving capacity to ``n`` workers; returns the delta.
-
-        Scales the pool (when it supports :meth:`WorkerPool.scale_to`)
-        and the engine's own drain threads together, so queue pickup
-        concurrency tracks pool concurrency.  Emits
-        ``tasd_pool_scale_events_total`` and the
-        ``tasd_pool_target_workers`` gauge.  This is the
-        :class:`~repro.runtime.autoscale.Autoscaler`'s actuator, and is
-        safe to call directly.
-        """
-        if n <= 0:
-            raise ValueError(f"workers must be positive, got {n}")
-        pool_fn = getattr(self.executor, "scale_to", None)
-        if pool_fn is not None:
-            try:
-                pool_fn(n)
-            except NotImplementedError:
-                pass  # fixed-size substrate: scale only the drain threads
-        with self._state_lock:
-            delta = n - self.workers
-            self.workers = n
-            running = self._running
-        if running and delta != 0:
-            self._threads = [t for t in self._threads if t.is_alive()]
-            thread_delta = n - len(self._threads)
-            for i in range(max(0, thread_delta)):
-                t = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"serve-worker-scaled-{len(self._threads) + i}",
-                    daemon=True,
-                )
-                t.start()
-                self._threads.append(t)
-            for _ in range(max(0, -thread_delta)):
-                # One sentinel retires exactly one drain thread; requests
-                # queued behind it are picked up by the survivors.
-                self._queue.put(None)
-        if self.metrics is not None and delta != 0:
-            self._m_scale_events.inc()
-            self._m_target_workers.set(n)
-        return delta
-
     # ------------------------------------------------------------------ #
     def _dec_depth(self) -> None:
         """One request left the queue (worker pickup or shutdown drain)."""
@@ -690,9 +639,8 @@ class ServingEngine:
     def queue_depth(self) -> int:
         """Exact number of requests waiting in the queue right now.
 
-        This is the autoscaler's depth signal and the value behind the
-        ``tasd_serve_queue_depth`` gauge and the ``max_queue`` admission
-        bound — all three read the same counter.
+        This is the value behind the ``tasd_serve_queue_depth`` gauge and
+        the ``max_queue`` admission bound — both read the same counter.
         """
         with self._depth_lock:
             return self._depth

@@ -188,17 +188,6 @@ class TestActivations:
     def test_grad_matches_numeric(self, kind, rng):
         check_input_grad(Activation(kind), rng.normal(size=(4, 8)), atol=1e-5)
 
-    def test_relu_sparsity_recorded(self, rng):
-        act = Activation("relu")
-        act(rng.normal(size=(100, 100)))
-        assert 0.4 < act.last_output_sparsity < 0.6
-
-    def test_gelu_no_sparsity(self, rng):
-        act = Activation("gelu")
-        act(rng.normal(size=(50, 50)))
-        assert act.last_output_sparsity < 0.01
-        assert not act.induces_zeros
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             Activation("tanh")

@@ -12,7 +12,6 @@ from repro.core import NMPattern, TASDConfig, tasd_matmul
 from repro.core.series import DENSE_CONFIG
 from repro.core.sparse_ops import nm_decompress
 from repro.runtime import OperandCache, SharedOperandStore, tensor_digest
-from repro.tasder.transform import decompose_activation
 
 CFG = TASDConfig.parse("2:4")
 
@@ -236,24 +235,6 @@ class TestConcurrency:
         assert cache.counters.lookups == 0
         assert cache.digest_of(winners[0]) == digest
 
-    def test_view_hammering_counters_consistent(self, rng):
-        cache = OperandCache(capacity=32)
-        xs = [rng.normal(size=(2, 16)) for _ in range(3)]
-        outs: list[list] = [[] for _ in range(self.N_THREADS)]
-
-        def work(i: int) -> None:
-            for r in range(self.ROUNDS):
-                outs[i].append(cache.view(xs[(i + r) % len(xs)], CFG))
-
-        _hammer(self.N_THREADS, work)
-        total = self.N_THREADS * self.ROUNDS
-        assert cache.counters.lookups == total
-        for i in range(self.N_THREADS):
-            for r, out in enumerate(outs[i]):
-                np.testing.assert_array_equal(
-                    out, decompose_activation(xs[(i + r) % len(xs)], CFG, -1)
-                )
-
     def test_adopt_from_many_processes_serves_identically(self, rng):
         """Workers attaching one shared segment adopt + serve the same bits."""
         matrix = rng.normal(size=(8, 16)) * (rng.random((8, 16)) < 0.5)
@@ -285,25 +266,3 @@ class TestConcurrency:
                 assert p.exitcode == 0
         finally:
             store.unlink()
-
-
-class TestViewCache:
-    def test_view_matches_decompose_activation(self, rng):
-        cache = OperandCache()
-        x = rng.normal(size=(3, 8, 8))
-        out = cache.view(x, CFG, axis=1)
-        np.testing.assert_array_equal(out, decompose_activation(x, CFG, axis=1))
-
-    def test_repeated_view_hits(self, rng):
-        cache = OperandCache()
-        x = rng.normal(size=(2, 16))
-        first = cache.view(x, CFG, axis=-1)
-        second = cache.view(x.copy(), CFG, axis=-1)
-        assert second is first
-        assert cache.counters.hit_rate == 0.5
-
-    def test_dense_view_bypasses_the_cache(self, rng):
-        cache = OperandCache()
-        x = rng.normal(size=(2, 16))
-        np.testing.assert_array_equal(cache.view(x, DENSE_CONFIG), x)
-        assert cache.counters.lookups == 0

@@ -13,9 +13,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TASDConfig
 from repro.nn.layers import Linear
+from repro.nn.models.mlp import MLP
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
@@ -260,6 +263,41 @@ class TestRoundTrip:
         np.testing.assert_array_equal(warm, fresh)
 
 
+    def test_old_activation_cache_flag_ignored(self, sparse_resnet, batch, tmp_path):
+        """Version-1 files from older writers carry a per-layer activation-cache
+        flag.  Activations are always decomposed per forward now: the loader
+        ignores the flag and serves bit-identical outputs, and fresh saves no
+        longer write it."""
+        from repro.runtime.planio import _manifest_checksum
+
+        legacy_key = "cache_" "activations"  # the key older writers used
+        model, _ = sparse_resnet
+        transform = TASDTransform(
+            weight_configs={name: CFG for name, _ in gemm_layers(model)},
+            activation_configs={"stem.layers.0": CFG},
+        )
+        plan = compile_plan(model, transform)
+        path = plan.save(tmp_path / "plan.npz")
+        arrays = _npz_dict(path)
+        manifest = json.loads(bytes(arrays[_MANIFEST_KEY]).decode())
+        assert all(legacy_key not in entry for entry in manifest["layers"])
+        for entry in manifest["layers"]:
+            entry[legacy_key] = True
+        manifest_bytes = json.dumps(manifest, sort_keys=True).encode()
+        arrays[_MANIFEST_KEY] = np.frombuffer(manifest_bytes, dtype=np.uint8)
+        arrays[_CHECKSUM_KEY] = np.frombuffer(
+            _manifest_checksum(manifest_bytes).encode(), dtype=np.uint8
+        )
+        _rewrite(path, arrays)
+        loaded = load_plan(path, model)
+        assert loaded.backend_choices() == plan.backend_choices()
+        with PlanExecutor(model, plan) as executor:
+            fresh = executor.run(batch)
+        with PlanExecutor(model, loaded) as executor:
+            warm = executor.run(batch)
+        np.testing.assert_array_equal(warm, fresh)
+
+
 class TestRefusals:
     def test_mismatched_weight_digest_refused(self, sparse_resnet, tmp_path):
         model, transform = sparse_resnet
@@ -448,6 +486,96 @@ class TestRefusals:
         plan.cache = OperandCache()  # empty: reverse lookup cannot resolve
         with pytest.raises(PlanFormatError, match="cannot persist"):
             plan.save(tmp_path / "plan.npz")
+
+
+# ---------------------------------------------------------------------- #
+# Properties over generated plans and corruptions
+# ---------------------------------------------------------------------- #
+SERIES = ["dense", "2:4", "1:4", "2:8", "2:4+2:8"]
+
+
+def _mlp_plan(in_features, hidden, classes, weight_series, act_series, mode, seed):
+    model = MLP(in_features, hidden=(hidden,), num_classes=classes,
+                rng=np.random.default_rng(seed))
+    names = [name for name, _ in gemm_layers(model, include_head=True)]
+    weight_configs = {
+        name: TASDConfig.parse(series)
+        for name, series in zip(names, weight_series)
+        if series != "dense"
+    }
+    activation_configs = {names[1]: TASDConfig.parse(act_series)} if act_series != "dense" else {}
+    transform = TASDTransform(
+        weight_configs=weight_configs, activation_configs=activation_configs
+    )
+    return model, compile_plan(model, transform, mode=mode)
+
+
+def _serve(model, plan, x):
+    with PlanExecutor(model, plan) as executor:
+        return executor.run(x)
+
+
+@pytest.fixture(scope="module")
+def artifact_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("plan-properties")
+
+
+@pytest.fixture(scope="module")
+def two_layer_artifact(artifact_dir):
+    """A saved two-layer plan (one compiled 2:4+2:8 layer, one dense head)
+    with its model, a request batch and the served reference output."""
+    model, plan = _mlp_plan(32, 32, 16, ["2:4+2:8", "dense"], "dense", "compiled", 0)
+    path = plan.save(artifact_dir / "two-layer.npz")
+    x = np.random.default_rng(1).normal(size=(3, 32))
+    return model, path.read_bytes(), x, _serve(model, plan, x)
+
+
+class TestArtifactProperties:
+    @settings(max_examples=40)
+    @given(
+        in_features=st.integers(1, 40),
+        hidden=st.integers(1, 24),
+        classes=st.integers(1, 12),
+        weight_series=st.lists(st.sampled_from(SERIES), min_size=2, max_size=2),
+        act_series=st.sampled_from(["dense", "2:4", "4:8"]),
+        mode=st.sampled_from(["compiled", "per_call"]),
+        backends=st.lists(st.sampled_from(backend_names()), min_size=2, max_size=2),
+        seed=st.integers(0, 2**16),
+    )
+    def test_save_load_is_the_identity(
+        self, artifact_dir, in_features, hidden, classes, weight_series,
+        act_series, mode, backends, seed,
+    ):
+        """save -> load serves bit-identical outputs with the same backends."""
+        model, plan = _mlp_plan(
+            in_features, hidden, classes, weight_series, act_series, mode, seed
+        )
+        for lp, backend in zip(plan.layers.values(), backends):
+            if lp.mode == "compiled":
+                lp.backend = backend
+        loaded = load_plan(plan.save(artifact_dir / "round-trip.npz"), model)
+        assert loaded.backend_choices() == plan.backend_choices()
+        assert loaded.mode == plan.mode
+        x = np.random.default_rng(seed + 1).normal(size=(2, in_features))
+        np.testing.assert_array_equal(_serve(model, loaded, x), _serve(model, plan, x))
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_flipped_byte_is_refused_or_harmless(self, artifact_dir, two_layer_artifact, data):
+        """Any single corrupted byte raises PlanFormatError, or (benign bytes
+        such as zip timestamps) loads a plan that serves bit-identically."""
+        model, raw, x, expected = two_layer_artifact
+        position = data.draw(st.integers(0, len(raw) - 1), label="position")
+        mask = data.draw(st.integers(1, 255), label="xor mask")
+        corrupted = bytearray(raw)
+        corrupted[position] ^= mask
+        path = artifact_dir / "flipped.npz"
+        path.write_bytes(bytes(corrupted))
+        try:
+            loaded = load_plan(path, model)
+        except PlanFormatError:
+            return
+        np.testing.assert_array_equal(_serve(model, loaded, x), expected)
 
 
 def test_model_fingerprint_tracks_weights(sparse_resnet):

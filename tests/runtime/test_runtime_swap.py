@@ -1,4 +1,4 @@
-"""Zero-downtime operations: hot plan-swap, graceful drain, elastic resize.
+"""Zero-downtime operations: hot plan-swap and graceful drain.
 
 The serving engine promises that a plan upgrade is invisible to clients:
 a canary batch validates the candidate on one worker before the fleet
