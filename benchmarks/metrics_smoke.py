@@ -40,8 +40,6 @@ REQUIRED_FAMILIES = (
     "tasd_serve_batch_occupancy",
     "tasd_layer_calls_total",
     "tasd_layer_gemm_latency_seconds",
-    "tasd_cache_hits_total",
-    "tasd_cache_misses_total",
     "tasd_worker_alive",
     "tasd_worker_requests_total",
     "tasd_serve_queue_depth",

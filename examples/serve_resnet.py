@@ -43,7 +43,6 @@ from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
 from repro.runtime import (
-    OperandCache,
     PlanExecutor,
     ProcessWorkerPool,
     ServingEngine,
@@ -63,13 +62,12 @@ transform = TASDTransform(
 )
 
 # ---------------------------------------------------------------------------
-# 2. Compile: weights decompose + compress exactly once, into the cache,
+# 2. Compile: weights decompose + compress exactly once, at build time,
 #    and the autotuner picks the fastest GEMM kernel backend per layer
 #    (visible in the summary).  Tasder.compile(result, autotune=True) does
 #    the same from a search result.
 # ---------------------------------------------------------------------------
-cache = OperandCache(capacity=64)
-plan = compile_plan(model, transform, cache=cache, autotune=True)
+plan = compile_plan(model, transform, autotune=True)
 print(plan.summary(), "\n")
 
 # ---------------------------------------------------------------------------
@@ -132,8 +130,8 @@ if __name__ == "__main__":
     #    own /metrics mid-flight.  Everything the runtime counts is there —
     #    request-latency histograms (the same fixed log-spaced buckets on
     #    every worker, so process workers' histograms merged in exactly),
-    #    per-layer GEMM latency by kernel backend, cache hit/miss counters,
-    #    and a liveness gauge per pool worker.  Point a real Prometheus at
+    #    per-layer GEMM latency by kernel backend, and a liveness gauge per
+    #    pool worker.  Point a real Prometheus at
     #    the same URL, or open /statusz in a browser for the recent-request
     #    trace table.  (`python -m repro.cli serve --metrics-port 9100` is
     #    the one-line version of this section.)

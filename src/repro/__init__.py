@@ -13,7 +13,7 @@ Public API highlights
 - :mod:`repro.workloads` — full-size layer shapes and evaluation workloads.
 - :mod:`repro.experiments` — one driver per paper table/figure.
 - :mod:`repro.runtime` — inference runtime: compiled execution plans,
-  compressed-operand cache, batched executor, micro-batching serving engine.
+  batched executor, process worker pool, micro-batching serving engine.
 """
 
 from .core import (

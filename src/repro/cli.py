@@ -497,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         metavar="PATH",
         help="write the compiled plan's metrics snapshot (layer nnz, backend "
-        "choices, cache occupancy) as JSON (compile)",
+        "choices) as JSON (compile)",
     )
     parser.add_argument(
         "--max-queue",

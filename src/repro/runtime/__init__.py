@@ -1,14 +1,14 @@
-"""Inference runtime: compiled execution plans, operand cache, serving.
+"""Inference runtime: compiled execution plans, worker pools, serving.
 
 Turns the functional TASD kernels into a serving system: a
 :func:`compile_plan` pass decomposes and compresses static weights exactly
-once, a content-addressed :class:`OperandCache` shares compiled operands,
-a :class:`PlanExecutor` runs batches against the plan with perf counters,
-and a :class:`ServingEngine` micro-batches concurrent requests on top.
+once (:func:`compile_operand` per targeted layer), a :class:`PlanExecutor`
+runs batches against the plan with perf counters, and a
+:class:`ServingEngine` micro-batches concurrent requests on top.
 
 Quickstart::
 
-    from repro.runtime import OperandCache, PlanExecutor, ServingEngine, compile_plan
+    from repro.runtime import PlanExecutor, ServingEngine, compile_plan
 
     plan = compile_plan(model, transform)          # weights compress once
     with PlanExecutor(model, plan) as executor:
@@ -73,13 +73,12 @@ from .backends import (
 )
 from .cache import (
     CompiledOperand,
-    OperandCache,
     SharedArrayRef,
     SharedOperandStore,
+    compile_operand,
     tensor_digest,
 )
 from .counters import (
-    CacheCounters,
     ExecutorStats,
     LayerCounters,
     RequestStats,
@@ -123,7 +122,6 @@ from .tracing import RequestTrace, Span, TraceBuffer
 
 __all__ = [
     "AutotuneResult",
-    "CacheCounters",
     "ChaosMonkey",
     "ChaosSpec",
     "CompiledOperand",
@@ -140,7 +138,6 @@ __all__ = [
     "LayerPlan",
     "MetricsRegistry",
     "MetricsServer",
-    "OperandCache",
     "PlanDigestError",
     "PlanExecutor",
     "PlanFormatError",
@@ -164,6 +161,7 @@ __all__ = [
     "attach_plan",
     "autotune_operand",
     "backend_names",
+    "compile_operand",
     "compile_plan",
     "exact_backend_names",
     "export_executor_stats",

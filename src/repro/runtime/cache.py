@@ -1,13 +1,11 @@
-"""Content-addressed cache of compiled (decomposed + compressed) weights.
+"""Compiled (decomposed + compressed) weights and their cross-process store.
 
 The TASD decomposition of a weight matrix is a pure function of (tensor
-bytes, series configuration) — so its compiled form can be cached by
-content digest.  Plans compiled against one cache share the operand of
-every weight they have in common, and plan persistence re-registers
-loaded operands so a later compile of the same weight hits.
-
-Entries are LRU-evicted under a capacity bound and hits return the *same*
-object that was stored, so compiled plans can share operands by identity.
+bytes, series configuration).  :func:`compile_operand` computes it once,
+at plan-build time, into a :class:`CompiledOperand`: the compressed term
+storage plus the gather tables the structured kernels replay.
+:func:`tensor_digest` names the source weight by content, which is how a
+persisted plan recognises the model it was compiled from.
 
 For *cross-process* sharing, :class:`SharedOperandStore` packs the arrays
 behind a set of compiled operands (``CompressedNM`` term ``values`` /
@@ -21,8 +19,6 @@ keeping compressed operands resident across PEs.
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 
@@ -38,12 +34,11 @@ from repro.core.sparse_ops import (
 from repro.tensor.blocks import pad_to_multiple
 
 from .backends import DEFAULT_BACKEND, GemmBackend, get_backend
-from .counters import CacheCounters
 
 __all__ = [
     "tensor_digest",
     "CompiledOperand",
-    "OperandCache",
+    "compile_operand",
     "SharedArrayRef",
     "SharedOperandStore",
 ]
@@ -55,9 +50,9 @@ def tensor_digest(a: np.ndarray) -> str:
     BLAKE2b is measurably faster than SHA-1/SHA-2 over large buffers, and
     this runs over the *full* weight bytes once per layer at compile time
     and again when a saved plan is verified.  ``digest_size=20``
-    keeps the hex length (and any persisted keys) identical to the old
-    SHA-1 digests while changing the key space, so stale cross-version
-    cache hits are impossible.
+    keeps the hex length of persisted keys identical to the old SHA-1
+    digests while changing the key space, so an artifact keyed by the old
+    digests is refused rather than matched.
     """
     a = np.ascontiguousarray(a)
     h = hashlib.blake2b(digest_size=20)
@@ -135,7 +130,13 @@ class CompiledOperand:
         return be.matmul(self, self.backend_state(be), b)
 
 
-def _compile_operand(matrix: np.ndarray, config: TASDConfig) -> CompiledOperand:
+def compile_operand(matrix: np.ndarray, config: TASDConfig) -> CompiledOperand:
+    """Decompose and compress a 2-D weight matrix into a :class:`CompiledOperand`.
+
+    The reduction (last) axis is zero-padded to the series' block LCM, so
+    a ragged width compiles; dense configurations have no compressed form
+    and are rejected.  ``compile_plan`` calls this once per targeted layer.
+    """
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ValueError(f"compiled operands are 2-D matrices, got shape {matrix.shape}")
@@ -155,119 +156,6 @@ def _compile_operand(matrix: np.ndarray, config: TASDConfig) -> CompiledOperand:
         flat_values=tuple(flat_values),
         flat_rows=tuple(flat_rows),
     )
-
-
-class OperandCache:
-    """Thread-safe LRU cache of compiled operands.
-
-    Keys are (content digest, configuration) — content-addressed, so
-    identical weights share one entry regardless of where they came from.
-    ``capacity`` bounds the number of resident entries; the least recently
-    used entry is evicted first.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self.counters = CacheCounters()
-        self._store: OrderedDict[tuple, object] = OrderedDict()  # guarded-by: _lock
-        self._lock = threading.Lock()
-
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-
-    def info(self) -> dict:
-        """Occupancy + counter snapshot (the telemetry exporter's view)."""
-        with self._lock:
-            resident = len(self._store)
-        return {
-            "capacity": self.capacity,
-            "resident": resident,
-            "hits": self.counters.hits,
-            "misses": self.counters.misses,
-            "evictions": self.counters.evictions,
-            "hit_rate": self.counters.hit_rate,
-        }
-
-    # lint: disable=guarded-field — _lock is held by every caller
-    # (_get_or_build and adopt take it around the insert)
-    def _insert(self, key: tuple, value: object) -> None:
-        """Store ``key`` and evict LRU entries past capacity.  Lock held by caller."""
-        self._store[key] = value
-        while len(self._store) > self.capacity:
-            self._store.popitem(last=False)
-            self.counters.evictions += 1
-
-    def _get_or_build(self, key: tuple, build) -> object:
-        with self._lock:
-            if key in self._store:
-                self._store.move_to_end(key)
-                self.counters.hits += 1
-                return self._store[key]
-        # Build outside the lock: decomposition is the expensive part and
-        # concurrent builders at worst duplicate work, never corrupt state.
-        value = build()
-        with self._lock:
-            if key in self._store:  # racing builder won; keep its object
-                self._store.move_to_end(key)
-                self.counters.misses += 1
-                return self._store[key]
-            self.counters.misses += 1
-            self._insert(key, value)
-        return value
-
-    # ------------------------------------------------------------------ #
-    def compress(
-        self, matrix: np.ndarray, config: TASDConfig, digest: str | None = None
-    ) -> CompiledOperand:
-        """Compiled (decomposed + compressed) form of a 2-D matrix.
-
-        ``digest`` lets a caller that already hashed ``matrix`` (the plan
-        compiler records it per layer) skip the second full-tensor pass; it
-        must be ``tensor_digest(matrix)`` or the content addressing breaks.
-        """
-        key = (digest if digest is not None else tensor_digest(matrix), str(config))
-        return self._get_or_build(key, lambda: _compile_operand(matrix, config))
-
-    def adopt(self, digest: str, config: TASDConfig, operand: CompiledOperand) -> CompiledOperand:
-        """Register a precompiled operand under its source weight's digest.
-
-        The plan-persistence path (:mod:`repro.runtime.planio`) rebuilds
-        operands from disk and re-registers them here, so later
-        ``compress`` calls on the same weight hit instead of re-deriving.
-        Counted as neither hit nor miss — nothing was looked up or built.
-        If the key is already resident, the incumbent wins (plans sharing
-        this cache keep sharing one object by identity).
-        """
-        key = (digest, str(config))
-        with self._lock:
-            incumbent = self._store.get(key)
-            if incumbent is not None:
-                self._store.move_to_end(key)
-                return incumbent
-            self._insert(key, operand)
-        return operand
-
-    def digest_of(self, operand: CompiledOperand) -> str | None:
-        """Reverse lookup: the source-weight digest a resident operand is keyed by.
-
-        Identity-based — returns ``None`` when the operand was never stored
-        here or has been evicted.  This is how plan persistence recovers a
-        compiled layer's original weight digest without keeping the dense
-        weight around.
-        """
-        with self._lock:
-            for key, value in self._store.items():
-                if value is operand:
-                    return key[0]
-        return None
 
 
 # ---------------------------------------------------------------------- #

@@ -132,19 +132,14 @@ def skewed_plan(plan, scale: float = 2.0):
     exists to reject; pair it with ``ServingEngine.swap_plan`` and expect
     ``SwapRejected``.
 
-    The source plan (and its shared operand cache) is never touched: the
-    deepcopy duplicates term storage before skewing it.
+    The source plan is never touched: the deepcopy duplicates term storage
+    before skewing it.
     """
     import copy
 
-    from .cache import OperandCache
-
     if scale == 1.0:
         raise ValueError("scale=1.0 would leave the plan correct; pick any other factor")
-    # The plan's OperandCache holds a threading.Lock (not deepcopy-able)
-    # and its entries are shared with other plans; substitute a fresh,
-    # empty cache for the copy instead of cloning it.
-    bad = copy.deepcopy(plan, {id(plan.cache): OperandCache()})
+    bad = copy.deepcopy(plan)
     for layer_plan in bad.layers.values():
         if layer_plan.mode == "compiled" and layer_plan.operand is not None:
             op = layer_plan.operand

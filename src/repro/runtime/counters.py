@@ -1,7 +1,7 @@
 """Perf/telemetry structs shared across the inference runtime.
 
-Counters are plain mutable dataclasses: the executor and cache update them
-in place on the hot path (no allocation), and reporting code snapshots them
+Counters are plain mutable dataclasses: the layer plans update them in
+place on the hot path (no allocation), and reporting code snapshots them
 into tables.  MAC counts follow the compute model of Section 3.2 — each
 TASD term runs ``n/m`` of the dense MACs — so ``structured_macs /
 dense_macs`` reproduces the compute fraction TASDER optimises.
@@ -16,40 +16,12 @@ from repro.analysis.annotations import cross_process
 from .metrics import Histogram
 
 __all__ = [
-    "CacheCounters",
     "LayerCounters",
     "ExecutorStats",
     "RequestStats",
     "ServeReport",
     "WorkerStat",
 ]
-
-
-@dataclass
-class CacheCounters:
-    """Hit/miss/eviction accounting for the operand cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when never used)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.evictions = 0
-
-    def __str__(self) -> str:
-        return (
-            f"cache: {self.hits} hits / {self.misses} misses "
-            f"({self.hit_rate:.1%} hit rate), {self.evictions} evictions"
-        )
 
 
 @cross_process
@@ -146,7 +118,6 @@ class ExecutorStats:
     samples: int = 0
     wall_time: float = 0.0
     layers: dict[str, LayerCounters] = field(default_factory=dict)
-    cache: CacheCounters = field(default_factory=CacheCounters)
 
     @property
     def total(self) -> LayerCounters:
@@ -193,7 +164,7 @@ class ExecutorStats:
         )
         lines.append(
             f"{self.batches} batches / {self.samples} samples, "
-            f"{self.wall_time * 1e3:.2f} ms total ({self.throughput:.1f} samples/s); {self.cache}"
+            f"{self.wall_time * 1e3:.2f} ms total ({self.throughput:.1f} samples/s)"
         )
         return "\n".join(lines)
 

@@ -18,7 +18,6 @@ over shared-memory operands, past the GIL.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 import time
 
@@ -138,7 +137,6 @@ class PlanExecutor:
                     name: plan.counters.snapshot()
                     for name, plan in self.plan.layers.items()
                 },
-                cache=dataclasses.replace(self.plan.cache.counters),
             )
 
     def worker_stats(self) -> list[WorkerStat]:
@@ -151,4 +149,3 @@ class PlanExecutor:
             self._batches = self._samples = 0
             self._wall_time = 0.0
             self.plan.reset_counters()
-            self.plan.cache.counters.reset()

@@ -1,8 +1,8 @@
 """Runtime telemetry spine: metric primitives, registry, and live export.
 
 The runtime's layers already count everything that matters — per-layer
-MACs and wall time (:class:`~repro.runtime.counters.LayerCounters`), cache
-hits/misses/evictions, per-request latencies — but until now the only way
+MACs and wall time (:class:`~repro.runtime.counters.LayerCounters`),
+per-request latencies — but until now the only way
 to see them was a blocking ``stats().table()`` dump after ``stop()``.
 This module turns those counters into *live* telemetry:
 
@@ -26,7 +26,7 @@ This module turns those counters into *live* telemetry:
   request traces).  No new dependencies.
 
 Nothing here imports the rest of the runtime, so every layer (counters,
-plan, cache, serve) can import this module freely.
+plan, serve) can import this module freely.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 
 class Counter:
-    """A monotonically increasing value (requests served, cache hits, ...)."""
+    """A monotonically increasing value (requests served, batches run, ...)."""
 
     def __init__(self) -> None:
         self._value = 0.0
@@ -486,7 +486,7 @@ def render_prometheus(snapshot: dict) -> str:
 def export_executor_stats(registry: MetricsRegistry, stats, backends: dict | None = None) -> None:
     """Populate ``registry`` from an ``ExecutorStats``-shaped snapshot.
 
-    Duck-typed (``stats.layers`` / ``stats.cache`` / batch totals) so this
+    Duck-typed (``stats.layers`` / batch totals) so this
     module never imports the counters layer.  ``backends`` maps layer name
     to the kernel-backend label (``ExecutionPlan.backend_choices()``);
     unlisted layers are labeled with their execution mode stand-in
@@ -515,10 +515,6 @@ def export_executor_stats(registry: MetricsRegistry, stats, backends: dict | Non
         dmacs.labels(layer=name).inc(c.dense_macs)
         seconds.labels(layer=name).inc(c.wall_time)
         hist.labels(layer=name, backend=backends.get(name, "dense")).merge_from(c.gemm_seconds)
-    cache = stats.cache
-    registry.counter("tasd_cache_hits_total", "Operand-cache hits").inc(cache.hits)
-    registry.counter("tasd_cache_misses_total", "Operand-cache misses").inc(cache.misses)
-    registry.counter("tasd_cache_evictions_total", "Operand-cache evictions").inc(cache.evictions)
     registry.counter("tasd_executor_batches_total", "Micro-batches executed").inc(stats.batches)
     registry.counter("tasd_executor_samples_total", "Samples executed").inc(stats.samples)
     registry.counter(

@@ -24,7 +24,6 @@ backend per layer by micro-benchmark; the winner is visible in
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +47,7 @@ from repro.analysis.annotations import hot_path
 
 from .autotune import AutotuneResult, autotune_operand
 from .backends import DEFAULT_BACKEND, get_backend
-from .cache import CompiledOperand, OperandCache, tensor_digest
+from .cache import CompiledOperand, compile_operand, tensor_digest
 from .counters import LayerCounters
 
 __all__ = ["LayerPlan", "ExecutionPlan", "compile_plan"]
@@ -170,7 +169,6 @@ class ExecutionPlan:
 
     layers: dict[str, LayerPlan]
     transform: TASDTransform
-    cache: OperandCache
     mode: str
     build_time: float
 
@@ -200,7 +198,7 @@ class ExecutionPlan:
 
         Covers everything knowable without serving traffic: build time,
         compressed footprint, per-layer nnz/slots and the chosen kernel
-        backend, cache occupancy and counters, plus any execution counters
+        backend, plus any execution counters
         the plan has already accumulated.  ``registry.snapshot()`` is the
         JSON artifact; ``registry.render()`` the Prometheus text.
         """
@@ -227,18 +225,10 @@ class ExecutionPlan:
             layer_nnz.labels(layer=name).set(lp.operand.total_nnz if lp.operand else 0)
             backend = lp.backend if lp.mode == "compiled" else lp.mode
             layer_info.labels(layer=name, mode=lp.mode, backend=backend).set(1)
-        info = self.cache.info()
-        registry.gauge("tasd_cache_resident", "Operand-cache entries resident").set(
-            info["resident"]
-        )
-        registry.gauge("tasd_cache_capacity", "Operand-cache capacity bound").set(
-            info["capacity"]
-        )
         from .counters import ExecutorStats
 
         stats = ExecutorStats(
             layers={name: lp.counters.snapshot() for name, lp in self.layers.items()},
-            cache=dataclasses.replace(self.cache.counters),
         )
         export_executor_stats(registry, stats, self.backend_choices())
         return registry
@@ -284,7 +274,7 @@ class ExecutionPlan:
             f"execution plan: {len(self.layers)} layers, mode={self.mode}, "
             f"built in {self.build_time * 1e3:.1f} ms",
             f"compressed weights: {self.total_nnz} nnz, "
-            f"{self.compressed_bits / 8192:.1f} KiB; {self.cache.counters}",
+            f"{self.compressed_bits / 8192:.1f} KiB",
         ]
         lines += [plan.describe() for plan in self.layers.values()]
         return "\n".join(lines)
@@ -297,7 +287,6 @@ def _layer_kind(layer: _GemmLayer) -> str:
 def compile_plan(
     model: Module,
     transform: TASDTransform,
-    cache: OperandCache | None = None,
     mode: str = "compiled",
     backend: str = DEFAULT_BACKEND,
     autotune: bool = False,
@@ -307,11 +296,13 @@ def compile_plan(
     """Compile a model + transform into an :class:`ExecutionPlan`.
 
     Every GEMM layer (heads included) receives a plan: layers the transform
-    targets get their weights decomposed and compressed exactly once, via
-    the operand ``cache``; untargeted layers get dense plans so the
-    executor's counters cover the whole network.  ``mode="per_call"``
-    builds the uncompiled baseline instead (no compression at build time;
-    every forward re-decomposes through ``tasd_matmul``).
+    targets get their weights decomposed and compressed exactly once, by
+    :func:`~repro.runtime.cache.compile_operand`; untargeted layers get
+    dense plans so the executor's counters cover the whole network.  Each
+    layer records its source weight's :func:`tensor_digest`, the identity
+    a saved plan is checked against.  ``mode="per_call"`` builds the
+    uncompiled baseline instead (no compression at build time; every
+    forward re-decomposes through ``tasd_matmul``).
 
     ``backend`` fixes the structured-GEMM kernel for every compiled layer;
     ``autotune=True`` instead micro-benchmarks the backends per layer at
@@ -328,15 +319,14 @@ def compile_plan(
     """
     if mode not in ("compiled", "per_call"):
         raise ValueError(f"compile mode must be 'compiled' or 'per_call', got {mode!r}")
-    cache = cache if cache is not None else OperandCache()
     t0 = time.perf_counter()
     plans: dict[str, LayerPlan] = {}
     for name, layer in gemm_layers(model, include_head=True):
         weight_config = transform.weight_configs.get(name, DENSE_CONFIG)
         activation_config = transform.activation_configs.get(name, DENSE_CONFIG)
         w = layer.weight_matrix()
-        # Hashed once per layer: the digest is both the cache key and the
-        # identity plan persistence verifies restarts against.
+        # Hashed once per layer: the identity plan persistence verifies
+        # restarts against.
         w_digest = tensor_digest(w)
         if weight_config.is_dense:
             layer_mode, operand, dense_weight = "dense", None, w
@@ -344,7 +334,7 @@ def compile_plan(
             layer_mode, operand, dense_weight = "per_call", None, w
         else:
             layer_mode = "compiled"
-            operand, dense_weight = cache.compress(w, weight_config, digest=w_digest), None
+            operand, dense_weight = compile_operand(w, weight_config), None
         layer_backend, sweep = backend, None
         if autotune and layer_mode == "compiled":
             sweep = autotune_operand(
@@ -362,14 +352,11 @@ def compile_plan(
             dense_weight=dense_weight,
             backend=layer_backend,
             autotune=sweep,
-            # Recorded at compile time so plan persistence never depends on
-            # the operand still being resident in the (LRU-bounded) cache.
             weight_digest=w_digest,
         )
     return ExecutionPlan(
         layers=plans,
         transform=transform,
-        cache=cache,
         mode=mode,
         build_time=time.perf_counter() - t0,
     )

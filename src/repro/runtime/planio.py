@@ -6,18 +6,15 @@ specialisation cost ahead of time; S2TA keeps exactly this compressed form
 resident).  This module makes the compiled artifact durable: a single
 ``.npz`` file carrying every layer's :class:`CompressedNM` term arrays,
 shapes, series configurations, chosen kernel backend, and autotune
-timings, plus a JSON manifest that keys the whole artifact by the content
-digests the :class:`OperandCache` already computes (gather tables are
-index arithmetic over the stored terms, rederived bit-identically at
-load).
+timings, plus a JSON manifest that keys the whole artifact by the weight
+digests ``compile_plan`` records on every layer (gather tables are index
+arithmetic over the stored terms, rederived bit-identically at load).
 
 Loading rebuilds a fully working :class:`ExecutionPlan` without touching
 ``tasder`` or ``pruning``: no decomposition, no compression, no
 micro-benchmarking — the arrays deserialize straight into
-:class:`CompiledOperand` storage (backend state rebuilds lazily on first
-dispatch) and re-register in the operand cache under their original
-content keys, so a subsequent ``compile_plan`` against the same cache is
-all hits.
+:class:`CompiledOperand` storage, backend state rebuilds lazily on first
+dispatch, and every layer keeps the weight digest it was saved with.
 
 Integrity is enforced on two axes:
 
@@ -57,12 +54,7 @@ from repro.core.series import TASDConfig
 from repro.core.sparse_ops import CompressedNM, nm_gather_tables
 
 from .autotune import AutotuneResult
-from .cache import (
-    CompiledOperand,
-    OperandCache,
-    SharedOperandStore,
-    tensor_digest,
-)
+from .cache import CompiledOperand, SharedOperandStore, tensor_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nn.module import Module
@@ -152,7 +144,7 @@ def plan_fingerprint(plan: "ExecutionPlan") -> str:
     wrong-artifact deploy rejected up front.
     """
     digests = {
-        name: _layer_weight_digest(plan, layer_plan)
+        name: _layer_weight_digest(layer_plan)
         for name, layer_plan in plan.layers.items()
     }
     return _fingerprint_of_digests(digests)
@@ -165,29 +157,24 @@ def _manifest_checksum(manifest_bytes: bytes) -> str:
 # ---------------------------------------------------------------------- #
 # Save
 # ---------------------------------------------------------------------- #
-def _layer_weight_digest(plan: "ExecutionPlan", layer_plan) -> str:
+def _layer_weight_digest(layer_plan) -> str:
     """Digest of the weight a layer plan was compiled from.
 
-    ``compile_plan`` records it on the :class:`LayerPlan` directly.  For
-    plans built without it, dense / per-call layers hold the dense weight
-    (digest recomputable), and compiled layers fall back to the operand's
-    content key in the cache — reverse lookup rather than decompressing,
-    because the decompressed view is the *approximation*, not the original
-    weight.
+    ``compile_plan``, :func:`load_plan` and :func:`attach_plan` record it
+    on every :class:`LayerPlan`.  A hand-built plan without it still works
+    for dense / per-call layers, whose dense weight is at hand; a compiled
+    layer holds only the compressed *approximation*, so its source digest
+    is unrecoverable and the plan is refused.
     """
     if layer_plan.weight_digest is not None:
         return layer_plan.weight_digest
     if layer_plan.dense_weight is not None:
         return tensor_digest(layer_plan.dense_weight)
-    digest = plan.cache.digest_of(layer_plan.operand)
-    if digest is None:
-        raise PlanFormatError(
-            f"cannot persist layer {layer_plan.name!r}: it records no "
-            f"weight digest and its operand is no longer resident in the "
-            f"cache, so the source-weight digest is unrecoverable; "
-            f"recompile the plan"
-        )
-    return digest
+    raise PlanFormatError(
+        f"cannot persist layer {layer_plan.name!r}: it records no weight "
+        f"digest, and its compressed operand cannot recover the source "
+        f"weight's; recompile the plan"
+    )
 
 
 def _autotune_entry(sweep: AutotuneResult | None) -> dict | None:
@@ -210,7 +197,7 @@ def _collect_entries(plan: "ExecutionPlan", put) -> tuple[list[dict], dict[str, 
     layer_entries: list[dict] = []
     layer_digests: dict[str, str] = {}
     for i, (name, lp) in enumerate(plan.layers.items()):
-        weight_digest = _layer_weight_digest(plan, lp)
+        weight_digest = _layer_weight_digest(lp)
         layer_digests[name] = weight_digest
         entry: dict = {
             "name": name,
@@ -415,25 +402,20 @@ def _rebuild_operand(data, manifest: dict, entry: dict, config: TASDConfig) -> C
     )
 
 
-def load_plan(
-    path: str | Path,
-    model: "Module",
-    cache: OperandCache | None = None,
-) -> "ExecutionPlan":
+def load_plan(path: str | Path, model: "Module") -> "ExecutionPlan":
     """Deserialize a plan saved by :func:`save_plan` back into a working one.
 
     Verifies artifact integrity (manifest checksum + per-array digests) and
     model identity (per-layer weight digests + whole-model fingerprint)
     before rebuilding anything: a stale or tampered artifact raises
     :class:`PlanDigestError` / :class:`PlanFormatError` instead of serving
-    wrong results.  Rebuilt operands are re-registered in ``cache`` under
-    their original content keys (so recompiles hit), and per-backend
-    prepared state rebuilds lazily on first dispatch — load time is file
-    I/O plus digest checks, never decomposition or tuning.
+    wrong results.  Every layer keeps the weight digest it was saved with,
+    and per-backend prepared state rebuilds lazily on first dispatch —
+    load time is file I/O plus digest checks, never decomposition or
+    tuning.
     """
     t0 = time.perf_counter()
     path = Path(path)
-    cache = cache if cache is not None else OperandCache()
     try:
         data = np.load(path, allow_pickle=False)
     except FileNotFoundError:
@@ -446,7 +428,7 @@ def load_plan(
     with data:
         manifest = _read_manifest(data)
         try:
-            plan = _rebuild_plan(data, manifest, model, cache)
+            plan = _rebuild_plan(data, manifest, model)
         except (PlanFormatError, PlanDigestError):
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -524,7 +506,7 @@ def _entry_layer_plan(
     )
 
 
-def _assemble_plan(layers, weight_configs, activation_configs, cache, mode):
+def _assemble_plan(layers, weight_configs, activation_configs, mode):
     from repro.tasder.transform import TASDTransform
 
     from .plan import ExecutionPlan
@@ -534,13 +516,12 @@ def _assemble_plan(layers, weight_configs, activation_configs, cache, mode):
         transform=TASDTransform(
             weight_configs=weight_configs, activation_configs=activation_configs
         ),
-        cache=cache,
         mode=mode,
         build_time=0.0,
     )
 
 
-def _rebuild_plan(data, manifest: dict, model: "Module", cache: OperandCache):
+def _rebuild_plan(data, manifest: dict, model: "Module"):
     """Rebuild the ExecutionPlan a verified manifest describes.
 
     ``build_time`` is stamped by the caller (it covers the whole load).
@@ -559,16 +540,12 @@ def _rebuild_plan(data, manifest: dict, model: "Module", cache: OperandCache):
         operand = dense_weight = None
         if "terms" in entry:
             operand = _rebuild_operand(data, manifest, entry, weight_config)
-            # adopt() returns the incumbent when the cache already holds
-            # this weight's operand — keep that one, so plans sharing the
-            # cache share operands by identity.
-            operand = cache.adopt(entry["weight_digest"], weight_config, operand)
         if "dense_weight" in entry:
             dense_weight = _array(data, manifest, entry["dense_weight"])
         layers[name] = _entry_layer_plan(
             entry, weight_config, activation_config, operand, dense_weight
         )
-    return _assemble_plan(layers, weight_configs, activation_configs, cache, manifest["mode"])
+    return _assemble_plan(layers, weight_configs, activation_configs, manifest["mode"])
 
 
 # ---------------------------------------------------------------------- #
@@ -651,9 +628,7 @@ def _attached_operand(entry: dict, config: TASDConfig, get) -> CompiledOperand:
     )
 
 
-def attach_plan(
-    spec: dict, cache: OperandCache | None = None
-) -> tuple["ExecutionPlan", SharedOperandStore | None]:
+def attach_plan(spec: dict) -> tuple["ExecutionPlan", SharedOperandStore | None]:
     """Rebuild a working plan from a :func:`share_plan` spec (worker side).
 
     Returns ``(plan, store)``.  With a shared segment, every array in the
@@ -662,12 +637,10 @@ def attach_plan(
     ``unlink()``) it on exit; the creating process owns the segment.  No
     digest verification happens here: the spec is an in-memory handoff
     from the process that built the plan, not an untrusted artifact —
-    integrity-checked persistence is :func:`load_plan`'s job.
-
-    Operands are adopted into ``cache`` under their source-weight digests,
-    so a worker-side ``compile_plan`` against the same cache would hit.
+    integrity-checked persistence is :func:`load_plan`'s job.  Every layer
+    keeps its source-weight digest, so an attached plan fingerprints like
+    the plan it was shared from.
     """
-    cache = cache if cache is not None else OperandCache()
     store = None
     if spec["segment"] is not None:
         store = SharedOperandStore.attach(spec["segment"])
@@ -695,11 +668,10 @@ def attach_plan(
         operand = dense_weight = None
         if "terms" in entry:
             operand = _attached_operand(entry, weight_config, get)
-            operand = cache.adopt(entry["weight_digest"], weight_config, operand)
         if "dense_weight" in entry:
             dense_weight = get(entry["dense_weight"])
         layers[name] = _entry_layer_plan(
             entry, weight_config, activation_config, operand, dense_weight
         )
-    plan = _assemble_plan(layers, weight_configs, activation_configs, cache, spec["mode"])
+    plan = _assemble_plan(layers, weight_configs, activation_configs, spec["mode"])
     return plan, store

@@ -20,16 +20,24 @@ the process pool at ``--workers N``.  Both produce **bit-identical**
 outputs: process workers run the same kernels over byte-equal shared
 operands.
 
-The process pool is *supervised*: a background supervisor thread detects
-dead workers (pipe errors on a request, plus a periodic health-check ping
-of idle workers) and respawns replacements from the already-shared plan
-segment, with capped exponential backoff and a crash-loop circuit breaker
-(too many respawns inside a sliding window stops respawning and marks the
-pool :attr:`~ProcessWorkerPool.degraded`).  A worker death mid-request
-raises the *retryable* :class:`WorkerCrashError` — the serving engine
-re-dispatches the batch on a surviving or respawned worker — and a pool
-that can no longer serve raises :class:`PoolDegradedError`, the engine's
-signal to fall back to in-process execution.
+Every parent-to-worker exchange after the ready handshake — a forward, a
+canary probe, a plan swap, a health-check ping, a counter reset, a stop —
+is one command and one reply through a single method, and worker failure
+has one behaviour there: a broken pipe, an EOF or a missed reply deadline
+retires the worker and raises the *retryable* :class:`WorkerCrashError`,
+while an error the worker reports is re-raised with its
+:class:`RemoteTraceback` and leaves the worker serving.  No reply is ever
+left unread on a live worker's pipe.
+
+The process pool is *supervised*: a background supervisor thread health-
+checks idle workers and respawns the retired ones from the already-shared
+plan segment, with capped exponential backoff and a crash-loop circuit
+breaker (too many respawns inside a sliding window stops respawning and
+marks the pool :attr:`~ProcessWorkerPool.degraded`).  The serving engine
+re-dispatches a batch whose worker crashed on a surviving or respawned
+worker, and a pool that can no longer serve raises
+:class:`PoolDegradedError`, the engine's signal to fall back to
+in-process execution.
 """
 
 from __future__ import annotations
@@ -197,20 +205,21 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
     Rebuilds the model from its pickle, attaches the shared plan spec
     (zero-copy operand views into the parent's segment), installs the
     plan, and serves ``("run", batch)`` requests over the pipe until told
-    to stop.  Every ``run`` reply carries the worker's cumulative
-    per-layer counters so the parent can merge :meth:`stats` without an
-    extra round-trip.  ``("ping", None)`` answers ``("ok", None)`` — the
-    supervisor's idle health check.  ``("swap", spec)`` hot-swaps the
-    worker onto a *new* shared plan spec (attach second segment, install,
-    detach old segment), and ``("probe", batch)`` runs one untracked
-    canary forward — the two halves of the zero-downtime plan rollout.
+    to stop.  Every command gets exactly one reply: ``("ok", result)`` or,
+    when it raised, ``("err", (exc, formatted_traceback))``.  Every
+    ``run`` result carries the worker's cumulative per-layer counters so
+    the parent can merge :meth:`stats` without an extra round-trip.
+    ``ping`` is the supervisor's idle health check and ``reset`` zeroes
+    the counters.  ``("swap", spec)`` hot-swaps the worker onto a *new*
+    shared plan spec (attach second segment, install, detach old
+    segment), and ``("probe", batch)`` runs one untracked canary forward —
+    the two halves of the zero-downtime plan rollout.
 
     ``chaos`` (a :class:`~repro.runtime.chaos.ChaosSpec`) injects
     deterministic faults — crash/hang/slow at exact request counts — for
     the fault-tolerance tests and the chaos-smoke job; without it this
     loop is fault-free.
     """
-    from .cache import OperandCache
     from .planio import attach_plan
 
     if chaos is not None:
@@ -218,7 +227,7 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
     store = None
     try:
         model = pickle.loads(model_payload)
-        plan, store = attach_plan(spec, cache=OperandCache())
+        plan, store = attach_plan(spec)
         plan.install(model)
         model.eval()
     # lint: disable=broad-except — any install failure is shipped to the
@@ -240,8 +249,12 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                 cmd, payload = conn.recv()
             except EOFError:  # parent vanished: exit quietly
                 break
-            if cmd == "run":
-                try:
+            if cmd == "stop":
+                conn.send(("ok", None))
+                break
+            reply = None
+            try:
+                if cmd == "run":
                     served += 1
                     if chaos is not None:
                         chaos.on_request(served, payload)
@@ -251,49 +264,28 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                     counters = {
                         name: lp.counters.snapshot() for name, lp in plan.layers.items()
                     }
-                    conn.send(("ok", (y, elapsed, counters)))
-                # lint: disable=broad-except — every request failure is
-                # shipped to the parent as ("err", exc, tb); the serving loop
-                # must survive any single bad request
-                except Exception as exc:
-                    tb = traceback.format_exc()
+                    reply = (y, elapsed, counters)
+                elif cmd == "probe":
+                    # Canary forward: same kernels as "run", but no chaos
+                    # injection, no served-count bump, no counter shipping —
+                    # a swap's validation traffic must not perturb
+                    # fault-injection schedules or serving telemetry.
+                    reply = model(payload)
+                elif cmd == "swap":
+                    # Hot plan-swap: attach the new spec (second segment),
+                    # install it over the old plan, then detach the old
+                    # segment.  On any failure the old plan is reinstalled
+                    # and keeps serving — the parent decides whether to
+                    # roll back the fleet.
+                    swaps += 1
+                    if chaos is not None:
+                        chaos.on_swap(swaps)
                     try:
-                        conn.send(("err", (exc, tb)))
-                    # lint: disable=broad-except — unpicklable exception
-                    # object: degrade to a string-carrying RuntimeError
+                        new_plan, new_store = attach_plan(payload)
+                        new_plan.install(model)
                     except Exception:
-                        conn.send(("err", (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)))
-            elif cmd == "probe":
-                # Canary forward: same kernels as "run", but no chaos
-                # injection, no served-count bump, no counter shipping —
-                # a swap's validation traffic must not perturb
-                # fault-injection schedules or serving telemetry.
-                try:
-                    conn.send(("ok", model(payload)))
-                # lint: disable=broad-except — canary failures are shipped to
-                # the parent, which turns them into a typed SwapRejected
-                except Exception as exc:
-                    tb = traceback.format_exc()
-                    conn.send(("err", (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)))
-            elif cmd == "swap":
-                # Hot plan-swap: attach the new spec (second segment),
-                # install it over the old plan, then detach the old
-                # segment.  On any failure the old plan is reinstalled and
-                # keeps serving — the parent decides whether to roll back
-                # the fleet.
-                swaps += 1
-                if chaos is not None:
-                    chaos.on_swap(swaps)
-                try:
-                    new_plan, new_store = attach_plan(payload, cache=OperandCache())
-                    new_plan.install(model)
-                # lint: disable=broad-except — attach/install failures are
-                # shipped to the parent, which rolls the fleet back typed
-                except Exception as exc:
-                    tb = traceback.format_exc()
-                    plan.install(model)  # a partial install must not serve
-                    conn.send(("err", (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)))
-                else:
+                        plan.install(model)  # a partial install must not serve
+                        raise
                     old_plan, old_store = plan, store
                     plan, store = new_plan, new_store
                     # Drop the old plan's operand views *before* detaching
@@ -301,15 +293,22 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                     del new_plan, old_plan
                     if old_store is not None:
                         old_store.close()
-                    conn.send(("ok", None))
-            elif cmd == "ping":
-                conn.send(("ok", None))
-            elif cmd == "reset":
-                plan.reset_counters()
-                conn.send(("ok", None))
-            elif cmd == "stop":
-                conn.send(("ok", None))
-                break
+                elif cmd == "reset":
+                    plan.reset_counters()
+                # "ping" needs no work: the reply itself is the health check.
+            # lint: disable=broad-except — every command failure is shipped
+            # to the parent as ("err", (exc, tb)); the serving loop must
+            # survive any single bad request
+            except Exception as exc:
+                tb = traceback.format_exc()
+                try:
+                    conn.send(("err", (exc, tb)))
+                # lint: disable=broad-except — unpicklable exception
+                # object: degrade to a string-carrying RuntimeError
+                except Exception:
+                    conn.send(("err", (RuntimeError(f"{type(exc).__name__}: {exc}"), tb)))
+            else:
+                conn.send(("ok", reply))
     finally:
         # The plan's arrays are views into the segment: drop them before
         # detaching, or the munmap would pull the buffer out from under
@@ -321,8 +320,9 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
         conn.close()
 
 
-class _WorkerTimeout(Exception):
-    """Internal marker: a worker missed its request-reply deadline."""
+# Reply deadline for the commands sent to idle workers (ping, reset,
+# stop): an idle worker answers them in microseconds.
+_IDLE_REPLY_TIMEOUT = 2.0
 
 
 @dataclasses.dataclass
@@ -505,6 +505,84 @@ class ProcessWorkerPool(WorkerPool):
             self._procs[worker.uid] = worker
         self._free.put(worker)
 
+    # ------------------------------------------------------------------ #
+    # The one parent-side exchange, and checking workers out for it
+    # ------------------------------------------------------------------ #
+    def _call(self, worker: _ProcWorker, cmd: str, payload=None, timeout: float | None = None):
+        """Send ``(cmd, payload)`` to a checked-out worker and return its reply.
+
+        Waits at most ``timeout`` seconds for the reply (forever when
+        ``None``).  A broken pipe, an EOF or a missed deadline retires the
+        worker — a late reply could never again be paired with the right
+        command — and raises :class:`WorkerCrashError`.  An error the
+        worker reports is re-raised here with its :class:`RemoteTraceback`
+        chained, and the worker stays live: its pipe holds no unread reply.
+        """
+        failure, cause = None, None
+        try:
+            worker.conn.send((cmd, payload))
+            if timeout is not None and not worker.conn.poll(timeout):
+                failure = f"missed its {timeout}s reply deadline"
+            else:
+                tag, reply = worker.conn.recv()
+        except (EOFError, OSError) as exc:
+            failure, cause = "died", exc
+        if failure is not None:
+            self._retire(worker)
+            what = {"run": "request", "probe": "canary"}.get(cmd, cmd)
+            raise WorkerCrashError(
+                f"process-pool worker pid {worker.process.pid} {failure} mid-{what}"
+            ) from cause
+        if tag == "err":
+            exc, tb = reply
+            exc.__cause__ = RemoteTraceback(tb)
+            raise exc
+        return reply
+
+    def _checkout_all(self) -> list[_ProcWorker]:
+        """Check every live worker out of the free queue.
+
+        Waits for in-flight forwards to bring their workers home.  Callers
+        hold ``_state_lock``: two drains running at once would each hold
+        workers the other waits for, forever.
+        """
+        collected: list[_ProcWorker] = []
+        while True:
+            with self._stats_lock:
+                live = self._live
+            if len(collected) >= live:
+                return collected
+            try:
+                collected.append(self._free.get(timeout=0.05))
+            except queue.Empty:
+                continue  # an in-flight run() will return its worker
+
+    def _checkout_where(self, wanted) -> _ProcWorker | None:
+        """Check out one live worker whose uid satisfies ``wanted(uid)``.
+
+        Returns ``None`` once no live worker is wanted — workers retired
+        meanwhile drop out of ``_procs`` and stop counting — or when the
+        pool is closing.  Unwanted workers drawn by accident go straight
+        back to the free queue.
+        """
+        while not self._closing.is_set():
+            with self._stats_lock:
+                if not any(wanted(uid) for uid in self._procs):
+                    return None
+            try:
+                worker = self._free.get(timeout=0.5)
+            except queue.Empty:
+                continue  # wanted workers are busy serving; wait them out
+            with self._stats_lock:
+                alive = self._worker_alive.get(worker.uid, False)
+            if alive and wanted(worker.uid):
+                return worker
+            self._free.put(worker)
+            # Cap the put/get spin while only unwanted workers are idle and
+            # a wanted one is mid-request.
+            time.sleep(0.005)
+        return None
+
     def install(self) -> "ProcessWorkerPool":
         with self._state_lock:
             if self._installed:
@@ -615,18 +693,11 @@ class ProcessWorkerPool(WorkerPool):
             except queue.Empty:
                 break
         for worker in idle:
-            healthy = False
             try:
-                worker.conn.send(("ping", None))
-                if worker.conn.poll(2.0):
-                    tag, _ = worker.conn.recv()
-                    healthy = tag == "ok"
-            except (BrokenPipeError, EOFError, OSError):
-                healthy = False
-            if healthy:
-                self._free.put(worker)
-            else:
-                self._retire(worker)
+                self._call(worker, "ping", timeout=_IDLE_REPLY_TIMEOUT)
+            except WorkerCrashError:
+                continue  # retired
+            self._free.put(worker)
 
     def _respawn_deficit(self) -> None:
         """Bring the pool back toward its configured size, gated by the
@@ -703,29 +774,16 @@ class ProcessWorkerPool(WorkerPool):
         with self._state_lock:
             if not self._installed:
                 return
-            collected: list[_ProcWorker] = []
-            while True:
-                with self._stats_lock:
-                    live = self._live
-                if len(collected) >= live:
-                    break
-                try:
-                    collected.append(self._free.get(timeout=0.05))
-                except queue.Empty:
-                    continue  # an in-flight run() will return its worker
+            collected = self._checkout_all()
+            stopped: list[_ProcWorker] = []
             for worker in collected:
                 try:
-                    worker.conn.send(("stop", None))
-                except (BrokenPipeError, OSError):  # already dead
-                    pass
-            for worker in collected:
-                try:
-                    if worker.conn.poll(5.0):
-                        worker.conn.recv()  # the stop ack
-                except (EOFError, OSError):
-                    pass
+                    self._call(worker, "stop", timeout=_IDLE_REPLY_TIMEOUT)
+                except WorkerCrashError:
+                    continue  # already dead: retired and reaped
                 worker.conn.close()
-            for worker in collected:
+                stopped.append(worker)
+            for worker in stopped:
                 worker.process.join(timeout=10.0)
                 if worker.process.is_alive():  # pragma: no cover - stuck worker
                     worker.process.terminate()
@@ -768,43 +826,14 @@ class ProcessWorkerPool(WorkerPool):
                 break
             except queue.Empty:
                 continue  # re-check degraded/installed only on wakeup
-        pid = worker.process.pid
-        healthy = False
         try:
-            worker.conn.send(("run", x))
-            if self.request_timeout is not None:
-                if not worker.conn.poll(self.request_timeout):
-                    # Wedged worker: no reply within the budget.  Kill it —
-                    # its eventual reply (if any) can never be trusted to
-                    # pair with the right request again.
-                    # lint: disable=typed-raise — internal sentinel, caught
-                    # three lines below; callers only ever see the typed
-                    # WorkerCrashError it is converted into
-                    raise _WorkerTimeout()
-            tag, payload = worker.conn.recv()
-            healthy = True
-        except (EOFError, BrokenPipeError, OSError, _WorkerTimeout) as exc:
-            self._retire(worker)
-            reason = (
-                f"missed its {self.request_timeout}s reply deadline"
-                if isinstance(exc, _WorkerTimeout)
-                else "died"
-            )
-            cause = None if isinstance(exc, _WorkerTimeout) else exc
-            raise WorkerCrashError(
-                f"process-pool worker pid {pid} {reason} mid-request"
-            ) from cause
-        finally:
-            if healthy:
-                self._free.put(worker)
-        if tag == "err":
-            exc, tb = payload if isinstance(payload, tuple) else (payload, None)
-            if tb is not None:
-                # Chain the child's formatted stack so the failure is
-                # debuggable from the parent (satellite: remote tracebacks).
-                exc.__cause__ = RemoteTraceback(tb)
-            raise exc
-        y, elapsed, counters = payload
+            y, elapsed, counters = self._call(worker, "run", x, self.request_timeout)
+        except WorkerCrashError:
+            raise  # the worker is retired
+        except Exception:
+            self._free.put(worker)  # the request failed; the worker serves on
+            raise
+        self._free.put(worker)
         with self._stats_lock:
             self._batches += 1
             self._samples += int(x.shape[0])
@@ -822,25 +851,8 @@ class ProcessWorkerPool(WorkerPool):
         Bypasses the free queue and the stats counters; a worker death
         here raises :class:`WorkerCrashError` after retiring it.
         """
-        pid = worker.process.pid
         timeout = self.request_timeout if self.request_timeout else self._start_timeout
-        try:
-            worker.conn.send(("probe", np.asarray(x)))
-            if not worker.conn.poll(timeout):
-                raise _WorkerTimeout()
-            tag, payload = worker.conn.recv()
-        except (EOFError, BrokenPipeError, OSError, _WorkerTimeout) as exc:
-            self._retire(worker)
-            cause = None if isinstance(exc, _WorkerTimeout) else exc
-            raise WorkerCrashError(
-                f"process-pool worker pid {pid} died mid-canary"
-            ) from cause
-        if tag == "err":
-            exc, tb = payload if isinstance(payload, tuple) else (payload, None)
-            if tb is not None:
-                exc.__cause__ = RemoteTraceback(tb)
-            raise exc
-        return payload
+        return self._call(worker, "probe", np.asarray(x), timeout)
 
     def _swap_one(self, worker: _ProcWorker, spec: dict) -> None:
         """Swap one held-out worker onto ``spec``.
@@ -851,55 +863,15 @@ class ProcessWorkerPool(WorkerPool):
         previous plan — the caller owns returning it to the free queue)
         when the worker rejected the spec.
         """
-        pid = worker.process.pid
         try:
-            worker.conn.send(("swap", spec))
-            if not worker.conn.poll(self._start_timeout):
-                raise _WorkerTimeout()
-            tag, payload = worker.conn.recv()
-        except (EOFError, BrokenPipeError, OSError, _WorkerTimeout) as exc:
-            self._retire(worker)
-            cause = None if isinstance(exc, _WorkerTimeout) else exc
-            raise WorkerCrashError(
-                f"process-pool worker pid {pid} died mid-swap"
-            ) from cause
-        if tag == "err":
-            exc, tb = payload if isinstance(payload, tuple) else (payload, None)
-            err = PlanSwapError(
-                f"process-pool worker pid {pid} failed to attach the new plan: {exc}"
-            )
-            if tb is not None:
-                err.__cause__ = RemoteTraceback(tb)
-            raise err
-
-    def _checkout_for_swap(self, done: set[int]) -> _ProcWorker | None:
-        """Check out one live worker whose uid is not in ``done``.
-
-        Returns ``None`` once every live worker is in ``done`` (the roll
-        is complete — workers retired mid-roll drop out of ``_procs`` and
-        stop counting).  Already-handled workers drawn by accident go
-        straight back to the free queue.
-        """
-        while True:
-            if self._closing.is_set():
-                raise PlanSwapError("pool is closing; plan swap abandoned")
-            with self._stats_lock:
-                pending = [u for u in self._procs if u not in done]
-            if not pending:
-                return None
-            try:
-                worker = self._free.get(timeout=0.5)
-            except queue.Empty:
-                continue  # pending workers are busy serving; wait them out
-            with self._stats_lock:
-                alive = self._worker_alive.get(worker.uid, False)
-            if worker.uid in done or not alive:
-                self._free.put(worker)
-                # Cap the put/get spin while only handled workers are idle
-                # and a pending one is mid-request.
-                time.sleep(0.005)
-                continue
-            return worker
+            self._call(worker, "swap", spec, self._start_timeout)
+        except WorkerCrashError:
+            raise
+        except Exception as exc:
+            raise PlanSwapError(
+                f"process-pool worker pid {worker.process.pid} failed to attach "
+                f"the new plan: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
         """Roll every worker onto ``new_plan`` with zero downtime.
@@ -927,8 +899,10 @@ class ProcessWorkerPool(WorkerPool):
             try:
                 canaried = canary is None
                 while True:
-                    worker = self._checkout_for_swap(swapped)
+                    worker = self._checkout_where(lambda uid: uid not in swapped)
                     if worker is None:
+                        if self._closing.is_set():
+                            raise PlanSwapError("pool is closing; plan swap abandoned")
                         break
                     try:
                         self._swap_one(worker, new_spec)
@@ -942,6 +916,9 @@ class ProcessWorkerPool(WorkerPool):
                                 "validate the new plan"
                             ) from None
                         continue
+                    except PlanSwapError:
+                        self._free.put(worker)  # still serving the old plan
+                        raise
                     swapped.add(worker.uid)
                     if not canaried:
                         try:
@@ -983,19 +960,10 @@ class ProcessWorkerPool(WorkerPool):
         supervisor respawns it from the still-committed old spec.
         """
         remaining = set(swapped)
-        while remaining and not self._closing.is_set():
-            with self._stats_lock:
-                remaining &= set(self._procs)
-            if not remaining:
+        while True:
+            worker = self._checkout_where(remaining.__contains__)
+            if worker is None:
                 return
-            try:
-                worker = self._free.get(timeout=0.5)
-            except queue.Empty:
-                continue
-            if worker.uid not in remaining:
-                self._free.put(worker)
-                time.sleep(0.005)
-                continue
             remaining.discard(worker.uid)
             try:
                 self._swap_one(worker, old_spec)
@@ -1032,7 +1000,6 @@ class ProcessWorkerPool(WorkerPool):
             samples=samples,
             wall_time=wall,
             layers=layers,
-            cache=dataclasses.replace(self.plan.cache.counters),
         )
 
     def worker_stats(self) -> list[WorkerStat]:
@@ -1058,32 +1025,17 @@ class ProcessWorkerPool(WorkerPool):
         # with a close() (which also collects every live worker) would leave
         # each holding workers the other waits for, forever.
         with self._state_lock:
-            collected: list[_ProcWorker] = []
-            if self._installed:
-                # Check every live worker out so no forward is mid-flight
-                # while its counters reset (the same quiesce close()
-                # performs).
-                while True:
-                    with self._stats_lock:
-                        live = self._live
-                    if len(collected) >= live:
-                        break
-                    try:
-                        collected.append(self._free.get(timeout=0.05))
-                    except queue.Empty:
-                        continue
-            try:
-                for worker in collected:
-                    worker.conn.send(("reset", None))
-                for worker in collected:
-                    worker.conn.recv()
-            finally:
-                for worker in collected:
-                    self._free.put(worker)
+            # Check every live worker out so no forward is mid-flight while
+            # its counters reset (the same quiesce close() performs).
+            for worker in self._checkout_all() if self._installed else []:
+                try:
+                    self._call(worker, "reset", timeout=_IDLE_REPLY_TIMEOUT)
+                except WorkerCrashError:
+                    continue  # retired; a respawn starts from zero
+                self._free.put(worker)
         with self._stats_lock:
             self._batches = self._samples = 0
             self._wall_time = 0.0
             self._counter_snapshots.clear()
             self._worker_requests = {uid: 0 for uid in self._worker_requests}
-        self.plan.cache.counters.reset()
 

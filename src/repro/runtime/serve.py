@@ -34,7 +34,7 @@ The engine is *observable while running* (the telemetry spine):
   bounded ring buffer (:meth:`traces`);
 - :meth:`metrics_snapshot` assembles one scrape from the engine's own
   registry plus scrape-time views of the pool (per-layer GEMM histograms
-  merged across every worker, cache counters, per-worker liveness);
+  merged across every worker, per-worker liveness);
 - :meth:`serve_metrics` exposes it all over HTTP — ``/metrics``
   (Prometheus text), ``/metrics.json``, ``/healthz``, ``/statusz`` — from
   a background thread, stdlib only.
@@ -997,7 +997,7 @@ class ServingEngine:
         The engine's own histograms/counters are recorded live on the hot
         path; everything pool-side (per-layer GEMM histograms merged across
         all workers — processes included, via the counters they ship with
-        replies — cache counters, per-worker liveness) is assembled at
+        replies — per-worker liveness) is assembled at
         scrape time from :meth:`WorkerPool.stats`, so scraping costs the
         scraper, not the serving path.
         """
@@ -1013,14 +1013,6 @@ class ServingEngine:
                     for name, lp in plan.layers.items()
                 }
             export_executor_stats(registry, stats_fn(), backends)
-        if plan is not None:
-            info = plan.cache.info()
-            registry.gauge("tasd_cache_resident", "Operand-cache entries resident").set(
-                info["resident"]
-            )
-            registry.gauge("tasd_cache_capacity", "Operand-cache capacity bound").set(
-                info["capacity"]
-            )
         alive_g = registry.gauge(
             "tasd_worker_alive", "1 while the pool worker is serving", labels=("worker",)
         )

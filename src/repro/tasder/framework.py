@@ -140,7 +140,7 @@ class Tasder:
         apply_activation_transform(self.model, transform.activation_configs)
         return self.model
 
-    def compile(self, result: "TasderResult | TASDTransform", cache=None, **plan_kwargs):
+    def compile(self, result: "TasderResult | TASDTransform", **plan_kwargs):
         """Compile a search result (or bare transform) into an execution plan.
 
         Weights are decomposed and compressed exactly once, at compile time;
@@ -155,4 +155,4 @@ class Tasder:
 
         transform = result.transform if isinstance(result, TasderResult) else result
         clear_transform(self.model)
-        return compile_plan(self.model, transform, cache=cache, **plan_kwargs)
+        return compile_plan(self.model, transform, **plan_kwargs)

@@ -23,10 +23,10 @@ from repro.pruning.targets import gemm_layers
 from repro.runtime import (
     DEFAULT_BACKEND,
     CompiledOperand,
-    OperandCache,
     PlanExecutor,
     autotune_operand,
     backend_names,
+    compile_operand,
     compile_plan,
     exact_backend_names,
     get_backend,
@@ -48,7 +48,7 @@ INEXACT = set(backend_names()) - EXACT
 def make_operand(rng, shape, config_text, sparsity=0.5, dtype=np.float64):
     config = TASDConfig.parse(config_text)
     w = rng.normal(size=shape) * (rng.random(shape) < (1.0 - sparsity))
-    return OperandCache().compress(w.astype(dtype), config)
+    return compile_operand(w.astype(dtype), config)
 
 
 class TestRegistry:

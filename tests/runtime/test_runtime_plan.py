@@ -15,7 +15,7 @@ from repro.nn.layers import Conv2d, Linear
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
-from repro.runtime import CompiledOperand, OperandCache, PlanExecutor, compile_plan
+from repro.runtime import CompiledOperand, PlanExecutor, compile_plan
 from repro.tasder.transform import (
     TASDTransform,
     apply_activation_transform,
@@ -39,6 +39,21 @@ def sparse_resnet():
 @pytest.fixture(scope="module")
 def batch():
     return np.random.default_rng(7).normal(size=(3, 3, 8, 8))
+
+
+def _count_operand_compiles(monkeypatch) -> list:
+    """Record every weight compression ``compile_plan`` performs."""
+    import repro.runtime.plan as plan_module
+
+    calls: list = []
+    real = plan_module.compile_operand
+
+    def counting(matrix, config):
+        calls.append(config)
+        return real(matrix, config)
+
+    monkeypatch.setattr(plan_module, "compile_operand", counting)
+    return calls
 
 
 class TestLayerPlanGemm:
@@ -123,21 +138,17 @@ class TestCompiledModelForward:
             slow = executor.run(batch)
         np.testing.assert_array_equal(fast, slow)
 
-    def test_weights_compress_exactly_once(self, sparse_resnet, batch):
+    def test_weights_compress_exactly_once(self, sparse_resnet, batch, monkeypatch):
         model, transform = sparse_resnet
-        cache = OperandCache()
-        plan = compile_plan(model, transform, cache=cache)
+        compiles = _count_operand_compiles(monkeypatch)
+        plan = compile_plan(model, transform)
         n_targets = len(transform.weight_configs)
-        assert cache.counters.misses == n_targets
+        assert len(compiles) == n_targets
         with PlanExecutor(model, plan) as executor:
             executor.run(batch)
             executor.run(batch)
         # Forwards never touch the compression path again.
-        assert cache.counters.misses == n_targets
-        # Recompiling against the same cache is all hits.
-        compile_plan(model, transform, cache=cache)
-        assert cache.counters.hits == n_targets
-        assert cache.counters.hit_rate == pytest.approx(0.5)
+        assert len(compiles) == n_targets
 
     def test_untargeted_layers_get_dense_plans(self, sparse_resnet):
         model, transform = sparse_resnet
@@ -231,16 +242,18 @@ class TestTasderCompile:
             assert executor.run(batch).shape == (len(batch), 10)
 
 
-class TestActivationCaching:
-    def test_activation_views_bypass_the_cache(self, sparse_resnet, batch):
+class TestActivationDecomposition:
+    def test_activation_only_transform_compiles_no_operand(
+        self, sparse_resnet, batch, monkeypatch
+    ):
         model, _ = sparse_resnet
         transform = TASDTransform(activation_configs={"stem.layers.0": CFG})
-        cache = OperandCache()
-        plan = compile_plan(model, transform, cache=cache)
+        compiles = _count_operand_compiles(monkeypatch)
+        plan = compile_plan(model, transform)
         with PlanExecutor(model, plan) as executor:
             executor.run(batch)
             executor.run(batch)
-        assert cache.counters.lookups == 0
+        assert compiles == []
 
 
 def test_stats_snapshot_survives_reset(sparse_resnet, batch):
@@ -250,7 +263,6 @@ def test_stats_snapshot_survives_reset(sparse_resnet, batch):
         snapshot = executor.stats()
         executor.reset_stats()
     assert snapshot.total.calls > 0
-    assert snapshot.cache.misses > 0
     assert executor.stats().total.calls == 0
 
 

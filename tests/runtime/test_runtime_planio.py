@@ -1,8 +1,8 @@
 """Tests for plan persistence: save/load round trips, digests, tampering.
 
 The load-bearing property: a loaded plan is *the same plan* — bit-identical
-served outputs on every backend, preserved autotune choices, operands
-re-registered in the cache — and anything that is not the same plan
+served outputs on every backend, preserved autotune choices and weight
+digests — and anything that is not the same plan
 (drifted weights, tampered artifact) is refused with a clear error, never
 loaded approximately.
 """
@@ -23,7 +23,6 @@ from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
 from repro.runtime import (
-    OperandCache,
     PlanDigestError,
     PlanExecutor,
     PlanFormatError,
@@ -136,19 +135,6 @@ class TestRoundTrip:
                     np.testing.assert_array_equal(a, b)
         assert loaded.transform.weight_configs.keys() == transform.weight_configs.keys()
 
-    def test_loaded_operands_reregister_in_cache(self, sparse_resnet, tmp_path):
-        model, transform = sparse_resnet
-        plan = compile_plan(model, transform)
-        path = plan.save(tmp_path / "plan.npz")
-        cache = OperandCache()
-        loaded = load_plan(path, model, cache=cache)
-        assert cache.counters.lookups == 0  # adoption is neither hit nor miss
-        recompiled = compile_plan(model, transform, cache=cache)
-        assert cache.counters.misses == 0
-        assert cache.counters.hits == len(transform.weight_configs)
-        name = next(iter(transform.weight_configs))
-        assert recompiled.layers[name].operand is loaded.layers[name].operand
-
     def test_backend_state_rebuilds_lazily(self, sparse_resnet, batch, tmp_path):
         model, transform = sparse_resnet
         plan = compile_plan(model, transform, backend="dense-emulation")
@@ -189,34 +175,16 @@ class TestRoundTrip:
             warm = executor.run(batch)
         np.testing.assert_array_equal(warm, fresh)
 
-    def test_warm_cache_keeps_incumbent_operands(self, sparse_resnet, tmp_path):
-        """Loading into a cache that already holds the operands must share them.
-
-        The loaded plan keeps the cache's incumbent objects (identity), so a
-        later save() of the loaded plan still resolves every digest.
-        """
+    def test_loaded_plan_resaves_with_the_same_digests(self, sparse_resnet, tmp_path):
+        """Load records every layer's weight digest, so a loaded plan saves
+        again and loads back as the same plan."""
         model, transform = sparse_resnet
-        cache = OperandCache()
-        plan = compile_plan(model, transform, cache=cache)
-        path = plan.save(tmp_path / "plan.npz")
-        loaded = load_plan(path, model, cache=cache)
+        plan = compile_plan(model, transform)
+        loaded = load_plan(plan.save(tmp_path / "plan.npz"), model)
         for name, lp in plan.layers.items():
-            if lp.operand is not None:
-                assert loaded.layers[name].operand is lp.operand
-        loaded.save(tmp_path / "resaved.npz")  # digest_of still resolves
-
-    def test_save_survives_operand_eviction(self, sparse_resnet, batch, tmp_path):
-        """Eviction must not block persistence: the digest is recorded on the
-        LayerPlan at compile time, not recovered from the cache."""
-        model, transform = sparse_resnet
-        plan = compile_plan(model, transform, cache=OperandCache(capacity=1))
-        path = plan.save(tmp_path / "plan.npz")
-        loaded = load_plan(path, model)
-        with PlanExecutor(model, plan) as executor:
-            fresh = executor.run(batch)
-        with PlanExecutor(model, loaded) as executor:
-            warm = executor.run(batch)
-        np.testing.assert_array_equal(warm, fresh)
+            assert loaded.layers[name].weight_digest == lp.weight_digest
+        reloaded = load_plan(loaded.save(tmp_path / "resaved.npz"), model)
+        assert reloaded.backend_choices() == plan.backend_choices()
 
     def test_save_plan_function_matches_method(self, sparse_resnet, tmp_path):
         model, transform = sparse_resnet
@@ -472,18 +440,17 @@ class TestRefusals:
         with pytest.raises(PlanFormatError, match="malformed"):
             load_plan(path, model)
 
-    def test_save_without_digest_or_resident_operand_refused(
+    def test_compiled_layer_without_weight_digest_refuses_to_save(
         self, sparse_resnet, tmp_path
     ):
-        """The reverse-lookup fallback fails clearly when nothing records
-        the source-weight digest (hand-built plan, empty cache)."""
+        """A hand-built compiled layer with no digest cannot be persisted:
+        its compressed operand cannot recover the source weight's digest."""
         import dataclasses
 
         model, transform = sparse_resnet
         plan = compile_plan(model, transform)
         name = next(n for n, lp in plan.layers.items() if lp.mode == "compiled")
         plan.layers[name] = dataclasses.replace(plan.layers[name], weight_digest=None)
-        plan.cache = OperandCache()  # empty: reverse lookup cannot resolve
         with pytest.raises(PlanFormatError, match="cannot persist"):
             plan.save(tmp_path / "plan.npz")
 

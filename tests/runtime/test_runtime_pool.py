@@ -9,7 +9,10 @@ to the plan through shared memory.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -19,7 +22,6 @@ from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
 from repro.runtime import (
-    OperandCache,
     PlanExecutor,
     ProcessWorkerPool,
     ServingEngine,
@@ -105,6 +107,9 @@ class TestShareAttachPlan:
         try:
             attached, worker_store = attach_plan(spec)
             assert attached.backend_choices() == plan.backend_choices()
+            assert {n: lp.weight_digest for n, lp in attached.layers.items()} == {
+                n: lp.weight_digest for n, lp in plan.layers.items()
+            }
             with PlanExecutor(model, attached) as ex:
                 out = ex.run(batch)
             np.testing.assert_array_equal(out, ref)
@@ -131,21 +136,6 @@ class TestShareAttachPlan:
             worker_store.close()
         finally:
             store.unlink()
-
-    def test_attach_adopts_into_cache(self, compiled):
-        _, _, plan = compiled
-        store, spec = share_plan(plan)
-        try:
-            cache = OperandCache()
-            attached, worker_store = attach_plan(spec, cache=cache)
-            for name, lp in attached.layers.items():
-                if lp.operand is not None:
-                    assert cache.digest_of(lp.operand) == lp.weight_digest
-            if worker_store is not None:
-                worker_store.close()
-        finally:
-            if store is not None:
-                store.unlink()
 
     def test_inline_fallback_when_shm_unavailable(self, compiled, batch, monkeypatch):
         model, _, plan = compiled
@@ -268,6 +258,34 @@ class TestProcessWorkerPool:
             pool.run(batch)
             assert pool.stats().batches == 1
             assert all(c.calls == 1 for c in pool.stats().layers.values())
+
+    @pytest.mark.parametrize("victim", [0, 1])
+    def test_reset_stats_after_idle_worker_death_keeps_replies_paired(
+        self, compiled, victim
+    ):
+        """A worker that died idle must not desynchronise the live ones.
+
+        The death goes unnoticed by the supervisor (long health interval)
+        until ``reset_stats`` reaches it: the reset retires it, and every
+        live worker's pipe is left holding no unread reply, so each later
+        request reads its own output.
+        """
+        model, _, plan = compiled
+        rng = np.random.default_rng(50)
+        inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(8)]
+        with PlanExecutor(model, plan) as ex:
+            expected = [ex.run(x) for x in inputs]
+        with ProcessWorkerPool(model, plan, workers=2, health_interval=600.0) as pool:
+            dead = pool.worker_pids()[victim]
+            os.kill(dead, signal.SIGKILL)
+            deadline = time.monotonic() + 10.0
+            while any(p.pid == dead for p in multiprocessing.active_children()):
+                assert time.monotonic() < deadline, "killed worker never exited"
+                time.sleep(0.01)
+            pool.reset_stats()
+            assert dead not in pool.worker_pids()
+            for x, want in zip(inputs, expected):
+                np.testing.assert_array_equal(pool.run(x), want)
 
     def test_stats_survive_close_and_reinstall_merges(self, compiled, batch):
         model, _, plan = compiled

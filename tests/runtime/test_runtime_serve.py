@@ -299,7 +299,6 @@ def test_live_metrics_endpoint_end_to_end():
         "tasd_serve_batch_size_bucket",
         "tasd_layer_gemm_latency_seconds_bucket",
         "tasd_layer_calls_total",
-        "tasd_cache_hits_total",
         "tasd_worker_alive",
         "tasd_worker_requests_total",
     ):

@@ -26,6 +26,7 @@ from repro.pruning.targets import gemm_layers
 from repro.runtime import (
     DeadlineExceeded,
     PlanExecutor,
+    PlanSwapError,
     ProcessWorkerPool,
     QueueFull,
     ServingEngine,
@@ -140,6 +141,31 @@ class TestExecutorSwap:
             assert pool.plan is candidate
             assert pool._store is not old_store
             np.testing.assert_array_equal(pool.run(batch), before)
+
+    def test_process_pool_worker_rejecting_the_spec_stays_in_service(
+        self, compiled, batch, reference
+    ):
+        """A worker that cannot attach the new spec keeps serving the old
+        plan from the free queue, so the pool stays full and close() can
+        bring every worker home."""
+        model, plan = compiled
+        _, transform = _small_model()
+        unattachable = compile_plan(model, transform)
+        layer = next(lp for lp in unattachable.layers.values() if lp.mode == "compiled")
+        layer.backend = "no-such-backend"  # refused by the worker's attach
+        pool = ProcessWorkerPool(model, plan, workers=2, **FAST).install()
+        try:
+            with pytest.raises(PlanSwapError, match="failed to attach"):
+                pool.swap_plan(unattachable)
+            assert pool.plan is plan
+            assert len(pool.worker_pids()) == 2
+            for _ in range(4):
+                np.testing.assert_array_equal(pool.run(batch), reference)
+        finally:
+            closer = threading.Thread(target=pool.close, daemon=True)
+            closer.start()
+            closer.join(timeout=30.0)
+        assert not closer.is_alive(), "close() waited forever for a checked-out worker"
 
     def test_process_pool_swap_rolls_back_on_canary_rejection(
         self, compiled, batch, reference
