@@ -1,8 +1,8 @@
 """Quick-bench smoke: process-pool serving must equal in-process serving.
 
 Compiles a small sparse model, serves the same request stream through the
-in-process :class:`PlanExecutor` and the process worker pool (workers
-attached to the compiled plan via shared memory), and asserts the outputs
+in-process :class:`PlanExecutor` and the process worker pool (forked
+workers that inherit the compiled plan), and asserts the outputs
 are **bit-identical** and that both report consistent counters — the
 pool merging its per-worker counters into one ``stats()`` view.  Runs everywhere — including single-core CI
 boxes, where the scaling *fences* are skipped but correctness must still

@@ -10,9 +10,9 @@ trajectory tracks it.
 On top of that sit the kernel-backend fences: ``test_runtime_autotune_speedup``
 requires the compile-time autotuner to beat the reference ``einsum-gather``
 compiled path by >= 1.5x on the same serving workload, and the worker-pool
-benches track how serving throughput scales across process workers over
-shared-memory operands (asserted >= 2x for 4 workers where the machine has
-cores to scale onto — no GIL in common).
+benches track how serving throughput scales across forked process workers
+that inherit the compiled plan (asserted >= 2x for 4 workers where the
+machine has cores to scale onto — no GIL in common).
 
 ``test_runtime_plan_persistence_warm_restart`` fences the restart story:
 loading a persisted plan artifact must be >= 5x faster than compile +

@@ -12,8 +12,8 @@ artifact and reloaded as a warm restart would — no re-decomposition, no
 re-tuning, identical backend choices — which is how a production server
 skips the compile cost after a process restart.  And it *shares*: the
 final section serves the same plan through a pool of worker processes
-attached to it via shared memory, scaling past the GIL with bit-identical
-outputs.
+forked from this one, which inherit the compiled plan and scale past the
+GIL with bit-identical outputs.
 
 The runtime is also *observable while it serves* (section 6) and
 *fault-tolerant* (section 7 kills a live worker and watches the
@@ -100,19 +100,18 @@ with PlanExecutor(model, plan) as executor:
 assert all(out.shape == (1, 10) for out in outputs)
 
 # ---------------------------------------------------------------------------
-# 5. Serve past the GIL: a *process* pool.  The compiled plan (the same
-#    .npz-artifact contents — compressed terms, gather tables, dense
-#    weights) is exported once into a shared-memory segment; each worker
-#    process attaches zero-copy, installs the plan on its own model copy,
-#    and serves with no GIL in common.  Outputs are bit-identical to the
+# 5. Serve past the GIL: a *process* pool.  Each worker is forked from
+#    this process and inherits the model and the compiled plan (compressed
+#    terms, gather tables, dense weights) copy-on-write — nothing is
+#    copied or pickled — installs the plan on its copy of the model, and
+#    serves with no GIL in common.  Outputs are bit-identical to the
 #    in-process PlanExecutor; per-worker counters merge into one stats()
 #    view.  This is the compile-once / serve-everywhere step a production
 #    deployment takes after `compile --autotune --save-plan plan.npz`:
 #
 #        python -m repro.cli serve --plan plan.npz --workers 4
 #
-#    Guarded so spawn-start platforms (which re-import this script inside
-#    each worker) don't recursively spawn pools from the re-import.
+#    Guarded so importing this script never starts worker processes.
 # ---------------------------------------------------------------------------
 if __name__ == "__main__":
     inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(16)]
@@ -163,7 +162,7 @@ if __name__ == "__main__":
     # 7. Surviving crashes: kill a worker live and watch nothing break.
     #    The process pool supervises its workers — a SIGKILLed worker is
     #    detected (pipe error mid-request, health ping when idle), retired,
-    #    and respawned from the already-shared plan segment; the engine
+    #    and respawned, forked again with the committed plan; the engine
     #    retries the batch that was in flight, so the client just sees its
     #    future resolve.  `worker_respawns` ticks in /metrics, and
     #    /healthz only leaves "ok" if the pool actually collapses
@@ -208,8 +207,8 @@ if __name__ == "__main__":
     #    onto the live workers one at a time: a *canary* batch validates
     #    the candidate on the first swapped worker (outputs must allclose
     #    the live plan's), and only then does the rest of the fleet
-    #    follow; the old shared-memory segment is unlinked after the last
-    #    worker detaches.  A candidate that computes the wrong function —
+    #    follow, each worker installing the plan shipped down its pipe.
+    #    A candidate that computes the wrong function —
     #    wrong weights (fingerprint gate), corrupt arithmetic, a crash —
     #    raises a typed `SwapRejected` and the old plan never stops
     #    serving.  `engine.drain()` closes the admission door (`/healthz`

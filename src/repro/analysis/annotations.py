@@ -10,7 +10,7 @@ the linter about what is tagged.
 
 This module must stay import-free (stdlib ``typing`` only) because every
 runtime module imports it; a heavyweight import here would tax cold-start
-of the worker processes that ``ProcessWorkerPool`` spawns.
+of every process that imports the runtime.
 """
 
 from __future__ import annotations

@@ -7,5 +7,4 @@ from repro.analysis.checkers import (  # noqa: F401
     hotpath,
     locks,
     pickles,
-    shm,
 )

@@ -468,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         type=int,
         default=1,
         help="1 serves through one in-process executor; N > 1 serves through "
-        "N worker processes attached to shared-memory operands (serve)",
+        "N forked worker processes that inherit the compiled plan (serve)",
     )
     parser.add_argument(
         "--tune-observed",
@@ -527,8 +527,8 @@ def main(argv: list[str] | None = None) -> int:
         "--respawn",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="supervise process-pool workers and respawn dead ones from the "
-        "shared plan segment (serve, --workers 2+)",
+        help="supervise process-pool workers and respawn dead ones, forked "
+        "again with the committed plan (serve, --workers 2+)",
     )
     parser.add_argument(
         "--drain-timeout",

@@ -20,8 +20,9 @@ three kernel backends (:mod:`repro.runtime.backends`);
 ``compile_plan(..., autotune=True)`` micro-benchmarks them per layer and
 records each winner in the plan.  For worker-parallel serving,
 swap the :class:`PlanExecutor` for a :class:`ProcessWorkerPool`
-(:mod:`repro.runtime.pool`): its worker processes attach the compiled plan
-through shared memory and scale past the GIL::
+(:mod:`repro.runtime.pool`): its worker processes are forked from the
+parent, inherit the model and compiled plan copy-on-write, and scale past
+the GIL::
 
     plan = compile_plan(model, transform, autotune=True)
     with ProcessWorkerPool(model, plan, workers=4) as executor:
@@ -32,9 +33,7 @@ Compiled plans persist across restarts (:mod:`repro.runtime.planio`):
 ``plan.save("plan.npz")`` writes a digest-keyed artifact and
 ``load_plan("plan.npz", model)`` rebuilds the plan — compressed operands,
 gather tables, and autotuned backend choices included — without
-re-decomposing or re-tuning, refusing models whose weights have drifted;
-``share_plan``/``attach_plan`` hand the same artifact contents to worker
-processes as zero-copy shared-memory views.
+re-decomposing or re-tuning, refusing models whose weights have drifted.
 
 The runtime is observable end to end (:mod:`repro.runtime.metrics`,
 :mod:`repro.runtime.tracing`): per-layer GEMM latency histograms with
@@ -46,8 +45,8 @@ histograms plus per-request traces in a bounded ring, and
 human-readable ``/statusz`` — using only the stdlib HTTP server.
 
 And it is fault-tolerant: a supervisor inside :class:`ProcessWorkerPool`
-health-checks its workers and respawns dead ones from the already-shared
-plan segment (capped backoff, crash-loop circuit breaker), the engine
+health-checks its workers and respawns dead ones, forked again with the
+committed plan (capped backoff, crash-loop circuit breaker), the engine
 retries micro-batches whose worker died — splitting them to isolate
 poison inputs — enforces per-request deadlines and a bounded admission
 queue, and degrades onto an in-process :class:`PlanExecutor` when the
@@ -56,7 +55,7 @@ on purpose (kill/hang/slow/poison/crash-on-Nth) for tests and drills.
 
 Operations are zero-downtime: ``engine.swap_plan(path_or_plan)`` rolls a
 new compiled artifact onto live workers one at a time behind a canary
-batch (mismatch, attach failure, or a mid-roll crash rolls everything
+batch (mismatch, install failure, or a mid-roll crash rolls everything
 back and raises :class:`SwapRejected` — the old plan never stops
 serving), and ``engine.drain(timeout)`` stops admission,
 finishes every accepted request, then shuts down — the CLI maps SIGTERM
@@ -71,13 +70,7 @@ from .backends import (
     exact_backend_names,
     get_backend,
 )
-from .cache import (
-    CompiledOperand,
-    SharedArrayRef,
-    SharedOperandStore,
-    compile_operand,
-    tensor_digest,
-)
+from .cache import CompiledOperand, compile_operand, tensor_digest
 from .counters import (
     ExecutorStats,
     LayerCounters,
@@ -101,12 +94,10 @@ from .plan import ExecutionPlan, LayerPlan, compile_plan
 from .planio import (
     PlanDigestError,
     PlanFormatError,
-    attach_plan,
     load_plan,
     model_fingerprint,
     plan_fingerprint,
     save_plan,
-    share_plan,
 )
 from .chaos import ChaosMonkey, ChaosSpec, is_poisoned, poison_batch, skewed_plan
 from .pool import (
@@ -150,15 +141,12 @@ __all__ = [
     "RequestTrace",
     "ServeReport",
     "ServingEngine",
-    "SharedArrayRef",
-    "SharedOperandStore",
     "Span",
     "SwapRejected",
     "TraceBuffer",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerStat",
-    "attach_plan",
     "autotune_operand",
     "backend_names",
     "compile_operand",
@@ -176,6 +164,5 @@ __all__ = [
     "render_prometheus",
     "retune_plan",
     "save_plan",
-    "share_plan",
     "tensor_digest",
 ]

@@ -76,12 +76,12 @@ class ChaosSpec:
       every worker it touches, which is what the engine's batch
       splitting must isolate.  Use :func:`poison_batch` to mark inputs.
     - ``die_on_swap`` — ``os._exit`` the moment a hot plan-swap command
-      arrives (before touching the new segment): a worker SIGKILLed
+      arrives (before installing the new plan): a worker SIGKILLed
       mid-rollout, which the swap must absorb — completing or rolling
-      back cleanly without stranding a request or leaking a segment.
+      back cleanly without stranding a request.
       ``die_on_nth_swap`` limits it to that swap ordinal (1-based,
-      per worker), so later swaps (and respawned workers re-attaching)
-      proceed normally.
+      per worker), so later swaps (and respawned workers) proceed
+      normally.
     """
 
     die_on_start: bool = False

@@ -12,8 +12,8 @@ This is the degenerate, single-worker case of the
 :class:`repro.runtime.pool.WorkerPool` seam (it honours the same
 ``install`` / ``run`` / ``stats`` contract and registers as a virtual
 subclass).  When worker throughput should scale instead, use
-:class:`~repro.runtime.pool.ProcessWorkerPool`: it runs worker processes
-over shared-memory operands, past the GIL.
+:class:`~repro.runtime.pool.ProcessWorkerPool`: its workers are forked
+processes that inherit the model and plan, past the GIL.
 """
 
 from __future__ import annotations
@@ -101,11 +101,18 @@ class PlanExecutor:
         validates it *after* the cutover; the canary raising anything
         reinstalls the old plan and re-raises.  (Live traffic can hit the
         unvalidated plan during that brief window; real pools canary on
-        an isolated worker instead.)  Returns 1, the worker count.
+        an isolated worker instead.)  A plan :meth:`ExecutionPlan.install`
+        refuses raises :class:`~repro.runtime.pool.PlanSwapError` with the
+        old plan still installed.  Returns 1, the worker count.
         """
+        from .pool import PlanSwapError
+
         old_plan = self.plan
         with self._lock:
-            new_plan.install(self.model)
+            try:
+                new_plan.install(self.model)
+            except KeyError as exc:
+                raise PlanSwapError(f"cannot install the new plan: {exc.args[0]}") from exc
             self.model.eval()
             self.plan = new_plan
             self._installed = True

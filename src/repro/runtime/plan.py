@@ -253,12 +253,18 @@ class ExecutionPlan:
         Any TASD transform applied via ``tasder.apply`` is cleared first:
         the plan subsumes both the weight and activation sides, and leaving
         the transform's forward wrappers in place would decompose every
-        activation twice per request.
+        activation twice per request.  A plan that names a layer the model
+        lacks, or a compiled layer whose backend is unknown, raises
+        ``KeyError`` before the model is touched, so whatever plan was
+        installed keeps serving.
         """
         layers = dict(gemm_layers(model, include_head=True))
         missing = set(self.layers) - set(layers)
         if missing:
             raise KeyError(f"plan names layers the model lacks: {sorted(missing)}")
+        for plan in self.layers.values():
+            if plan.mode == "compiled":
+                get_backend(plan.backend)
         clear_transform(model)
         for name, plan in self.layers.items():
             layers[name].set_compiled_plan(plan)

@@ -26,6 +26,10 @@ Integrity is enforced on two axes:
   drifted (retrained, re-pruned, differently seeded) raises
   :class:`PlanDigestError` naming the stale layers.
 
+Process-pool workers never load an artifact: they are forked with the
+live plan in memory, and a hot swap pickles the plan object down each
+worker's pipe.
+
 Usage::
 
     plan = compile_plan(model, transform, autotune=True)
@@ -54,7 +58,7 @@ from repro.core.series import TASDConfig
 from repro.core.sparse_ops import CompressedNM, nm_gather_tables
 
 from .autotune import AutotuneResult
-from .cache import CompiledOperand, SharedOperandStore, tensor_digest
+from .cache import CompiledOperand, tensor_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nn.module import Module
@@ -70,8 +74,6 @@ __all__ = [
     "plan_fingerprint",
     "save_plan",
     "load_plan",
-    "share_plan",
-    "attach_plan",
 ]
 
 PLAN_FORMAT = "repro-execution-plan"
@@ -160,8 +162,7 @@ def _manifest_checksum(manifest_bytes: bytes) -> str:
 def _layer_weight_digest(layer_plan) -> str:
     """Digest of the weight a layer plan was compiled from.
 
-    ``compile_plan``, :func:`load_plan` and :func:`attach_plan` record it
-    on every :class:`LayerPlan`.  A hand-built plan without it still works
+    ``compile_plan`` and :func:`load_plan` record it on every :class:`LayerPlan`.  A hand-built plan without it still works
     for dense / per-call layers, whose dense weight is at hand; a compiled
     layer holds only the compressed *approximation*, so its source digest
     is unrecoverable and the plan is refused.
@@ -190,9 +191,9 @@ def _autotune_entry(sweep: AutotuneResult | None) -> dict | None:
 def _collect_entries(plan: "ExecutionPlan", put) -> tuple[list[dict], dict[str, str]]:
     """Build the per-layer manifest entries, registering arrays via ``put``.
 
-    ``put(key, array) -> key`` is the storage hook: the disk path records
-    digests for later verification, the shared-memory path copies into a
-    segment.  Returns (layer entries, per-layer weight digests).
+    ``put(key, array) -> key`` stores one array and records its digest for
+    verification at load.  Returns (layer entries, per-layer weight
+    digests).
     """
     layer_entries: list[dict] = []
     layer_digests: dict[str, str] = {}
@@ -469,63 +470,18 @@ def _entry_configs(entry: dict) -> tuple[TASDConfig, TASDConfig]:
     )
 
 
-def _entry_layer_plan(
-    entry: dict,
-    weight_config: TASDConfig,
-    activation_config: TASDConfig,
-    operand: CompiledOperand | None,
-    dense_weight: np.ndarray | None,
-):
-    """The :class:`LayerPlan` one manifest/spec entry describes.
-
-    Keys that older version-1 writers recorded and this runtime no longer
-    uses (row-partition schedules, the activation-cache flag) are ignored;
-    the manifest checksum still covers them.
-    """
-    from .plan import LayerPlan
-
-    sweep = entry["autotune"]
-    return LayerPlan(
-        name=entry["name"],
-        kind=entry["kind"],
-        mode=entry["mode"],
-        weight_config=weight_config,
-        activation_config=activation_config,
-        activation_axis=entry["activation_axis"],
-        operand=operand,
-        dense_weight=dense_weight,
-        backend=entry["backend"],
-        autotune=None
-        if sweep is None
-        else AutotuneResult(
-            backend=sweep["backend"],
-            timings=dict(sweep["timings"]),
-            sample_cols=sweep["sample_cols"],
-        ),
-        weight_digest=entry["weight_digest"],
-    )
-
-
-def _assemble_plan(layers, weight_configs, activation_configs, mode):
-    from repro.tasder.transform import TASDTransform
-
-    from .plan import ExecutionPlan
-
-    return ExecutionPlan(
-        layers=layers,
-        transform=TASDTransform(
-            weight_configs=weight_configs, activation_configs=activation_configs
-        ),
-        mode=mode,
-        build_time=0.0,
-    )
-
-
 def _rebuild_plan(data, manifest: dict, model: "Module"):
     """Rebuild the ExecutionPlan a verified manifest describes.
 
     ``build_time`` is stamped by the caller (it covers the whole load).
+    Keys that older version-1 writers recorded and this runtime no longer
+    uses (row-partition schedules, the activation-cache flag) are ignored;
+    the manifest checksum still covers them.
     """
+    from repro.tasder.transform import TASDTransform
+
+    from .plan import ExecutionPlan, LayerPlan
+
     _verify_model(manifest, model)
     layers: dict = {}
     weight_configs: dict[str, TASDConfig] = {}
@@ -542,136 +498,31 @@ def _rebuild_plan(data, manifest: dict, model: "Module"):
             operand = _rebuild_operand(data, manifest, entry, weight_config)
         if "dense_weight" in entry:
             dense_weight = _array(data, manifest, entry["dense_weight"])
-        layers[name] = _entry_layer_plan(
-            entry, weight_config, activation_config, operand, dense_weight
+        sweep = entry["autotune"]
+        layers[name] = LayerPlan(
+            name=name,
+            kind=entry["kind"],
+            mode=entry["mode"],
+            weight_config=weight_config,
+            activation_config=activation_config,
+            activation_axis=entry["activation_axis"],
+            operand=operand,
+            dense_weight=dense_weight,
+            backend=entry["backend"],
+            autotune=None
+            if sweep is None
+            else AutotuneResult(
+                backend=sweep["backend"],
+                timings=dict(sweep["timings"]),
+                sample_cols=sweep["sample_cols"],
+            ),
+            weight_digest=entry["weight_digest"],
         )
-    return _assemble_plan(layers, weight_configs, activation_configs, manifest["mode"])
-
-
-# ---------------------------------------------------------------------- #
-# Cross-process sharing (the worker-pool attach path)
-# ---------------------------------------------------------------------- #
-def share_plan(plan: "ExecutionPlan") -> tuple[SharedOperandStore | None, dict]:
-    """Export ``plan`` for zero-copy attachment by worker processes.
-
-    Packs every array behind the plan — :class:`CompressedNM` term
-    ``values``/``indices``, the flattened gather-row tables, and dense
-    weights — into one shared-memory segment, and returns ``(store,
-    spec)``: the store owns the segment (call :meth:`unlink` once the
-    workers are gone), the spec is a small picklable dict carrying the
-    segment name, per-array refs, and the same per-layer metadata the
-    persisted-plan manifest records.  :func:`attach_plan` turns the spec
-    back into a working plan in any process.
-
-    Where POSIX shared memory is unavailable the spec degrades to carrying
-    the arrays inline (``store`` is ``None``): every worker then holds a
-    private copy — slower to ship, but functionally identical.
-    """
-    arrays: dict[str, np.ndarray] = {}
-
-    def put(key: str, a: np.ndarray) -> str:
-        arrays[key] = a
-        return key
-
-    layer_entries, _ = _collect_entries(plan, put)
-    # Gather-row tables ride in the segment too: they are index arithmetic
-    # over the terms, but rederiving them would cost every worker a private
-    # allocation as large as the indices themselves.  (The flat *value*
-    # tables need no storage at all — they are reshapes of the term values,
-    # so the attached views share the same segment bytes.)
-    for i, (name, lp) in enumerate(plan.layers.items()):
-        if lp.operand is not None:
-            layer_entries[i]["flat_rows"] = [
-                put(f"L{i}.t{t}.flat_rows", rows)
-                for t, rows in enumerate(lp.operand.flat_rows)
-            ]
-    spec = {
-        "mode": plan.mode,
-        "layers": layer_entries,
-        "segment": None,
-        "refs": None,
-        "inline": None,
-    }
-    try:
-        store, refs = SharedOperandStore.create(arrays)
-    except OSError:
-        spec["inline"] = {key: np.ascontiguousarray(a) for key, a in arrays.items()}
-        return None, spec
-    spec["segment"] = store.name
-    spec["refs"] = refs
-    return store, spec
-
-
-def _attached_operand(entry: dict, config: TASDConfig, get) -> CompiledOperand:
-    padded_shape = tuple(entry["padded_shape"])
-    rows = padded_shape[0]
-    terms = []
-    flat_values = []
-    flat_rows = []
-    for term_entry, rows_key in zip(entry["terms"], entry["flat_rows"]):
-        term = CompressedNM(
-            pattern=NMPattern.parse(term_entry["pattern"]),
-            values=get(term_entry["values"]),
-            indices=get(term_entry["indices"]),
-            shape=padded_shape,
-        )
-        terms.append(term)
-        flat_values.append(term.values.reshape(rows, -1))
-        flat_rows.append(get(rows_key))
-    return CompiledOperand(
-        config=config,
-        original_shape=tuple(entry["original_shape"]),
-        padded_shape=padded_shape,
-        terms=tuple(terms),
-        flat_values=tuple(flat_values),
-        flat_rows=tuple(flat_rows),
+    return ExecutionPlan(
+        layers=layers,
+        transform=TASDTransform(
+            weight_configs=weight_configs, activation_configs=activation_configs
+        ),
+        mode=manifest["mode"],
+        build_time=0.0,
     )
-
-
-def attach_plan(spec: dict) -> tuple["ExecutionPlan", SharedOperandStore | None]:
-    """Rebuild a working plan from a :func:`share_plan` spec (worker side).
-
-    Returns ``(plan, store)``.  With a shared segment, every array in the
-    plan is a zero-copy read-only view into it — the worker must keep
-    ``store`` open for the plan's lifetime and ``close()`` (never
-    ``unlink()``) it on exit; the creating process owns the segment.  No
-    digest verification happens here: the spec is an in-memory handoff
-    from the process that built the plan, not an untrusted artifact —
-    integrity-checked persistence is :func:`load_plan`'s job.  Every layer
-    keeps its source-weight digest, so an attached plan fingerprints like
-    the plan it was shared from.
-    """
-    store = None
-    if spec["segment"] is not None:
-        store = SharedOperandStore.attach(spec["segment"])
-        refs = spec["refs"]
-
-        def get(key: str) -> np.ndarray:
-            return store.get(refs[key])
-
-    else:
-        inline = spec["inline"]
-
-        def get(key: str) -> np.ndarray:
-            return inline[key]
-
-    layers: dict = {}
-    weight_configs: dict[str, TASDConfig] = {}
-    activation_configs: dict[str, TASDConfig] = {}
-    for entry in spec["layers"]:
-        name = entry["name"]
-        weight_config, activation_config = _entry_configs(entry)
-        if not weight_config.is_dense:
-            weight_configs[name] = weight_config
-        if not activation_config.is_dense:
-            activation_configs[name] = activation_config
-        operand = dense_weight = None
-        if "terms" in entry:
-            operand = _attached_operand(entry, weight_config, get)
-        if "dense_weight" in entry:
-            dense_weight = get(entry["dense_weight"])
-        layers[name] = _entry_layer_plan(
-            entry, weight_config, activation_config, operand, dense_weight
-        )
-    plan = _assemble_plan(layers, weight_configs, activation_configs, spec["mode"])
-    return plan, store

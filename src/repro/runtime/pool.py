@@ -6,19 +6,18 @@ actually drives.  Two substrates honour it:
 - :class:`~repro.runtime.executor.PlanExecutor` — the serial in-process
   executor (a single lock-serialised worker), registered as a virtual
   subclass so everything the engine accepts is a :class:`WorkerPool`.
-- :class:`ProcessWorkerPool` — one worker *process* per worker.  The
-  parent exports the compiled plan once through
-  :func:`~repro.runtime.planio.share_plan` (operand arrays in a
-  shared-memory segment); each child attaches zero-copy, installs the
-  plan on its own unpickled model, and serves forwards with no GIL in
-  common.  Decomposition and compression cost is paid once (SparseRT's
-  AOT specialisation), the compressed operands are held once (S2TA keeps
-  them resident across PEs), and N cores run N forwards.
+- :class:`ProcessWorkerPool` — one worker *process* per worker.  Every
+  worker is forked from the parent and inherits its model and compiled
+  plan copy-on-write: nothing is pickled or copied at start, the child
+  installs the inherited plan and serves forwards with no GIL in common.
+  Decomposition and compression cost is paid once (SparseRT's AOT
+  specialisation), the compressed operands stay in pages the workers
+  share with the parent (S2TA keeps them resident across PEs), and N
+  cores run N forwards.
 
 The CLI serves through the executor at ``serve --workers 1`` and through
 the process pool at ``--workers N``.  Both produce **bit-identical**
-outputs: process workers run the same kernels over byte-equal shared
-operands.
+outputs: process workers run the same kernels over the same operands.
 
 Every parent-to-worker exchange after the ready handshake — a forward, a
 canary probe, a plan swap, a health-check ping, a counter reset, a stop —
@@ -30,14 +29,14 @@ while an error the worker reports is re-raised with its
 left unread on a live worker's pipe.
 
 The process pool is *supervised*: a background supervisor thread health-
-checks idle workers and respawns the retired ones from the already-shared
-plan segment, with capped exponential backoff and a crash-loop circuit
-breaker (too many respawns inside a sliding window stops respawning and
-marks the pool :attr:`~ProcessWorkerPool.degraded`).  The serving engine
-re-dispatches a batch whose worker crashed on a surviving or respawned
-worker, and a pool that can no longer serve raises
-:class:`PoolDegradedError`, the engine's signal to fall back to
-in-process execution.
+checks idle workers and respawns the retired ones, forked again from the
+parent with whichever plan is committed, with capped exponential backoff
+and a crash-loop circuit breaker (too many respawns inside a sliding
+window stops respawning and marks the pool
+:attr:`~ProcessWorkerPool.degraded`).  The serving engine re-dispatches a
+batch whose worker crashed on a surviving or respawned worker, and a pool
+that can no longer serve raises :class:`PoolDegradedError`, the engine's
+signal to fall back to in-process execution.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import collections
 import dataclasses
 import itertools
 import multiprocessing
-import pickle
 import queue
 import threading
 import time
@@ -107,11 +105,11 @@ class PoolDegradedError(RuntimeError):
 class PlanSwapError(RuntimeError):
     """A hot plan-swap could not commit and was rolled back.
 
-    Raised by the pool-level :meth:`WorkerPool.swap_plan` when a worker
-    rejects the new plan spec (attach/install failure) or the canary
-    worker dies before delivering a verdict.  The pool is left serving
-    the *old* plan; the new segment is unlinked.  The serving engine
-    wraps this (and canary verdicts) in the user-facing
+    Raised by :meth:`WorkerPool.swap_plan` when the new plan cannot be
+    installed (:meth:`ExecutionPlan.install` refuses it, in-process or on
+    a pool worker) or the canary worker dies before delivering a verdict.
+    The pool is left serving the *old* plan.  The serving engine wraps
+    this (and canary verdicts) in the user-facing
     :class:`~repro.runtime.serve.SwapRejected`.
     """
 
@@ -196,48 +194,43 @@ WorkerPool.register(PlanExecutor)
 
 
 # ---------------------------------------------------------------------- #
-# Process pool: one worker process per worker, shared-memory operands
+# Process pool: one forked worker process per worker
 # ---------------------------------------------------------------------- #
 @hot_path
-def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> None:
-    """Entry point of one pool worker process.
+def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> None:
+    """Entry point of one forked pool worker.
 
-    Rebuilds the model from its pickle, attaches the shared plan spec
-    (zero-copy operand views into the parent's segment), installs the
-    plan, and serves ``("run", batch)`` requests over the pipe until told
-    to stop.  Every command gets exactly one reply: ``("ok", result)`` or,
-    when it raised, ``("err", (exc, formatted_traceback))``.  Every
-    ``run`` result carries the worker's cumulative per-layer counters so
-    the parent can merge :meth:`stats` without an extra round-trip.
-    ``ping`` is the supervisor's idle health check and ``reset`` zeroes
-    the counters.  ``("swap", spec)`` hot-swaps the worker onto a *new*
-    shared plan spec (attach second segment, install, detach old
-    segment), and ``("probe", batch)`` runs one untracked canary forward —
-    the two halves of the zero-downtime plan rollout.
+    ``model`` and ``plan`` are the parent's objects, inherited through the
+    fork (copy-on-write pages, nothing pickled).  The worker installs the
+    plan on its copy of the model, zeroes the plan's counters — the
+    parent's plan object may already carry counts — and serves
+    ``("run", batch)`` requests over the pipe until told to stop.  Every
+    command gets exactly one reply: ``("ok", result)`` or, when it raised,
+    ``("err", (exc, formatted_traceback))``.  Every ``run`` result carries
+    the worker's cumulative per-layer counters so the parent can merge
+    :meth:`stats` without an extra round-trip.  ``ping`` is the
+    supervisor's idle health check and ``reset`` zeroes the counters.
+    ``("swap", plan)`` hot-swaps the worker onto a plan shipped down the
+    pipe, and ``("probe", batch)`` runs one untracked canary forward — the
+    two halves of the zero-downtime plan rollout.
 
     ``chaos`` (a :class:`~repro.runtime.chaos.ChaosSpec`) injects
     deterministic faults — crash/hang/slow at exact request counts — for
     the fault-tolerance tests and the chaos-smoke job; without it this
     loop is fault-free.
     """
-    from .planio import attach_plan
-
     if chaos is not None:
         chaos.on_start()
-    store = None
     try:
-        model = pickle.loads(model_payload)
-        plan, store = attach_plan(spec)
         plan.install(model)
         model.eval()
+        plan.reset_counters()
     # lint: disable=broad-except — any install failure is shipped to the
     # parent as a ("fail", reason) message; the worker must not die silently
     except Exception as exc:
         try:
             conn.send(("fail", f"{type(exc).__name__}: {exc}"))
         finally:
-            if store is not None:
-                store.close()
             conn.close()
         return
     served = 0
@@ -272,27 +265,20 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
                     # fault-injection schedules or serving telemetry.
                     reply = model(payload)
                 elif cmd == "swap":
-                    # Hot plan-swap: attach the new spec (second segment),
-                    # install it over the old plan, then detach the old
-                    # segment.  On any failure the old plan is reinstalled
-                    # and keeps serving — the parent decides whether to
-                    # roll back the fleet.
+                    # Hot plan-swap: install the shipped plan over the
+                    # current one.  On any failure the current plan is
+                    # reinstalled and keeps serving — the parent decides
+                    # whether to roll back the fleet.
                     swaps += 1
                     if chaos is not None:
                         chaos.on_swap(swaps)
                     try:
-                        new_plan, new_store = attach_plan(payload)
-                        new_plan.install(model)
+                        payload.install(model)
                     except Exception:
                         plan.install(model)  # a partial install must not serve
                         raise
-                    old_plan, old_store = plan, store
-                    plan, store = new_plan, new_store
-                    # Drop the old plan's operand views *before* detaching
-                    # the old segment (same discipline as shutdown below).
-                    del new_plan, old_plan
-                    if old_store is not None:
-                        old_store.close()
+                    plan = payload
+                    plan.reset_counters()
                 elif cmd == "reset":
                     plan.reset_counters()
                 # "ping" needs no work: the reply itself is the health check.
@@ -310,13 +296,6 @@ def _pool_worker_main(conn, model_payload: bytes, spec: dict, chaos=None) -> Non
             else:
                 conn.send(("ok", reply))
     finally:
-        # The plan's arrays are views into the segment: drop them before
-        # detaching, or the munmap would pull the buffer out from under
-        # live ndarray objects.
-        plan.uninstall(model)
-        del plan
-        if store is not None:
-            store.close()
         conn.close()
 
 
@@ -335,29 +314,32 @@ class _ProcWorker:
 class ProcessWorkerPool(WorkerPool):
     """Execute batches across N worker *processes* sharing one compiled plan.
 
-    The parent pays plan compilation once, exports it once
-    (:func:`~repro.runtime.planio.share_plan` packs every operand array
-    into one shared-memory segment), and pickles the model once.  Each
-    worker process attaches the segment zero-copy — N workers hold one
-    copy of the compressed operands — and runs forwards with no GIL in
-    common, so throughput scales with cores even for the Python-level
-    parts of a forward.
+    The parent pays plan compilation once.  Each worker is **forked** from
+    the parent — the pool's only start method, recorded as
+    :attr:`mp_context` — and inherits the model and the committed
+    :class:`ExecutionPlan` copy-on-write, so N workers share one copy of
+    the compressed operands with the parent and nothing is pickled at
+    start.  Workers run forwards with no GIL in common, so throughput
+    scales with cores even for the Python-level parts of a forward.  A
+    platform without ``fork`` is refused at construction.
 
-    Outputs are bit-identical to :class:`PlanExecutor`: workers run the same kernels over byte-equal
-    operand storage, and request arrays round-trip the pipe losslessly.
+    The parent that forks may be running serving-engine, supervisor and
+    OpenBLAS threads.  Only the forking thread survives in the child, and
+    the child does nothing but install the inherited plan and serve its
+    pipe, so it never waits on a lock another parent thread held.
+    CPython 3.12+ warns about forking a multi-threaded process; this
+    codebase targets 3.11.
 
-    ``mp_context`` picks the start method: the default prefers ``fork``
-    (fast start, shares the parent's page cache) where available and falls
-    back to ``spawn``.  Choose ``spawn`` explicitly when forking a
-    multi-threaded parent is a concern — workers rebuild everything from
-    the pickled model + shared spec either way, so behaviour is identical.
+    Outputs are bit-identical to :class:`PlanExecutor`: workers run the
+    same kernels over the same operands, and request arrays round-trip the
+    pipe losslessly.
 
     **Supervision.**  With ``respawn=True`` (the default) a supervisor
     thread watches the pool: a worker that dies — detected by a pipe
     error on a request, by missing a reply within ``request_timeout``,
     or by failing the periodic idle health-check ping — is retired and a
-    replacement is respawned from the *already-shared* plan segment and
-    pickled model (no recompression, no re-export).  Respawns back off
+    replacement is forked from the parent, inheriting whichever plan is
+    committed in :attr:`plan` (no recompression, no copy).  Respawns back off
     exponentially (``respawn_backoff`` doubling up to ``backoff_cap``)
     while deaths keep coming, and a crash-loop circuit breaker stops
     respawning entirely after ``max_respawns`` respawns inside a sliding
@@ -375,7 +357,6 @@ class ProcessWorkerPool(WorkerPool):
         model: Module,
         plan: ExecutionPlan,
         workers: int = 2,
-        mp_context: str | None = None,
         start_timeout: float = 120.0,
         respawn: bool = True,
         max_respawns: int = 6,
@@ -392,18 +373,14 @@ class ProcessWorkerPool(WorkerPool):
             raise ValueError(f"max_respawns must be positive, got {max_respawns}")
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError(f"request_timeout must be positive, got {request_timeout}")
-        methods = multiprocessing.get_all_start_methods()
-        if mp_context is None:
-            mp_context = "fork" if "fork" in methods else "spawn"
-        if mp_context not in methods:
+        if "fork" not in multiprocessing.get_all_start_methods():
             raise ValueError(
-                f"start method {mp_context!r} unavailable on this platform; "
-                f"options: {methods}"
+                "ProcessWorkerPool forks its workers, and this platform cannot fork"
             )
         self.model = model
         self.plan = plan
         self.workers = workers
-        self.mp_context = mp_context
+        self.mp_context = "fork"
         self.respawn = respawn
         self.max_respawns = max_respawns
         self.respawn_window = respawn_window
@@ -412,18 +389,15 @@ class ProcessWorkerPool(WorkerPool):
         self.health_interval = health_interval
         self.request_timeout = request_timeout
         self.chaos = chaos
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context("fork")
         self._start_timeout = start_timeout
         self._free: "queue.Queue[_ProcWorker]" = queue.Queue()
-        self._store = None
-        self._spec: dict | None = None  # shared-plan spec, reused by respawns
-        self._payload: bytes | None = None  # pickled model, reused by respawns
         self._installed = False  # guarded-by: _state_lock
         self._state_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         # Zero-downtime operations: one swap at a time, and the
         # supervisor stands down while one owns the worker fleet (a
-        # respawn mid-roll would come up on an ambiguous plan spec).
+        # respawn mid-roll would come up on an ambiguous plan).
         self._ops_lock = threading.Lock()
         self._ops_pause = threading.Event()
         # Workers that will eventually return to the free queue.
@@ -458,16 +432,15 @@ class ProcessWorkerPool(WorkerPool):
 
     # ------------------------------------------------------------------ #
     def _start_worker(self) -> _ProcWorker:
-        """Fork/spawn one worker and complete its ready handshake.
+        """Fork one worker and complete its ready handshake.
 
-        Reuses the already-shared plan segment (``self._spec``) and the
-        already-pickled model, so a respawn costs one process start — not
-        a re-export of the compiled plan.
+        The child inherits :attr:`model` and the committed :attr:`plan`, so
+        a respawn costs one fork — not a recompile or a copy of the plan.
         """
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(child_conn, self._payload, self._spec, self.chaos),
+            args=(child_conn, self.model, self.plan, self.chaos),
             daemon=True,
         )
         proc.start()
@@ -587,13 +560,6 @@ class ProcessWorkerPool(WorkerPool):
         with self._state_lock:
             if self._installed:
                 return self
-            from .planio import share_plan
-
-            store, spec = share_plan(self.plan)
-            self._store = store
-            self._spec = spec
-            if self._payload is None:
-                self._payload = pickle.dumps(self.model, protocol=pickle.HIGHEST_PROTOCOL)
             started: list[_ProcWorker] = []
             try:
                 for _ in range(self.workers):
@@ -604,9 +570,6 @@ class ProcessWorkerPool(WorkerPool):
                         worker.process.terminate()
                     worker.process.join(timeout=5.0)
                     worker.conn.close()
-                if store is not None:
-                    store.unlink()
-                self._store = None
                 raise
             for worker in started:
                 self._enroll(worker)
@@ -755,7 +718,7 @@ class ProcessWorkerPool(WorkerPool):
                 self._respawn_deficit()
 
     def close(self) -> None:
-        """Stop every worker process and destroy the shared segment.
+        """Stop every worker process.
 
         Waits for in-flight forwards (workers come home before stopping),
         keeps accumulated counters readable afterwards, and a later
@@ -788,9 +751,6 @@ class ProcessWorkerPool(WorkerPool):
                 if worker.process.is_alive():  # pragma: no cover - stuck worker
                     worker.process.terminate()
                     worker.process.join(timeout=5.0)
-            if self._store is not None:
-                self._store.unlink()
-                self._store = None
             with self._stats_lock:
                 self._live = 0
                 for worker in collected:
@@ -854,46 +814,43 @@ class ProcessWorkerPool(WorkerPool):
         timeout = self.request_timeout if self.request_timeout else self._start_timeout
         return self._call(worker, "probe", np.asarray(x), timeout)
 
-    def _swap_one(self, worker: _ProcWorker, spec: dict) -> None:
-        """Swap one held-out worker onto ``spec``.
+    def _swap_one(self, worker: _ProcWorker, plan: ExecutionPlan) -> None:
+        """Ship ``plan`` to one held-out worker and install it there.
 
         Returns on an acknowledged swap.  Raises
         :class:`WorkerCrashError` (worker retired) when the worker died
         mid-swap, or :class:`PlanSwapError` (worker healthy, still on its
         previous plan — the caller owns returning it to the free queue)
-        when the worker rejected the spec.
+        when the worker could not install the plan.
         """
         try:
-            self._call(worker, "swap", spec, self._start_timeout)
+            self._call(worker, "swap", plan, self._start_timeout)
         except WorkerCrashError:
             raise
         except Exception as exc:
             raise PlanSwapError(
-                f"process-pool worker pid {worker.process.pid} failed to attach "
+                f"process-pool worker pid {worker.process.pid} failed to install "
                 f"the new plan: {type(exc).__name__}: {exc}"
             ) from exc
 
     def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
         """Roll every worker onto ``new_plan`` with zero downtime.
 
-        The new plan is exported into a *second* shared segment; workers
-        move over one at a time (the rest keep serving the old plan), so
-        admission never pauses.  After the first worker holds the new
-        plan, ``canary(run_fn)`` — when given — validates it with real
-        forwards on that worker; the canary raising anything rolls every
-        swapped worker back to the old plan, unlinks the new segment, and
-        re-raises.  A worker *dying* mid-swap is a worker failure, not a
-        plan failure: it is retired, the roll continues, and the
-        supervisor respawns the replacement from whichever spec commits.
-        The old segment is unlinked only after the last worker has
-        detached from it.  Returns the number of workers swapped.
+        The plan object itself is shipped down each worker's pipe, so a
+        swapped worker holds a private copy of it until it is respawned.
+        Workers move over one at a time (the rest keep serving the old
+        plan), so admission never pauses.  After the first worker holds
+        the new plan, ``canary(run_fn)`` — when given — validates it with
+        real forwards on that worker; the canary raising anything rolls
+        every swapped worker back to the old plan (shipped the same way)
+        and re-raises.  A worker *dying* mid-swap is a worker failure, not
+        a plan failure: it is retired, the roll continues, and the
+        supervisor respawns the replacement from whichever plan commits.
+        Returns the number of workers swapped.
         """
-        from .planio import share_plan
-
         self.install()
         with self._ops_lock:
-            new_store, new_spec = share_plan(new_plan)
-            old_spec, old_store = self._spec, self._store
+            old_plan = self.plan
             self._ops_pause.set()
             swapped: set[int] = set()
             try:
@@ -905,7 +862,7 @@ class ProcessWorkerPool(WorkerPool):
                             raise PlanSwapError("pool is closing; plan swap abandoned")
                         break
                     try:
-                        self._swap_one(worker, new_spec)
+                        self._swap_one(worker, new_plan)
                     except WorkerCrashError:
                         if not canaried and not swapped:
                             # The would-be canary worker died before the
@@ -935,29 +892,21 @@ class ProcessWorkerPool(WorkerPool):
                         canaried = True
                     self._free.put(worker)
             except BaseException:
-                self._rollback_swapped(swapped, old_spec)
-                if new_store is not None:
-                    new_store.unlink()
+                self._rollback_swapped(swapped, old_plan)
                 raise
             else:
                 with self._state_lock:
-                    self.plan = new_plan
-                    self._spec = new_spec
-                    self._store = new_store
-                if old_store is not None:
-                    # Every worker detached inside its swap command; the
-                    # old segment has no readers left.
-                    old_store.unlink()
+                    self.plan = new_plan  # what respawns fork with from now on
                 return len(swapped)
             finally:
                 self._ops_pause.clear()
                 self._wake.set()  # let the supervisor top up any deficit
 
-    def _rollback_swapped(self, swapped: set[int], old_spec: dict | None) -> None:
+    def _rollback_swapped(self, swapped: set[int], old_plan: ExecutionPlan) -> None:
         """Best-effort return of already-swapped workers to the old plan.
 
         A worker that dies (or errors) rolling back is retired; the
-        supervisor respawns it from the still-committed old spec.
+        supervisor respawns it from the still-committed old plan.
         """
         remaining = set(swapped)
         while True:
@@ -966,12 +915,12 @@ class ProcessWorkerPool(WorkerPool):
                 return
             remaining.discard(worker.uid)
             try:
-                self._swap_one(worker, old_spec)
+                self._swap_one(worker, old_plan)
             except WorkerCrashError:
                 continue
             except PlanSwapError:
                 # Could not restore the old plan either: retire it; a
-                # respawn from the old spec replaces it.
+                # respawn from the old plan replaces it.
                 self._retire(worker)
                 continue
             self._free.put(worker)

@@ -10,8 +10,8 @@ The engine talks only to the :class:`~repro.runtime.pool.WorkerPool` seam
 (``install`` / ``run`` / ``stats``) and never cares what substrate sits
 behind it: a :class:`PlanExecutor` serialises worker forwards on its
 lock, and a :class:`~repro.runtime.pool.ProcessWorkerPool` runs up to
-``workers`` forwards concurrently in worker processes attached to
-shared-memory operands — no GIL in common.
+``workers`` forwards concurrently in forked worker processes — no GIL in
+common.
 
 Micro-batching preserves results exactly: the model is batch-linear (every
 layer treats the leading axis as independent samples), so serving a request
@@ -492,8 +492,8 @@ class ServingEngine:
            plan's, the forward must not raise, and — when
            ``max_latency_factor`` is set — must not be slower than that
            factor times the live plan's canary time;
-        3. **roll** — remaining workers move over one at a time, the old
-           shared segment is unlinked after the last one detaches;
+        3. **roll** — remaining workers move over one at a time, each
+           installing the new plan shipped down its pipe;
         4. **post-swap check** — the canary batch re-runs through the
            normal dispatch path; a divergence rolls everything back.
 

@@ -129,98 +129,6 @@ def test_guarded_field_pragma_documents_benign_race():
 
 
 # ---------------------------------------------------------------------- #
-# shm-lifecycle
-# ---------------------------------------------------------------------- #
-def test_shm_leak_flagged():
-    # The mutation check: a segment created, used, and never cleaned up.
-    diags = lint(
-        """
-        from multiprocessing import shared_memory
-
-        def leaky(n):
-            shm = shared_memory.SharedMemory(create=True, size=n)
-            return shm.name
-        """
-    )
-    assert rules_of(diags) == ["shm-lifecycle"]
-    assert "/dev/shm" in diags[0].message
-
-
-def test_shm_finally_cleanup_passes():
-    assert (
-        lint(
-            """
-            from multiprocessing import shared_memory
-
-            def careful(n):
-                shm = shared_memory.SharedMemory(create=True, size=n)
-                try:
-                    return bytes(shm.buf[:4])
-                finally:
-                    shm.close()
-                    shm.unlink()
-            """
-        )
-        == []
-    )
-
-
-def test_shm_ownership_handoff_passes():
-    # cls(shm, owner=True) / return shm / self._shm = shm all hand off.
-    assert (
-        lint(
-            """
-            from multiprocessing import shared_memory
-
-            class Store:
-                @classmethod
-                def create(cls, n):
-                    shm = shared_memory.SharedMemory(create=True, size=n)
-                    return cls(shm, owner=True)
-
-            def mint(n):
-                return shared_memory.SharedMemory(create=True, size=n)
-            """
-        )
-        == []
-    )
-
-
-def test_share_plan_tuple_binding_needs_cleanup():
-    diags = lint(
-        """
-        def bad(plan, share_plan):
-            store, spec = share_plan(plan)
-            return spec
-
-        def good(plan, share_plan):
-            store, spec = share_plan(plan)
-            try:
-                return dict(spec)
-            finally:
-                store.unlink()
-        """
-    )
-    assert rules_of(diags) == ["shm-lifecycle"]
-    assert diags[0].qualname == "bad"
-
-
-def test_shm_attach_without_create_not_a_trigger():
-    assert (
-        lint(
-            """
-            from multiprocessing import shared_memory
-
-            def attach(name):
-                shm = shared_memory.SharedMemory(name=name)
-                return bytes(shm.buf[:4])
-            """
-        )
-        == []
-    )
-
-
-# ---------------------------------------------------------------------- #
 # typed-raise
 # ---------------------------------------------------------------------- #
 RUNTIME_PATH = "src/repro/runtime/fake.py"

@@ -1,8 +1,6 @@
-"""Tests for compiled operands, content digests, and cross-process compiles."""
+"""Tests for compiled operands and content digests."""
 
 from __future__ import annotations
-
-import multiprocessing
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ import pytest
 from repro.core import NMPattern, TASDConfig, tasd_matmul
 from repro.core.series import DENSE_CONFIG
 from repro.core.sparse_ops import nm_decompress
-from repro.runtime import SharedOperandStore, compile_operand, tensor_digest
+from repro.runtime import compile_operand, tensor_digest
 
 CFG = TASDConfig.parse("2:4")
 
@@ -57,48 +55,3 @@ class TestCompileOperand:
         assert op.padded_shape == (4, 12)
         b = rng.normal(size=(12, 3))
         assert op.matmul(b).shape == (4, 3)
-
-
-def _attach_worker(conn, segment: str, refs, config_str: str) -> None:
-    """Child process: attach the shared store, compile, and serve one matmul."""
-    from repro.core import TASDConfig
-    from repro.runtime import SharedOperandStore, compile_operand
-
-    store = SharedOperandStore.attach(segment)
-    try:
-        operand = compile_operand(store.get(refs["matrix"]), TASDConfig.parse(config_str))
-        conn.send(operand.matmul(store.get(refs["rhs"])))
-    finally:
-        store.close()
-        conn.close()
-
-
-class TestCrossProcess:
-    def test_many_processes_compile_one_segment_identically(self, rng):
-        """Workers compiling from one shared segment serve the same bits."""
-        matrix = rng.normal(size=(8, 16)) * (rng.random((8, 16)) < 0.5)
-        rhs = rng.normal(size=(16, 4))
-        store, refs = SharedOperandStore.create({"matrix": matrix, "rhs": rhs})
-        try:
-            ref = compile_operand(matrix, CFG).matmul(rhs)
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-            pipes, procs = [], []
-            for _ in range(3):
-                parent, child = ctx.Pipe()
-                p = ctx.Process(
-                    target=_attach_worker, args=(child, store.name, refs, str(CFG))
-                )
-                p.start()
-                child.close()
-                pipes.append(parent)
-                procs.append(p)
-            for conn, p in zip(pipes, procs):
-                np.testing.assert_array_equal(conn.recv(), ref)
-                conn.close()
-            for p in procs:
-                p.join(timeout=30.0)
-                assert p.exitcode == 0
-        finally:
-            store.unlink()

@@ -2,8 +2,8 @@
 
 The contract: a :class:`ProcessWorkerPool` is observationally identical
 to a :class:`PlanExecutor` over the same compiled plan — bit-identical
-outputs, merged counters — while its workers are child processes attached
-to the plan through shared memory.
+outputs, merged counters — while its workers are forked child processes
+that inherit the model and the plan.
 """
 
 from __future__ import annotations
@@ -25,13 +25,10 @@ from repro.runtime import (
     PlanExecutor,
     ProcessWorkerPool,
     ServingEngine,
-    SharedOperandStore,
     WorkerPool,
-    attach_plan,
     compile_plan,
     exact_backend_names,
     retune_plan,
-    share_plan,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -57,105 +54,6 @@ def compiled():
 @pytest.fixture()
 def batch():
     return np.random.default_rng(33).normal(size=(2, 3, 8, 8))
-
-
-# ---------------------------------------------------------------------- #
-# Shared operand store
-# ---------------------------------------------------------------------- #
-class TestSharedOperandStore:
-    def test_roundtrip_and_readonly(self, rng):
-        arrays = {
-            "a": rng.normal(size=(7, 5)),
-            "b": (rng.random((3, 4, 2)) * 255).astype(np.uint8),
-            "c": np.arange(11, dtype=np.int64),
-        }
-        store, refs = SharedOperandStore.create(arrays)
-        try:
-            attached = SharedOperandStore.attach(store.name)
-            try:
-                for key, a in arrays.items():
-                    view = attached.get(refs[key])
-                    np.testing.assert_array_equal(view, a)
-                    assert view.dtype == a.dtype
-                    assert not view.flags.writeable
-            finally:
-                attached.close()
-        finally:
-            store.unlink()
-
-    def test_get_after_close_refuses(self, rng):
-        store, refs = SharedOperandStore.create({"a": rng.normal(size=(2, 2))})
-        store.unlink()
-        with pytest.raises(ValueError, match="closed"):
-            store.get(refs["a"])
-
-    def test_unlink_idempotent(self, rng):
-        store, _ = SharedOperandStore.create({"a": rng.normal(size=(2, 2))})
-        store.unlink()
-        store.unlink()
-
-
-# ---------------------------------------------------------------------- #
-# share_plan / attach_plan
-# ---------------------------------------------------------------------- #
-class TestShareAttachPlan:
-    def test_attached_plan_serves_bit_identically(self, compiled, batch):
-        model, _, plan = compiled
-        with PlanExecutor(model, plan) as ex:
-            ref = ex.run(batch)
-        store, spec = share_plan(plan)
-        try:
-            attached, worker_store = attach_plan(spec)
-            assert attached.backend_choices() == plan.backend_choices()
-            assert {n: lp.weight_digest for n, lp in attached.layers.items()} == {
-                n: lp.weight_digest for n, lp in plan.layers.items()
-            }
-            with PlanExecutor(model, attached) as ex:
-                out = ex.run(batch)
-            np.testing.assert_array_equal(out, ref)
-            if worker_store is not None:
-                worker_store.close()
-        finally:
-            if store is not None:
-                store.unlink()
-
-    def test_attached_operands_are_zero_copy_views(self, compiled):
-        _, _, plan = compiled
-        store, spec = share_plan(plan)
-        assert store is not None  # POSIX shm exists on the test platforms
-        try:
-            attached, worker_store = attach_plan(spec)
-            operand = next(
-                lp.operand for lp in attached.layers.values() if lp.operand is not None
-            )
-            # Term values and their flat tables share the segment's buffer
-            # (the flat value table is a reshape of the term values).
-            for term, flat in zip(operand.terms, operand.flat_values):
-                assert flat.base is not None
-                assert not term.values.flags.writeable
-            worker_store.close()
-        finally:
-            store.unlink()
-
-    def test_inline_fallback_when_shm_unavailable(self, compiled, batch, monkeypatch):
-        model, _, plan = compiled
-        monkeypatch.setattr(
-            SharedOperandStore,
-            "create",
-            classmethod(lambda cls, arrays: (_ for _ in ()).throw(OSError("no shm"))),
-        )
-        # lint: disable=shm-lifecycle — create() is monkeypatched to raise,
-        # so no segment exists; the returned store is asserted None below
-        store, spec = share_plan(plan)
-        assert store is None
-        assert spec["segment"] is None and spec["inline"]
-        attached, worker_store = attach_plan(spec)
-        assert worker_store is None
-        with PlanExecutor(model, plan) as ex:
-            ref = ex.run(batch)
-        with PlanExecutor(model, attached) as ex:
-            out = ex.run(batch)
-        np.testing.assert_array_equal(out, ref)
 
 
 # ---------------------------------------------------------------------- #
@@ -326,17 +224,12 @@ class TestProcessWorkerPool:
             assert isinstance(cause, RemoteTraceback)
             assert "Traceback (most recent call last)" in str(cause)
 
-    def test_source_model_untouched_and_segment_cleaned(self, compiled, batch):
+    def test_source_model_untouched(self, compiled, batch):
         model, _, plan = compiled
-        pool = ProcessWorkerPool(model, plan, workers=1)
-        with pool:
+        with ProcessWorkerPool(model, plan, workers=1) as pool:
             pool.run(batch)
-            segment = pool._store.name if pool._store is not None else None
             for _, layer in gemm_layers(model, include_head=True):
                 assert layer.compiled_plan is None
-        if segment is not None:
-            with pytest.raises(FileNotFoundError):
-                SharedOperandStore.attach(segment)
 
     def test_serving_engine_with_process_pool(self, compiled):
         model, _, plan = compiled
@@ -354,23 +247,36 @@ class TestProcessWorkerPool:
         for single, served in zip(singles, outputs):
             np.testing.assert_allclose(served, single, atol=1e-12)
 
-    @pytest.mark.skipif(
-        "spawn" not in multiprocessing.get_all_start_methods(),
-        reason="spawn start method unavailable",
-    )
-    def test_spawn_context(self, compiled, batch):
-        model, _, plan = compiled
-        with PlanExecutor(model, plan) as ex:
-            ref = ex.run(batch)
-        with ProcessWorkerPool(model, plan, workers=1, mp_context="spawn") as pool:
-            np.testing.assert_array_equal(pool.run(batch), ref)
+    def test_workers_count_from_zero(self, compiled, batch):
+        """Workers zero the counts the parent's plan object already carries,
+        at start and after a swap onto a plan that was run in-process."""
+        model, transform, _ = compiled
+        plan = compile_plan(model, transform)
+        candidate = compile_plan(model, transform)
+        for used in (plan, candidate):
+            with PlanExecutor(model, used) as ex:
+                ex.run_many([batch] * 3)
+        with ProcessWorkerPool(model, plan, workers=2) as pool:
+            pool.run(batch)
+            assert all(c.calls == 1 for c in pool.stats().layers.values())
+            pool.reset_stats()
+            pool.swap_plan(candidate)
+            pool.run(batch)
+            assert all(c.calls == 1 for c in pool.stats().layers.values())
+        assert all(lp.counters.calls == 3 for lp in candidate.layers.values())
 
-    def test_invalid_workers_and_context(self, compiled):
+    def test_invalid_workers(self, compiled):
         model, _, plan = compiled
         with pytest.raises(ValueError, match="workers"):
             ProcessWorkerPool(model, plan, workers=0)
-        with pytest.raises(ValueError, match="start method"):
-            ProcessWorkerPool(model, plan, workers=1, mp_context="nonsense")
+
+    def test_platform_without_fork_is_refused(self, compiled, monkeypatch):
+        model, _, plan = compiled
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"]
+        )
+        with pytest.raises(ValueError, match="cannot fork"):
+            ProcessWorkerPool(model, plan, workers=1)
 
 
 # ---------------------------------------------------------------------- #

@@ -13,6 +13,8 @@ that replaced the approximate ``Queue.qsize()`` read.
 
 from __future__ import annotations
 
+import os
+import signal
 import threading
 import time
 
@@ -126,37 +128,74 @@ class TestExecutorSwap:
             assert executor.plan is plan
             np.testing.assert_allclose(executor.run(batch), reference)
 
-    def test_process_pool_swap_rolls_all_workers_and_releases_old_segment(
+    def test_plan_executor_refuses_a_plan_it_cannot_install(
+        self, compiled, batch, reference
+    ):
+        model, plan = compiled
+        _, transform = _small_model()
+        uninstallable = compile_plan(model, transform)
+        layer = next(lp for lp in uninstallable.layers.values() if lp.mode == "compiled")
+        layer.backend = "no-such-backend"
+        with PlanExecutor(model, plan) as executor:
+            with pytest.raises(PlanSwapError, match="no-such-backend"):
+                executor.swap_plan(uninstallable)
+            assert executor.plan is plan
+            np.testing.assert_array_equal(executor.run(batch), reference)
+            with ServingEngine(executor) as engine:
+                with pytest.raises(SwapRejected, match="no-such-backend"):
+                    engine.swap_plan(uninstallable, canary=batch)
+            assert executor.plan is plan
+            np.testing.assert_array_equal(executor.run(batch), reference)
+
+    def test_process_pool_swap_rolls_all_workers(
         self, compiled, candidate, batch, reference
     ):
         model, plan = compiled
         with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
             before = pool.run(batch)
-            old_store = pool._store
             swapped = pool.swap_plan(
                 candidate,
                 canary=lambda run: np.testing.assert_allclose(run(batch), reference),
             )
             assert swapped == 2
             assert pool.plan is candidate
-            assert pool._store is not old_store
             np.testing.assert_array_equal(pool.run(batch), before)
+
+    def test_respawn_after_committed_swap_serves_the_committed_plan(
+        self, compiled, batch, reference
+    ):
+        model, plan = compiled
+        skewed = skewed_plan(plan)
+        with PlanExecutor(model, skewed) as executor:
+            expected = executor.run(batch)
+        assert not np.allclose(expected, reference)
+        with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
+            pool.swap_plan(skewed)
+            victims = set(pool.worker_pids())
+            for pid in victims:
+                os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while pool.respawns < 2 or victims & set(pool.worker_pids()):
+                assert time.monotonic() < deadline, "killed workers were not respawned"
+                time.sleep(0.02)
+            for _ in range(4):
+                np.testing.assert_array_equal(pool.run(batch), expected)
 
     def test_process_pool_worker_rejecting_the_spec_stays_in_service(
         self, compiled, batch, reference
     ):
-        """A worker that cannot attach the new spec keeps serving the old
+        """A worker that cannot install the new plan keeps serving the old
         plan from the free queue, so the pool stays full and close() can
         bring every worker home."""
         model, plan = compiled
         _, transform = _small_model()
-        unattachable = compile_plan(model, transform)
-        layer = next(lp for lp in unattachable.layers.values() if lp.mode == "compiled")
-        layer.backend = "no-such-backend"  # refused by the worker's attach
+        uninstallable = compile_plan(model, transform)
+        layer = next(lp for lp in uninstallable.layers.values() if lp.mode == "compiled")
+        layer.backend = "no-such-backend"  # refused by the worker's install
         pool = ProcessWorkerPool(model, plan, workers=2, **FAST).install()
         try:
-            with pytest.raises(PlanSwapError, match="failed to attach"):
-                pool.swap_plan(unattachable)
+            with pytest.raises(PlanSwapError, match="failed to install"):
+                pool.swap_plan(uninstallable)
             assert pool.plan is plan
             assert len(pool.worker_pids()) == 2
             for _ in range(4):
@@ -173,7 +212,6 @@ class TestExecutorSwap:
         model, plan = compiled
         with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
             pool.run(batch)
-            old_store = pool._store
             with pytest.raises(AssertionError):
                 pool.swap_plan(
                     skewed_plan(plan),
@@ -182,7 +220,6 @@ class TestExecutorSwap:
                     ),
                 )
             assert pool.plan is plan
-            assert pool._store is old_store
             np.testing.assert_allclose(pool.run(batch), reference)
 
 
