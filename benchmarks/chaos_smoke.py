@@ -67,7 +67,6 @@ def main() -> int:
         model,
         plan,
         workers=WORKERS,
-        respawn=True,
         max_respawns=50,
         respawn_window=120.0,
         respawn_backoff=0.01,

@@ -160,14 +160,15 @@ if __name__ == "__main__":
 
     # -----------------------------------------------------------------------
     # 7. Surviving crashes: kill a worker live and watch nothing break.
-    #    The process pool supervises its workers — a SIGKILLed worker is
-    #    detected (pipe error mid-request, health ping when idle), retired,
-    #    and respawned, forked again with the committed plan; the engine
-    #    retries the batch that was in flight, so the client just sees its
-    #    future resolve.  `worker_respawns` ticks in /metrics, and
-    #    /healthz only leaves "ok" if the pool actually collapses
-    #    ("degraded": still serving, via respawn-in-progress or the
-    #    in-process fallback; "dead": 503).  Try it against a real server:
+    #    The process pool always supervises its workers — a SIGKILLed
+    #    worker is detected (pipe error mid-request, health ping when
+    #    idle), retired, and respawned, forked again with the committed
+    #    plan; the engine retries the batch that was in flight, so the
+    #    client just sees its future resolve.  `worker_respawns` ticks in
+    #    /metrics, and /healthz leaves "ok" only for "degraded" — still
+    #    serving, via respawn-in-progress or the in-process fallback —
+    #    while the engine runs ("dead", 503, means it stopped).  Try it
+    #    against a real server:
     #
     #        python -m repro.cli serve --workers 4 \
     #            --metrics-port 9100 --requests 500 &

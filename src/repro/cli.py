@@ -15,7 +15,7 @@ Usage::
     python -m repro.cli serve --autotune --tune-observed    # tune on real shapes
     python -m repro.cli serve --metrics-port 9100           # live /metrics scrape
     python -m repro.cli serve --workers 2 --max-queue 64 --request-timeout 30 \
-        --max-retries 2 --no-respawn                        # fault-tolerance knobs
+        --max-retries 2                                     # fault-tolerance knobs
     python -m repro.cli compile --metrics-json plan_metrics.json
     python -m repro.cli lint --strict        # runtime invariant linter
 
@@ -259,10 +259,10 @@ def _serve(args: argparse.Namespace) -> str:
     workers = args.workers
     if workers <= 0:
         raise SystemExit(f"--workers must be positive, got {workers}")
-    if workers == 1 and (not args.respawn or args.request_timeout is not None):
+    if workers == 1 and args.request_timeout is not None:
         raise SystemExit(
-            "--no-respawn / --request-timeout supervise process-pool workers; "
-            "they need --workers 2 or more (--workers 1 serves in-process)"
+            "--request-timeout supervises process-pool workers; "
+            "it needs --workers 2 or more (--workers 1 serves in-process)"
         )
     if args.max_queue is not None and args.max_queue <= 0:
         raise SystemExit(f"--max-queue must be positive, got {args.max_queue}")
@@ -291,7 +291,6 @@ def _serve(args: argparse.Namespace) -> str:
             model,
             plan,
             workers=workers,
-            respawn=args.respawn,
             request_timeout=args.request_timeout,
         )
     metrics_note = None
@@ -522,13 +521,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="retries per micro-batch after a worker crash before the batch "
         "is split to isolate a poison request (serve)",
-    )
-    parser.add_argument(
-        "--respawn",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="supervise process-pool workers and respawn dead ones, forked "
-        "again with the committed plan (serve, --workers 2+)",
     )
     parser.add_argument(
         "--drain-timeout",

@@ -44,13 +44,14 @@ histograms plus per-request traces in a bounded ring, and
 ``/metrics`` (Prometheus text), ``/metrics.json``, ``/healthz``, and a
 human-readable ``/statusz`` — using only the stdlib HTTP server.
 
-And it is fault-tolerant: a supervisor inside :class:`ProcessWorkerPool`
-health-checks its workers and respawns dead ones, forked again with the
-committed plan (capped backoff, crash-loop circuit breaker), the engine
-retries micro-batches whose worker died — splitting them to isolate
-poison inputs — enforces per-request deadlines and a bounded admission
-queue, and degrades onto an in-process :class:`PlanExecutor` when the
-pool collapses.  :mod:`repro.runtime.chaos` injects all of those faults
+And it is fault-tolerant, with no switch to turn any of it off: a
+supervisor inside :class:`ProcessWorkerPool` always health-checks its
+workers and respawns dead ones, forked again with the committed plan
+(capped backoff, crash-loop circuit breaker), the engine always records
+its metrics, retries micro-batches whose worker died — splitting them to
+isolate poison inputs — enforces per-request deadlines and a bounded
+admission queue, and degrades onto an in-process :class:`PlanExecutor`
+when the pool collapses.  :mod:`repro.runtime.chaos` injects all of those faults
 on purpose (kill/hang/slow/poison/crash-on-Nth) for tests and drills.
 
 Operations are zero-downtime: ``engine.swap_plan(path_or_plan)`` rolls a

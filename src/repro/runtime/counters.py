@@ -211,10 +211,9 @@ class ServeReport:
     requests: list[RequestStats] = field(default_factory=list)
     wall_time: float = 0.0
     # End-to-end latency histogram over the runtime's fixed log-spaced
-    # buckets.  When the serving engine's metrics are on this is a snapshot
-    # of its live histogram (bucket-exact with what /metrics exports);
-    # otherwise it is built lazily from the recorded requests.
-    histogram: Histogram | None = None
+    # buckets: the serving engine hands in a snapshot of its live histogram
+    # (bucket-exact with what /metrics exports).
+    histogram: Histogram = field(default_factory=Histogram)
 
     @property
     def count(self) -> int:
@@ -245,18 +244,10 @@ class ServeReport:
         return ordered[rank]
 
     def latency_histogram(self) -> Histogram:
-        """The latency histogram behind :attr:`p50`/:attr:`p95`/:attr:`p99`.
-
-        The engine-provided one when present (bucket-exact with the
-        ``/metrics`` export, merged across all serving workers), else built
-        from the recorded per-request latencies over the same buckets.
-        """
-        if self.histogram is not None:
-            return self.histogram
-        h = Histogram()
-        for r in self.requests:
-            h.observe(r.latency)
-        return h
+        """The latency histogram behind :attr:`p50`/:attr:`p95`/:attr:`p99`:
+        the engine's, bucket-exact with the ``/metrics`` export and merged
+        across all serving workers."""
+        return self.histogram
 
     @property
     def p50(self) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.nn.module import Module
 
-from .counters import ExecutorStats, WorkerStat
+from .counters import ExecutorStats, LayerCounters, WorkerStat
 from .plan import ExecutionPlan
 
 __all__ = ["PlanExecutor"]
@@ -42,9 +42,14 @@ class PlanExecutor:
             print(ex.stats().table())
     """
 
+    # A serial in-process executor has no pool to lose: it never degrades.
+    degraded = False
+
     def __init__(self, model: Module, plan: ExecutionPlan) -> None:
         self.model = model
         self.plan = plan
+        # Counts of the plans swapped away from (see _cut_over).
+        self._layer_base: dict[str, LayerCounters] = {}
         self._lock = threading.Lock()
         self._installed = False
         self._batches = 0
@@ -113,19 +118,33 @@ class PlanExecutor:
                 new_plan.install(self.model)
             except KeyError as exc:
                 raise PlanSwapError(f"cannot install the new plan: {exc.args[0]}") from exc
-            self.model.eval()
-            self.plan = new_plan
-            self._installed = True
+            self._cut_over(new_plan)
         if canary is not None:
             try:
                 canary(self.run)
             except BaseException:
                 with self._lock:
                     old_plan.install(self.model)
-                    self.model.eval()
-                    self.plan = old_plan
+                    self._cut_over(old_plan)
                 raise
         return 1
+
+    def _cut_over(self, plan: ExecutionPlan) -> None:
+        """Serve the just-installed ``plan`` from now on (caller holds the lock).
+
+        The executor, not the plan, owns what :meth:`stats` reports: the
+        outgoing plan's counts fold into a base, and the incoming plan
+        counts from zero, so a swap loses no count and picks up none the
+        plan recorded under another executor.
+        """
+        for name, lp in self.plan.layers.items():
+            self._layer_base[name] = self._layer_base.get(
+                name, LayerCounters()
+            ).merged_with(lp.counters)
+        plan.reset_counters()
+        self.model.eval()
+        self.plan = plan
+        self._installed = True
 
     # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:
@@ -141,8 +160,8 @@ class PlanExecutor:
                 samples=self._samples,
                 wall_time=self._wall_time,
                 layers={
-                    name: plan.counters.snapshot()
-                    for name, plan in self.plan.layers.items()
+                    name: self._layer_base.get(name, LayerCounters()).merged_with(lp.counters)
+                    for name, lp in self.plan.layers.items()
                 },
             )
 
@@ -155,4 +174,5 @@ class PlanExecutor:
         with self._lock:
             self._batches = self._samples = 0
             self._wall_time = 0.0
+            self._layer_base.clear()
             self.plan.reset_counters()

@@ -28,14 +28,14 @@ while an error the worker reports is re-raised with its
 :class:`RemoteTraceback` and leaves the worker serving.  No reply is ever
 left unread on a live worker's pipe.
 
-The process pool is *supervised*: a background supervisor thread health-
-checks idle workers and respawns the retired ones, forked again from the
-parent with whichever plan is committed, with capped exponential backoff
-and a crash-loop circuit breaker (too many respawns inside a sliding
-window stops respawning and marks the pool
+The process pool is always *supervised*: a background supervisor thread
+health-checks idle workers and respawns the retired ones, forked again
+from the parent with whichever plan is committed, with capped exponential
+backoff and a crash-loop circuit breaker (too many respawns inside a
+sliding window stops respawning and marks the pool
 :attr:`~ProcessWorkerPool.degraded`).  The serving engine re-dispatches a
 batch whose worker crashed on a surviving or respawned worker, and a pool
-that can no longer serve raises :class:`PoolDegradedError`, the engine's
+whose breaker is open raises :class:`PoolDegradedError`, the engine's
 signal to fall back to in-process execution.
 """
 
@@ -97,9 +97,9 @@ class WorkerCrashError(RuntimeError):
 
 
 class PoolDegradedError(RuntimeError):
-    """The pool cannot serve: every worker is gone and respawn is off or
-    the crash-loop circuit breaker is open.  The serving engine treats
-    this as the signal to degrade to in-process execution."""
+    """The pool cannot serve: the crash-loop circuit breaker is open, so
+    no dead worker will be respawned.  The serving engine treats this as
+    the signal to degrade to in-process execution."""
 
 
 class PlanSwapError(RuntimeError):
@@ -126,7 +126,9 @@ class WorkerPool(abc.ABC):
       call from many threads concurrently (lazily installs, including
       after a ``close``);
     - :meth:`stats` / :meth:`reset_stats` — per-layer counters merged
-      across workers, plus whole-forward batch/sample/wall totals.
+      across workers, plus whole-forward batch/sample/wall totals;
+    - :attr:`degraded` — true once the pool cannot return to service on
+      its own, the engine's cue to serve in-process instead.
 
     Implementations must keep :meth:`run` lock-free across the forward
     itself so up to ``workers`` forwards proceed concurrently.
@@ -135,6 +137,7 @@ class WorkerPool(abc.ABC):
     model: Module
     plan: ExecutionPlan
     workers: int
+    degraded: bool
 
     @abc.abstractmethod
     def install(self) -> "WorkerPool":
@@ -260,10 +263,14 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
                     reply = (y, elapsed, counters)
                 elif cmd == "probe":
                     # Canary forward: same kernels as "run", but no chaos
-                    # injection, no served-count bump, no counter shipping —
-                    # a swap's validation traffic must not perturb
-                    # fault-injection schedules or serving telemetry.
+                    # injection, no served-count bump, and the per-layer
+                    # counters it bumps are put back — a swap's validation
+                    # traffic must not perturb fault-injection schedules
+                    # or serving telemetry.
+                    saved = {name: lp.counters.snapshot() for name, lp in plan.layers.items()}
                     reply = model(payload)
+                    for name, lp in plan.layers.items():
+                        lp.counters = saved[name]
                 elif cmd == "swap":
                     # Hot plan-swap: install the shipped plan over the
                     # current one.  On any failure the current plan is
@@ -334,22 +341,21 @@ class ProcessWorkerPool(WorkerPool):
     same kernels over the same operands, and request arrays round-trip the
     pipe losslessly.
 
-    **Supervision.**  With ``respawn=True`` (the default) a supervisor
-    thread watches the pool: a worker that dies — detected by a pipe
-    error on a request, by missing a reply within ``request_timeout``,
-    or by failing the periodic idle health-check ping — is retired and a
-    replacement is forked from the parent, inheriting whichever plan is
-    committed in :attr:`plan` (no recompression, no copy).  Respawns back off
-    exponentially (``respawn_backoff`` doubling up to ``backoff_cap``)
+    **Supervision.**  A supervisor thread always watches the pool: a
+    worker that dies — detected by a pipe error on a request, by missing
+    a reply within ``request_timeout``, or by failing the periodic idle
+    health-check ping — is retired and a replacement is forked from the
+    parent, inheriting whichever plan is committed in :attr:`plan` (no
+    recompression, no copy).  Respawns back off exponentially
+    (``respawn_backoff`` doubling up to ``backoff_cap``)
     while deaths keep coming, and a crash-loop circuit breaker stops
     respawning entirely after ``max_respawns`` respawns inside a sliding
     ``respawn_window`` seconds — the pool is then :attr:`degraded` and
     :meth:`run` raises :class:`PoolDegradedError` instead of hammering
     a poisoned configuration.  A request in flight on a dying worker
     raises :class:`WorkerCrashError` (retryable; the serving engine
-    re-dispatches).  With ``respawn=False`` a dead worker is retired
-    permanently — the pre-supervision behaviour — and a fully-dead pool
-    raises :class:`PoolDegradedError`.
+    re-dispatches).  Idle workers are pinged every ``health_interval``
+    seconds, which must be positive.
     """
 
     def __init__(
@@ -358,7 +364,6 @@ class ProcessWorkerPool(WorkerPool):
         plan: ExecutionPlan,
         workers: int = 2,
         start_timeout: float = 120.0,
-        respawn: bool = True,
         max_respawns: int = 6,
         respawn_window: float = 30.0,
         respawn_backoff: float = 0.05,
@@ -371,6 +376,8 @@ class ProcessWorkerPool(WorkerPool):
             raise ValueError(f"workers must be positive, got {workers}")
         if max_respawns <= 0:
             raise ValueError(f"max_respawns must be positive, got {max_respawns}")
+        if health_interval <= 0:
+            raise ValueError(f"health_interval must be positive, got {health_interval}")
         if request_timeout is not None and request_timeout <= 0:
             raise ValueError(f"request_timeout must be positive, got {request_timeout}")
         if "fork" not in multiprocessing.get_all_start_methods():
@@ -381,7 +388,6 @@ class ProcessWorkerPool(WorkerPool):
         self.plan = plan
         self.workers = workers
         self.mp_context = "fork"
-        self.respawn = respawn
         self.max_respawns = max_respawns
         self.respawn_window = respawn_window
         self.respawn_backoff = respawn_backoff
@@ -409,6 +415,9 @@ class ProcessWorkerPool(WorkerPool):
         # Latest cumulative per-layer counters per worker uid.  Kept across
         # close() so stats survive it (old generations merge with new ones).
         self._counter_snapshots: dict[int, dict[str, LayerCounters]] = {}  # guarded-by: _stats_lock
+        # Counters a worker had shipped for the plan it swapped away from:
+        # a swapped worker counts the incoming plan from zero.
+        self._counter_base: dict[str, LayerCounters] = {}  # guarded-by: _stats_lock
         # Telemetry: liveness + served-forward count per worker uid.  Kept
         # across close() too, so a scrape can still see retired workers.
         self._worker_alive: dict[int, bool] = {}  # guarded-by: _stats_lock
@@ -583,11 +592,10 @@ class ProcessWorkerPool(WorkerPool):
             self._installed = True
             self._closing.clear()
             self._wake.clear()
-            if self.respawn or self.health_interval > 0:
-                self._supervisor = threading.Thread(
-                    target=self._supervise, name="pool-supervisor", daemon=True
-                )
-                self._supervisor.start()
+            self._supervisor = threading.Thread(
+                target=self._supervise, name="pool-supervisor", daemon=True
+            )
+            self._supervisor.start()
         return self
 
     # ------------------------------------------------------------------ #
@@ -617,14 +625,10 @@ class ProcessWorkerPool(WorkerPool):
     @property
     def degraded(self) -> bool:
         """True when the pool cannot return to service on its own: the
-        crash-loop breaker is open, or every worker is dead with respawn
-        disabled.  The serving engine's cue to fall back in-process."""
+        crash-loop breaker is open.  The serving engine's cue to fall back
+        in-process."""
         with self._stats_lock:
-            if self._breaker_open:
-                return True
-            # lint: disable=guarded-field — racy read of _installed is
-            # benign here: close() flips it only after the fleet stops
-            return self._live == 0 and self._installed and not self.respawn
+            return self._breaker_open
 
     def worker_pids(self) -> list[int]:
         """PIDs of currently-live workers, idle *and* busy (chaos fodder)."""
@@ -703,19 +707,17 @@ class ProcessWorkerPool(WorkerPool):
         path sets ``_wake`` so the deficit is noticed without waiting out
         the full interval.
         """
-        interval = self.health_interval if self.health_interval > 0 else 0.5
         while not self._closing.is_set():
-            woken = self._wake.wait(interval)
+            woken = self._wake.wait(self.health_interval)
             if self._closing.is_set():
                 return
             if woken:
                 self._wake.clear()
             if self._ops_pause.is_set():
                 continue  # a swap owns the fleet right now
-            if self.health_interval > 0 and not woken:
+            if not woken:
                 self._health_check()
-            if self.respawn:
-                self._respawn_deficit()
+            self._respawn_deficit()
 
     def close(self) -> None:
         """Stop every worker process.
@@ -765,19 +767,18 @@ class ProcessWorkerPool(WorkerPool):
 
         Raises :class:`WorkerCrashError` (retryable) when the worker dies
         or misses ``request_timeout`` with this request in flight, and
-        :class:`PoolDegradedError` when the pool as a whole cannot serve
-        (breaker open, or all workers dead with respawn off).
+        :class:`PoolDegradedError` when the crash-loop breaker is open.
         """
         x = np.asarray(x)
         while True:
             self.install()
             if self.degraded:
-                # The supervisor has given up (or was never allowed to
-                # start): waiting on the free queue would hang forever.
+                # The supervisor has given up: waiting on the free queue
+                # could hang forever.
                 raise PoolDegradedError(
-                    "all process-pool workers have died and the pool cannot "
-                    "respawn (respawn disabled or circuit breaker open); "
-                    "close() and re-run, or serve through a fallback executor"
+                    "the process pool's crash-loop circuit breaker is open "
+                    "and it will not respawn workers; close() and re-run, "
+                    "or serve through a fallback executor"
                 )
             try:
                 # One blocking wait per liveness check — a dead pool wakes
@@ -832,6 +833,12 @@ class ProcessWorkerPool(WorkerPool):
                 f"process-pool worker pid {worker.process.pid} failed to install "
                 f"the new plan: {type(exc).__name__}: {exc}"
             ) from exc
+        with self._stats_lock:
+            outgoing = self._counter_snapshots.pop(worker.uid, {})
+            for name, counters in outgoing.items():
+                self._counter_base[name] = self._counter_base.get(
+                    name, LayerCounters()
+                ).merged_with(counters)
 
     def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
         """Roll every worker onto ``new_plan`` with zero downtime.
@@ -931,12 +938,14 @@ class ProcessWorkerPool(WorkerPool):
 
         Each worker ships its cumulative per-layer counters with every
         ``run`` reply, so merging here needs no cross-process round-trip.
+        What a worker counted before a plan swap is kept in a base the
+        swap folds it into, so a hot swap loses no count.
         ``wall_time`` sums per-forward time across workers (compute volume,
         not elapsed wall-clock).
         """
         with self._stats_lock:
             batches, samples, wall = self._batches, self._samples, self._wall_time
-            snapshots = list(self._counter_snapshots.values())
+            snapshots = [dict(self._counter_base), *self._counter_snapshots.values()]
         layers: dict[str, LayerCounters] = {}
         for name in self.plan.layers:
             merged = LayerCounters()
@@ -986,5 +995,6 @@ class ProcessWorkerPool(WorkerPool):
             self._batches = self._samples = 0
             self._wall_time = 0.0
             self._counter_snapshots.clear()
+            self._counter_base.clear()
             self._worker_requests = {uid: 0 for uid in self._worker_requests}
 

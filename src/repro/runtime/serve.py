@@ -24,12 +24,13 @@ deadlines drop expired work before dispatch (:class:`DeadlineExceeded`),
 ``max_queue`` sheds load at the door (:class:`QueueFull`), and a process
 pool that collapses past its crash-loop circuit breaker degrades the
 engine onto an in-process :class:`PlanExecutor` fallback — slower, never
-down — with ``/healthz`` reporting ``degraded`` (200) vs ``dead`` (503).
+down — with ``/healthz`` reporting ``degraded`` (200); only a stopped
+engine reports ``dead`` (503).
 
 The engine is *observable while running* (the telemetry spine):
 
 - every request feeds latency / queue-wait / batch-size / window-occupancy
-  histograms in a :class:`~repro.runtime.metrics.MetricsRegistry` and
+  histograms in the engine's :class:`~repro.runtime.metrics.MetricsRegistry` and
   leaves a span trace (``enqueue → batch_form → execute → reply``) in a
   bounded ring buffer (:meth:`traces`);
 - :meth:`metrics_snapshot` assembles one scrape from the engine's own
@@ -135,11 +136,6 @@ class ServingEngine:
         Worker threads draining the queue.  Pair ``workers=N`` with a
         pool of ``N`` workers (``ProcessWorkerPool(..., workers=N)``) to
         scale throughput.
-    metrics : MetricsRegistry | bool
-        ``True`` (default) creates a fresh registry; pass an existing
-        registry to share one across engines, or ``False``/``None`` to
-        disable hot-path metric recording entirely (the scrape-time pool
-        views in :meth:`metrics_snapshot` still work).
     trace_capacity : int
         Ring-buffer bound for per-request span traces (:meth:`traces`).
     max_queue : int | None
@@ -154,13 +150,14 @@ class ServingEngine:
         batchmates; a single request that still crashes workers fails
         with the crash error (it is *not* run in-process, where it could
         take the server down with it).
-    fallback : str
-        ``"auto"`` (default) builds an in-process
-        :class:`~repro.runtime.executor.PlanExecutor` over the pool's
-        model/plan the first time the pool collapses past its circuit
-        breaker (:class:`~repro.runtime.pool.PoolDegradedError`) and
-        serves through it — slower, never down.  ``"none"`` disables
-        the fallback; a collapsed pool then fails requests.
+
+    The engine records into its own
+    :class:`~repro.runtime.metrics.MetricsRegistry` (:attr:`metrics`).
+    The first time the pool collapses past its circuit breaker
+    (:class:`~repro.runtime.pool.PoolDegradedError`) the engine builds an
+    in-process :class:`~repro.runtime.executor.PlanExecutor` over the
+    pool's model and plan and serves through it from then on — slower,
+    never down.
     """
 
     def __init__(
@@ -169,11 +166,9 @@ class ServingEngine:
         max_batch: int = 8,
         batch_window: float = 0.002,
         workers: int = 1,
-        metrics: "MetricsRegistry | bool | None" = True,
         trace_capacity: int = 256,
         max_queue: int | None = None,
         max_retries: int = 2,
-        fallback: str = "auto",
     ) -> None:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
@@ -183,15 +178,12 @@ class ServingEngine:
             raise ValueError(f"max_queue must be positive or None, got {max_queue}")
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if fallback not in ("auto", "none"):
-            raise ValueError(f"fallback must be 'auto' or 'none', got {fallback!r}")
         self.executor = executor
         self.max_batch = max_batch
         self.batch_window = batch_window
         self.workers = workers
         self.max_queue = max_queue
         self.max_retries = max_retries
-        self.fallback = fallback
         # Degradation state: once the pool collapses past its breaker the
         # engine pins itself to the in-process fallback (the pool cannot
         # self-heal past an open breaker, so probing it again is pointless).
@@ -232,68 +224,63 @@ class ServingEngine:
         self._started_at = 0.0  # guarded-by: _state_lock
         self._stopped_at = 0.0  # guarded-by: _state_lock
         self._traces = TraceBuffer(trace_capacity)
-        if metrics is True:
-            metrics = MetricsRegistry()
-        elif metrics is False:
-            metrics = None
-        self.metrics = metrics
-        if metrics is not None:
-            # Children resolved once here, so the hot path never pays the
-            # registry's name lookup.
-            self._m_requests = metrics.counter(
-                "tasd_serve_requests_total", "Requests served to completion"
-            ).labels()
-            self._m_samples = metrics.counter(
-                "tasd_serve_samples_total", "Samples served across all requests"
-            ).labels()
-            self._m_batches = metrics.counter(
-                "tasd_serve_batches_total", "Micro-batches dispatched"
-            ).labels()
-            self._m_errors = metrics.counter(
-                "tasd_serve_errors_total", "Requests failed with an exception"
-            ).labels()
-            self._m_latency = metrics.histogram(
-                "tasd_serve_request_latency_seconds", "End-to-end request latency"
-            ).labels()
-            self._m_queue_wait = metrics.histogram(
-                "tasd_serve_queue_wait_seconds", "Submit-to-dispatch queue wait"
-            ).labels()
-            self._m_batch_size = metrics.histogram(
-                "tasd_serve_batch_size",
-                "Requests coalesced per micro-batch",
-                buckets=BATCH_SIZE_BUCKETS,
-            ).labels()
-            self._m_occupancy = metrics.histogram(
-                "tasd_serve_batch_occupancy",
-                "Micro-batch fill fraction of max_batch",
-                buckets=OCCUPANCY_BUCKETS,
-            ).labels()
-            self._m_retried = metrics.counter(
-                "tasd_serve_requests_retried_total",
-                "Request dispatch attempts repeated after a worker crash",
-            ).labels()
-            self._m_deadline = metrics.counter(
-                "tasd_serve_deadline_exceeded_total",
-                "Requests dropped because their deadline expired before dispatch",
-            ).labels()
-            self._m_rejected = metrics.counter(
-                "tasd_serve_queue_rejected_total",
-                "Submits rejected by the max_queue admission bound",
-            ).labels()
-            self._m_fallback = metrics.counter(
-                "tasd_serve_fallback_batches_total",
-                "Micro-batches served by the in-process fallback executor",
-            ).labels()
-            self._m_swaps = metrics.counter(
-                "tasd_plan_swaps_total", "Hot plan-swaps committed"
-            ).labels()
-            self._m_rollbacks = metrics.counter(
-                "tasd_swap_rollbacks_total",
-                "Hot plan-swaps rejected or rolled back",
-            ).labels()
-            self._m_drain = metrics.histogram(
-                "tasd_serve_drain_seconds", "Graceful-drain duration"
-            ).labels()
+        metrics = self.metrics = MetricsRegistry()
+        # Children resolved once here, so the hot path never pays the
+        # registry's name lookup.
+        self._m_requests = metrics.counter(
+            "tasd_serve_requests_total", "Requests served to completion"
+        ).labels()
+        self._m_samples = metrics.counter(
+            "tasd_serve_samples_total", "Samples served across all requests"
+        ).labels()
+        self._m_batches = metrics.counter(
+            "tasd_serve_batches_total", "Micro-batches dispatched"
+        ).labels()
+        self._m_errors = metrics.counter(
+            "tasd_serve_errors_total", "Requests failed with an exception"
+        ).labels()
+        self._m_latency = metrics.histogram(
+            "tasd_serve_request_latency_seconds", "End-to-end request latency"
+        ).labels()
+        self._m_queue_wait = metrics.histogram(
+            "tasd_serve_queue_wait_seconds", "Submit-to-dispatch queue wait"
+        ).labels()
+        self._m_batch_size = metrics.histogram(
+            "tasd_serve_batch_size",
+            "Requests coalesced per micro-batch",
+            buckets=BATCH_SIZE_BUCKETS,
+        ).labels()
+        self._m_occupancy = metrics.histogram(
+            "tasd_serve_batch_occupancy",
+            "Micro-batch fill fraction of max_batch",
+            buckets=OCCUPANCY_BUCKETS,
+        ).labels()
+        self._m_retried = metrics.counter(
+            "tasd_serve_requests_retried_total",
+            "Request dispatch attempts repeated after a worker crash",
+        ).labels()
+        self._m_deadline = metrics.counter(
+            "tasd_serve_deadline_exceeded_total",
+            "Requests dropped because their deadline expired before dispatch",
+        ).labels()
+        self._m_rejected = metrics.counter(
+            "tasd_serve_queue_rejected_total",
+            "Submits rejected by the max_queue admission bound",
+        ).labels()
+        self._m_fallback = metrics.counter(
+            "tasd_serve_fallback_batches_total",
+            "Micro-batches served by the in-process fallback executor",
+        ).labels()
+        self._m_swaps = metrics.counter(
+            "tasd_plan_swaps_total", "Hot plan-swaps committed"
+        ).labels()
+        self._m_rollbacks = metrics.counter(
+            "tasd_swap_rollbacks_total",
+            "Hot plan-swaps rejected or rolled back",
+        ).labels()
+        self._m_drain = metrics.histogram(
+            "tasd_serve_drain_seconds", "Graceful-drain duration"
+        ).labels()
 
     # ------------------------------------------------------------------ #
     def start(self) -> "ServingEngine":
@@ -392,8 +379,7 @@ class ServingEngine:
             # late submitters, even after the wind-down finished and the
             # engine stopped.
             if self._draining:
-                if self.metrics is not None:
-                    self._m_rejected.inc()
+                self._m_rejected.inc()
                 raise QueueFull(
                     "engine is draining: admitted work is being finished, "
                     "new requests are rejected"
@@ -402,8 +388,7 @@ class ServingEngine:
                 raise EngineStopped("serving engine is not running; call start() first")
             with self._depth_lock:
                 if self.max_queue is not None and self._depth >= self.max_queue:
-                    if self.metrics is not None:
-                        self._m_rejected.inc()
+                    self._m_rejected.inc()
                     raise QueueFull(
                         f"request queue is at its max_queue bound ({self.max_queue}); "
                         "shed load, retry later, or raise max_queue"
@@ -462,8 +447,7 @@ class ServingEngine:
                 self._pending_cond.wait(min(remaining, 0.5) if remaining is not None else 0.5)
             drained = self._pending <= 0
         self.stop()
-        if self.metrics is not None:
-            self._m_drain.observe(time.perf_counter() - t0)
+        self._m_drain.observe(time.perf_counter() - t0)
         return drained
 
     def swap_plan(
@@ -505,8 +489,7 @@ class ServingEngine:
         from .planio import PlanDigestError, PlanFormatError, load_plan, plan_fingerprint
 
         def reject(reason: str, cause: "Exception | None" = None):
-            if self.metrics is not None:
-                self._m_rollbacks.inc()
+            self._m_rollbacks.inc()
             raise SwapRejected(reason) from cause
 
         with self._swap_lock:
@@ -586,8 +569,7 @@ class ServingEngine:
             try:
                 swapped = swap_fn(new_plan, canary=check)
             except SwapRejected:
-                if self.metrics is not None:
-                    self._m_rollbacks.inc()
+                self._m_rollbacks.inc()
                 raise
             except (PlanSwapError, WorkerCrashError, PoolDegradedError) as exc:
                 reject(f"swap rolled back: {exc}", exc)
@@ -615,8 +597,7 @@ class ServingEngine:
                     + (f" ({post_error})" if post_error is not None else ""),
                     post_error,
                 )
-            if self.metrics is not None:
-                self._m_swaps.inc()
+            self._m_swaps.inc()
             return {
                 "swapped_workers": swapped,
                 "canary_samples": int(canary_x.shape[0]),
@@ -759,12 +740,11 @@ class ServingEngine:
         try:
             outputs = self._dispatch(inputs)
         except WorkerCrashError as exc:
-            if self._note_degraded() is not None:
+            if self._note_degraded():
                 self._run_batch(batch, retries_left)  # pool collapsed: fallback serves it
                 return
             if retries_left > 0:
-                if self.metrics is not None:
-                    self._m_retried.inc(len(batch))
+                self._m_retried.inc(len(batch))
                 self._run_batch(batch, retries_left - 1)
                 return
             if len(batch) > 1:
@@ -775,7 +755,7 @@ class ServingEngine:
             self._fail_batch(batch, exc, dispatched_at)
             return
         except PoolDegradedError as exc:
-            if self._note_degraded() is not None:
+            if self._note_degraded():
                 self._run_batch(batch, retries_left)
                 return
             self._fail_batch(batch, exc, dispatched_at)
@@ -830,15 +810,14 @@ class ServingEngine:
         # sees a half-recorded batch (some of its requests but not others).
         with self._stats_lock:
             self._request_stats.extend(batch_stats)
-        if self.metrics is not None:
-            self._m_batches.inc()
-            self._m_batch_size.observe(len(batch))
-            self._m_occupancy.observe(len(batch) / self.max_batch)
-            for stats in batch_stats:
-                self._m_requests.inc()
-                self._m_samples.inc(stats.samples)
-                self._m_latency.observe(stats.latency)
-                self._m_queue_wait.observe(stats.queue_time)
+        self._m_batches.inc()
+        self._m_batch_size.observe(len(batch))
+        self._m_occupancy.observe(len(batch) / self.max_batch)
+        for stats in batch_stats:
+            self._m_requests.inc()
+            self._m_samples.inc(stats.samples)
+            self._m_latency.observe(stats.latency)
+            self._m_queue_wait.observe(stats.queue_time)
 
     # ------------------------------------------------------------------ #
     # Recovery plumbing.
@@ -848,37 +827,31 @@ class ServingEngine:
         # _degraded flips; never rebound, so the unlocked read is stable
         fallback = self._fallback_pool
         if self._degraded and fallback is not None:
-            if self.metrics is not None:
-                self._m_fallback.inc()
+            self._m_fallback.inc()
             return fallback.run(inputs)
         return self.executor.run(inputs)
 
-    def _note_degraded(self) -> "WorkerPool | None":
+    def _note_degraded(self) -> bool:
         """Pin the engine to its in-process fallback once the pool collapses.
 
-        Returns the fallback pool when degraded serving is active (building
-        and installing it on first use), else ``None``.  An open circuit
-        breaker never closes on its own, so once collapsed the pool is not
-        probed again — every later batch goes straight to the fallback.
+        Returns ``True`` when degraded serving is active, building and
+        installing the fallback :class:`PlanExecutor` on first use.  An
+        open circuit breaker never closes on its own, so once collapsed
+        the pool is not probed again — every later batch goes straight to
+        the fallback.
         """
-        if not self._degraded and not getattr(self.executor, "degraded", False):
-            return None
-        fallback: "WorkerPool | None" = None
-        if self.fallback != "none" and not isinstance(self.executor, PlanExecutor):
-            with self._fallback_lock:
-                if self._fallback_pool is None:
-                    model = getattr(self.executor, "model", None)
-                    plan = getattr(self.executor, "plan", None)
-                    if model is not None and plan is not None:
-                        self._fallback_pool = PlanExecutor(model, plan).install()
-                fallback = self._fallback_pool
-        if fallback is not None:
-            self._degraded = True
-        return fallback
+        if not self._degraded and not self.executor.degraded:
+            return False
+        with self._fallback_lock:
+            if self._fallback_pool is None:
+                self._fallback_pool = PlanExecutor(
+                    self.executor.model, self.executor.plan
+                ).install()
+        self._degraded = True
+        return True
 
     def _fail_deadline(self, req: _Request, now: float, batch_size: int) -> None:
-        if self.metrics is not None:
-            self._m_deadline.inc()
+        self._m_deadline.inc()
         exc = DeadlineExceeded(
             f"request {req.request_id} missed its deadline by "
             f"{now - req.deadline_at:.3f}s before dispatch"
@@ -889,8 +862,7 @@ class ServingEngine:
 
     def _fail_batch(self, batch: list[_Request], exc: Exception, dispatched_at: float) -> None:
         failed_at = time.perf_counter()
-        if self.metrics is not None:
-            self._m_errors.inc(len(batch))
+        self._m_errors.inc(len(batch))
         label = f"{type(exc).__name__}: {exc}"
         for req in batch:
             req.future.set_exception(exc)
@@ -921,9 +893,9 @@ class ServingEngine:
 
         The request list is snapshotted under the stats lock (batches land
         atomically, so a mid-batch report never sees a torn micro-batch),
-        and — when metrics are on — carries the engine's live latency
-        histogram, so ``p50``/``p95``/``p99`` are bucket-exact with what
-        ``/metrics`` exports.
+        and carries the engine's live latency histogram, so
+        ``p50``/``p95``/``p99`` are bucket-exact with what ``/metrics``
+        exports.
         """
         with self._state_lock:
             started, stopped = self._started_at, self._stopped_at
@@ -931,8 +903,9 @@ class ServingEngine:
         with self._stats_lock:
             requests = list(self._request_stats)
         wall = max(0.0, end - started) if started else 0.0
-        histogram = self._m_latency.snapshot() if self.metrics is not None else None
-        return ServeReport(requests=requests, wall_time=wall, histogram=histogram)
+        return ServeReport(
+            requests=requests, wall_time=wall, histogram=self._m_latency.snapshot()
+        )
 
     def traces(self) -> list:
         """Span traces of the most recent requests (oldest first, bounded)."""
@@ -947,16 +920,15 @@ class ServingEngine:
         """Liveness with degradation: ``ok`` / ``draining`` / ``degraded``
         / ``dead``.
 
-        ``ok``, ``draining``, and ``degraded`` all scrape as HTTP 200 — a
-        draining server is finishing admitted work before a planned stop,
-        and a degraded one is still answering, just without its pool
-        (in-process fallback, or mid-respawn with no worker up right now)
-        — while ``dead`` (stopped, or collapsed with no fallback to serve
-        through) scrapes as 503.
+        A running engine reports ``ok``, ``draining`` or ``degraded``, all
+        of which scrape as HTTP 200 — a draining server is finishing
+        admitted work before a planned stop, and a degraded one is still
+        answering, just without its pool (in-process fallback, or
+        mid-respawn with no worker up right now).  ``dead`` means the
+        engine is stopped and scrapes as 503.
         """
         workers = self.worker_stats()
         alive = sum(1 for w in workers if w.alive)
-        pool_degraded = self._degraded or bool(getattr(self.executor, "degraded", False))
         with self._state_lock:
             running, draining = self._running, self._draining
         if not running:
@@ -966,19 +938,10 @@ class ServingEngine:
             # Load balancers read this as "stop routing here" while the
             # scrape stays 200 (the server is leaving, not failing).
             status = "draining"
-        elif pool_degraded:
-            # lint: disable=guarded-field — set-once pointer; a stale read
-            # only re-checks whether a fallback *could* be built, harmless
-            can_fallback = self._degraded and self._fallback_pool is not None
-            if not can_fallback:
-                can_fallback = self.fallback != "none" and not isinstance(
-                    self.executor, PlanExecutor
-                )
-            status = "degraded" if can_fallback else "dead"
-        elif workers and alive == 0:
-            # No worker up *right now*: degraded while a supervisor can
-            # still respawn, dead when nothing will bring one back.
-            status = "degraded" if getattr(self.executor, "respawn", False) else "dead"
+        elif self._degraded or self.executor.degraded or (workers and alive == 0):
+            # Serving through the in-process fallback, or no worker up
+            # *right now* while the supervisor respawns one.
+            status = "degraded"
         else:
             status = "ok"
         return status != "dead", {
@@ -1001,7 +964,7 @@ class ServingEngine:
         scrape time from :meth:`WorkerPool.stats`, so scraping costs the
         scraper, not the serving path.
         """
-        snaps = [self.metrics.snapshot()] if self.metrics is not None else []
+        snaps = [self.metrics.snapshot()]
         registry = MetricsRegistry()
         stats_fn = getattr(self.executor, "stats", None)
         plan = getattr(self.executor, "plan", None)
@@ -1044,7 +1007,7 @@ class ServingEngine:
             registry.counter(
                 "tasd_worker_deaths_total", "Pool workers retired after dying"
             ).inc(deaths)
-        degraded = self._degraded or bool(getattr(self.executor, "degraded", False))
+        degraded = self._degraded or self.executor.degraded
         registry.gauge(
             "tasd_serve_degraded",
             "1 while the pool has collapsed and the engine serves degraded",

@@ -73,12 +73,10 @@ class TestCli:
         assert "einsum-gather" in message  # lists the valid names
 
     def test_supervision_flags_need_worker_processes(self):
-        """--no-respawn / --request-timeout only mean something to a
-        process pool; with the in-process executor they must not be
-        silently ignored."""
-        for flags in (["--no-respawn"], ["--request-timeout", "30"]):
-            with pytest.raises(SystemExit, match="--workers"):
-                main(["serve", "--workers", "1", *flags])
+        """--request-timeout only means something to a process pool; with
+        the in-process executor it must not be silently ignored."""
+        with pytest.raises(SystemExit, match="--workers"):
+            main(["serve", "--workers", "1", "--request-timeout", "30"])
 
     def test_serve_has_no_pool_kind_flag(self, capsys):
         # The flag is spelt in two pieces so a repo-wide grep for the

@@ -14,7 +14,10 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -29,7 +32,6 @@ from repro.runtime import (
     DeadlineExceeded,
     PlanExecutor,
     PlanSwapError,
-    PoolDegradedError,
     ProcessWorkerPool,
     QueueFull,
     ServingEngine,
@@ -91,7 +93,7 @@ class TestChaosSpec:
     def test_crash_on_nth_raises_typed_crash_error(self, compiled, batch):
         model, plan = compiled
         pool = ProcessWorkerPool(
-            model, plan, workers=1, chaos=ChaosSpec(crash_on_nth=2), respawn=False
+            model, plan, workers=1, chaos=ChaosSpec(crash_on_nth=2)
         )
         with pool:
             pool.install()
@@ -103,7 +105,7 @@ class TestChaosSpec:
     def test_respawned_worker_serves_bit_identical(self, compiled, batch, reference):
         model, plan = compiled
         pool = ProcessWorkerPool(
-            model, plan, workers=1, chaos=ChaosSpec(crash_on_nth=3), respawn=True, **FAST
+            model, plan, workers=1, chaos=ChaosSpec(crash_on_nth=3), **FAST
         )
         with pool:
             pool.install()
@@ -123,7 +125,6 @@ class TestChaosSpec:
             workers=1,
             chaos=ChaosSpec(hang_on_nth=3, hang_seconds=30.0),
             request_timeout=0.3,
-            respawn=True,
             **FAST,
         )
         with pool:
@@ -140,7 +141,7 @@ class TestChaosSpec:
     def test_slow_worker_still_correct(self, compiled, batch, reference):
         model, plan = compiled
         pool = ProcessWorkerPool(
-            model, plan, workers=1, chaos=ChaosSpec(slow_seconds=0.05), respawn=False
+            model, plan, workers=1, chaos=ChaosSpec(slow_seconds=0.05)
         )
         with pool:
             pool.install()
@@ -150,7 +151,7 @@ class TestChaosSpec:
     def test_die_on_start_fails_install_without_leaking_children(self, compiled):
         model, plan = compiled
         pool = ProcessWorkerPool(
-            model, plan, workers=2, chaos=ChaosSpec(die_on_start=True), respawn=False
+            model, plan, workers=2, chaos=ChaosSpec(die_on_start=True)
         )
         with pytest.raises(RuntimeError, match="died during startup"):
             pool.install()
@@ -164,7 +165,6 @@ class TestChaosSpec:
             workers=2,
             chaos=ChaosSpec(hang_on_start=30.0),
             start_timeout=0.3,
-            respawn=False,
         )
         with pytest.raises(RuntimeError, match="did not report ready within"):
             pool.install()
@@ -184,7 +184,7 @@ class TestEngineRecovery:
     def test_worker_crash_is_invisible_to_clients(self, compiled, batch, reference):
         model, plan = compiled
         pool = ProcessWorkerPool(
-            model, plan, workers=2, chaos=ChaosSpec(crash_on_nth=3), respawn=True, **FAST
+            model, plan, workers=2, chaos=ChaosSpec(crash_on_nth=3), **FAST
         )
         with pool:
             with ServingEngine(pool, workers=2, max_batch=2, max_retries=3) as engine:
@@ -204,7 +204,6 @@ class TestEngineRecovery:
             plan,
             workers=2,
             chaos=ChaosSpec(),  # poison marker active, no other faults
-            respawn=True,
             max_respawns=20,
             **FAST,
         )
@@ -235,7 +234,6 @@ class TestEngineRecovery:
             plan,
             workers=1,
             chaos=ChaosSpec(crash_on_nth=1),  # every request kills its worker
-            respawn=True,
             max_respawns=2,
             respawn_window=60.0,
             **FAST,
@@ -257,37 +255,45 @@ class TestEngineRecovery:
                     snap["tasd_serve_fallback_batches_total"]["series"][0]["value"] >= 1
                 )
 
-    def test_respawn_disabled_all_dead_degrades(self, compiled, batch, reference):
+    def test_every_worker_killed_at_once_serves_on(self, compiled, batch, reference):
+        """SIGKILL the whole fleet behind a running engine: the next
+        requests still equal PlanExecutor bit for bit, and /healthz
+        scrapes HTTP 200 throughout (``degraded`` while no worker is up)."""
         model, plan = compiled
-        pool = ProcessWorkerPool(
-            model, plan, workers=2, respawn=False, health_interval=0.05
-        )
+        pool = ProcessWorkerPool(model, plan, workers=2, **FAST)
+        codes: list[int] = []
+        stop = threading.Event()
+
+        def poll_healthz(url: str) -> None:
+            while not stop.is_set():
+                try:
+                    with urllib.request.urlopen(url, timeout=10.0) as resp:
+                        codes.append(resp.status)
+                except urllib.error.HTTPError as exc:
+                    codes.append(exc.code)
+                time.sleep(0.001)
+
         with pool:
             with ServingEngine(pool, workers=1, max_batch=2) as engine:
-                assert np.array_equal(engine.infer(batch, timeout=60.0), reference)
-                for pid in pool.worker_pids():
-                    os.kill(pid, signal.SIGKILL)
-                assert _wait_until(lambda: pool.degraded)
-                assert np.array_equal(engine.infer(batch, timeout=60.0), reference)
-                ok, detail = engine.healthz()
-                assert ok and detail["status"] == "degraded"
-
-    def test_degraded_pool_without_fallback_fails_typed(self, compiled, batch):
-        model, plan = compiled
-        pool = ProcessWorkerPool(
-            model, plan, workers=1, respawn=False, health_interval=0.05
-        )
-        with pool:
-            with ServingEngine(pool, workers=1, fallback="none") as engine:
-                engine.infer(batch, timeout=60.0)
-                for pid in pool.worker_pids():
-                    os.kill(pid, signal.SIGKILL)
-                assert _wait_until(lambda: pool.degraded)
-                with pytest.raises((PoolDegradedError, WorkerCrashError)):
-                    engine.infer(batch, timeout=60.0)
-                ok, detail = engine.healthz()
-                assert not ok
-                assert detail["status"] == "dead"
+                with engine.serve_metrics(port=0) as server:
+                    assert np.array_equal(engine.infer(batch, timeout=60.0), reference)
+                    poller = threading.Thread(
+                        target=poll_healthz, args=(server.url + "/healthz",)
+                    )
+                    poller.start()
+                    try:
+                        for pid in pool.worker_pids():
+                            os.kill(pid, signal.SIGKILL)
+                        outputs = [engine.infer(batch, timeout=60.0) for _ in range(4)]
+                        assert _wait_until(
+                            lambda: pool.respawns >= 2 and len(pool.worker_pids()) == 2
+                        )
+                    finally:
+                        stop.set()
+                        poller.join(timeout=30.0)
+                    assert not poller.is_alive()
+        assert all(np.array_equal(y, reference) for y in outputs)
+        assert codes and set(codes) == {200}
 
 
 # --------------------------------------------------------------------- #
@@ -296,7 +302,7 @@ class TestEngineRecovery:
 class TestChaosMonkey:
     def test_kill_one_targets_live_worker(self, compiled):
         model, plan = compiled
-        pool = ProcessWorkerPool(model, plan, workers=2, respawn=False)
+        pool = ProcessWorkerPool(model, plan, workers=2)
         with pool:
             pool.install()
             monkey = ChaosMonkey(pool)
@@ -313,7 +319,6 @@ class TestChaosMonkey:
             model,
             plan,
             workers=2,
-            respawn=True,
             max_respawns=50,
             respawn_window=60.0,
             **FAST,
@@ -413,8 +418,6 @@ class TestDeadlinesAndAdmission:
             ServingEngine(PlanExecutor(model, plan), max_queue=0)
         with pytest.raises(ValueError, match="max_retries"):
             ServingEngine(PlanExecutor(model, plan), max_retries=-1)
-        with pytest.raises(ValueError, match="fallback"):
-            ServingEngine(PlanExecutor(model, plan), fallback="bogus")
 
 
 def _recompiled_plan(model):

@@ -269,6 +269,8 @@ class TestProcessWorkerPool:
         model, _, plan = compiled
         with pytest.raises(ValueError, match="workers"):
             ProcessWorkerPool(model, plan, workers=0)
+        with pytest.raises(ValueError, match="health_interval"):
+            ProcessWorkerPool(model, plan, health_interval=0)
 
     def test_platform_without_fork_is_refused(self, compiled, monkeypatch):
         model, _, plan = compiled

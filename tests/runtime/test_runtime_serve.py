@@ -199,20 +199,6 @@ def test_report_percentiles_come_from_the_live_histogram(executor):
     assert "p50" in report.summary() and "p99" in report.summary()
 
 
-def test_metrics_disabled_engine_still_serves_and_reports(executor):
-    rng = np.random.default_rng(22)
-    with ServingEngine(executor, max_batch=2, batch_window=0.01, metrics=False) as engine:
-        engine.infer(rng.normal(size=(1, 3, 8, 8)), timeout=60.0)
-        snap = engine.metrics_snapshot()  # pool-side views still assemble
-    report = engine.report()
-    assert report.histogram is None
-    assert report.count == 1
-    assert report.p50 > 0.0  # falls back to a histogram built from requests
-    assert "tasd_serve_requests_total" not in snap
-    assert "tasd_layer_calls_total" in snap
-    assert "tasd_worker_alive" in snap
-
-
 def test_concurrent_report_never_sees_a_torn_batch(executor):
     """Hammer report() while batches land: every micro-batch must appear
     atomically (all of its requests or none), never partially."""

@@ -222,6 +222,35 @@ class TestExecutorSwap:
             assert pool.plan is plan
             np.testing.assert_allclose(pool.run(batch), reference)
 
+    @pytest.mark.parametrize("canary", [False, True], ids=["no-canary", "canary"])
+    @pytest.mark.parametrize("substrate", ["executor", "pool"])
+    def test_stats_keep_every_count_across_a_swap(self, batch, substrate, canary):
+        # The candidate already served under another executor: none of
+        # those counts may leak into this substrate's stats, and none of
+        # the substrate's own pre-swap counts may be lost.
+        model, transform = _small_model()
+        plan, candidate = compile_plan(model, transform), compile_plan(model, transform)
+        with PlanExecutor(model, candidate) as other:
+            for _ in range(3):
+                other.run(batch)
+        if substrate == "executor":
+            substrate_cm = PlanExecutor(model, plan)
+        else:
+            substrate_cm = ProcessWorkerPool(model, plan, workers=2, **FAST)
+        with substrate_cm as pool:
+            for _ in range(4):
+                pool.run(batch)
+            pool.swap_plan(candidate, canary=(lambda run: run(batch)) if canary else None)
+            pool.run(batch)
+            stats = pool.stats()
+        # A PlanExecutor canaries through its own run(), a counted batch; a
+        # pool worker's canary probe is counted nowhere.
+        expected = 6 if canary and substrate == "executor" else 5
+        assert stats.batches == expected
+        assert {name: c.calls for name, c in stats.layers.items()} == dict.fromkeys(
+            plan.layers, expected
+        )
+
 
 # --------------------------------------------------------------------- #
 # Engine-level swap: canary gate, typed rejection, rollback accounting
