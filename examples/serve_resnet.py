@@ -18,8 +18,8 @@ GIL with bit-identical outputs.
 The runtime is also *observable while it serves* (section 6) and
 *fault-tolerant* (section 7 kills a live worker and watches the
 supervisor respawn it with zero client-visible failures): the engine
-records latency / queue-wait / batch-size histograms and per-request span
-traces as it runs, and ``engine.serve_metrics(port=...)`` exposes them
+records latency / queue-wait / batch-size histograms and one record per
+request, with its span timeline, as it runs, and ``engine.serve_metrics(port=...)`` exposes them
 over HTTP — Prometheus ``/metrics``, ``/metrics.json``, ``/healthz``, and
 a human-readable ``/statusz`` — so you can watch a live server instead of
 waiting for a post-mortem ``report()``.
@@ -132,7 +132,7 @@ if __name__ == "__main__":
     #    per-layer GEMM latency by kernel backend, and a liveness gauge per
     #    pool worker.  Point a real Prometheus at
     #    the same URL, or open /statusz in a browser for the recent-request
-    #    trace table.  (`python -m repro.cli serve --metrics-port 9100` is
+    #    table.  (`python -m repro.cli serve --metrics-port 9100` is
     #    the one-line version of this section.)
     # -----------------------------------------------------------------------
     import json

@@ -35,11 +35,11 @@ Compiled plans persist across restarts (:mod:`repro.runtime.planio`):
 gather tables, and autotuned backend choices included — without
 re-decomposing or re-tuning, refusing models whose weights have drifted.
 
-The runtime is observable end to end (:mod:`repro.runtime.metrics`,
-:mod:`repro.runtime.tracing`): per-layer GEMM latency histograms with
-fixed buckets merge exactly across process workers, the
-serving engine records queue-wait / batch-size / end-to-end latency
-histograms plus per-request traces in a bounded ring, and
+The runtime is observable end to end (:mod:`repro.runtime.metrics`):
+per-layer GEMM latency histograms with fixed buckets merge exactly across
+process workers, the serving engine records queue-wait / batch-size /
+end-to-end latency histograms plus one :class:`RequestStats` record per
+request, whose stamps give its span timeline, and
 ``engine.serve_metrics(port=9100)`` exposes it all over HTTP —
 ``/metrics`` (Prometheus text), ``/metrics.json``, ``/healthz``, and a
 human-readable ``/statusz`` — using only the stdlib HTTP server.
@@ -110,7 +110,6 @@ from .pool import (
     WorkerPool,
 )
 from .serve import DeadlineExceeded, QueueFull, ServingEngine, SwapRejected
-from .tracing import RequestTrace, Span, TraceBuffer
 
 __all__ = [
     "AutotuneResult",
@@ -139,12 +138,9 @@ __all__ = [
     "QueueFull",
     "RemoteTraceback",
     "RequestStats",
-    "RequestTrace",
     "ServeReport",
     "ServingEngine",
-    "Span",
     "SwapRejected",
-    "TraceBuffer",
     "WorkerCrashError",
     "WorkerPool",
     "WorkerStat",

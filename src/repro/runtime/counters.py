@@ -169,17 +169,62 @@ class ExecutorStats:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass
 class RequestStats:
-    """Timing of one served request, recorded by the serving engine."""
+    """The serving engine's record of one request, whatever its outcome.
+
+    The stamps are ``time.perf_counter()`` values, clamped monotonic (each
+    stage starts no earlier than the previous one ended), so a request
+    that skipped a stage — expired or cancelled before dispatch, or
+    served synchronously during shutdown — has zero-length spans, never
+    negative ones.  ``error`` is ``None`` for a served request, and
+    otherwise names the outcome: ``"cancelled"``, or the exception the
+    request's future raised (``DeadlineExceeded: ...`` when it expired).
+    """
 
     request_id: int
     batch_size: int  # size of the micro-batch this request rode in
     samples: int  # samples this request itself contributed
-    queue_time: float  # seconds from submit to batch dispatch
-    compute_time: float  # seconds of model execution for the micro-batch
-    latency: float  # seconds from submit to result
+    submitted_at: float
+    collected_at: float  # a worker pulled it off the queue
+    dispatched_at: float  # its micro-batch went to the pool
+    done_at: float  # the pool returned (or failed)
+    resolved_at: float  # its future resolved
     attempts: int = 1  # dispatch attempts; > 1 means crash-recovery retries
+    error: str | None = None
+
+    def __post_init__(self) -> None:
+        self.collected_at = max(self.submitted_at, self.collected_at)
+        self.dispatched_at = max(self.collected_at, self.dispatched_at)
+        self.done_at = max(self.dispatched_at, self.done_at)
+        self.resolved_at = max(self.done_at, self.resolved_at)
+
+    @property
+    def queue_time(self) -> float:
+        """Seconds from submit to batch dispatch."""
+        return self.dispatched_at - self.submitted_at
+
+    @property
+    def compute_time(self) -> float:
+        """Seconds of model execution for the micro-batch."""
+        return self.done_at - self.dispatched_at
+
+    @property
+    def latency(self) -> float:
+        """Seconds from submit to result."""
+        return self.done_at - self.submitted_at
+
+    def spans(self) -> dict[str, float]:
+        """Span durations in seconds, tiling submit → resolve:
+        ``enqueue`` (waiting to be pulled off the queue), ``batch_form``
+        (waiting for the micro-batch window), ``execute`` (the pool's
+        forward) and ``reply`` (resolving the future)."""
+        return {
+            "enqueue": self.collected_at - self.submitted_at,
+            "batch_form": self.dispatched_at - self.collected_at,
+            "execute": self.done_at - self.dispatched_at,
+            "reply": self.resolved_at - self.done_at,
+        }
 
     def __str__(self) -> str:
         return (
@@ -208,7 +253,7 @@ class ServeReport:
     never NaN/inf in a ``summary()``.
     """
 
-    requests: list[RequestStats] = field(default_factory=list)
+    requests: list[RequestStats] = field(default_factory=list)  # served ones
     wall_time: float = 0.0
     # End-to-end latency histogram over the runtime's fixed log-spaced
     # buckets: the serving engine hands in a snapshot of its live histogram
@@ -243,23 +288,17 @@ class ServeReport:
         rank = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
         return ordered[rank]
 
-    def latency_histogram(self) -> Histogram:
-        """The latency histogram behind :attr:`p50`/:attr:`p95`/:attr:`p99`:
-        the engine's, bucket-exact with the ``/metrics`` export and merged
-        across all serving workers."""
-        return self.histogram
-
     @property
     def p50(self) -> float:
-        return self.latency_histogram().percentile(50)
+        return self.histogram.percentile(50)
 
     @property
     def p95(self) -> float:
-        return self.latency_histogram().percentile(95)
+        return self.histogram.percentile(95)
 
     @property
     def p99(self) -> float:
-        return self.latency_histogram().percentile(99)
+        return self.histogram.percentile(99)
 
     @property
     def throughput(self) -> float:

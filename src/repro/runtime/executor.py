@@ -9,9 +9,8 @@ engine's worker threads can share an executor safely — at the cost of
 serialising their forwards.
 
 This is the degenerate, single-worker case of the
-:class:`repro.runtime.pool.WorkerPool` seam (it honours the same
-``install`` / ``run`` / ``stats`` contract and registers as a virtual
-subclass).  When worker throughput should scale instead, use
+:class:`repro.runtime.pool.WorkerPool` seam.  When worker throughput
+should scale instead, use
 :class:`~repro.runtime.pool.ProcessWorkerPool`: its workers are forked
 processes that inherit the model and plan, past the GIL.
 """
@@ -27,11 +26,12 @@ from repro.nn.module import Module
 
 from .counters import ExecutorStats, LayerCounters, WorkerStat
 from .plan import ExecutionPlan
+from .pool import PlanSwapError, WorkerPool
 
 __all__ = ["PlanExecutor"]
 
 
-class PlanExecutor:
+class PlanExecutor(WorkerPool):
     """Execute batches against a compiled plan, collecting perf counters.
 
     Usage::
@@ -42,8 +42,10 @@ class PlanExecutor:
             print(ex.stats().table())
     """
 
-    # A serial in-process executor has no pool to lose: it never degrades.
+    # A serial in-process executor has no pool to lose: it never degrades,
+    # and no worker of its own to retire or respawn.
     degraded = False
+    respawns = deaths = 0
 
     def __init__(self, model: Module, plan: ExecutionPlan) -> None:
         self.model = model
@@ -52,6 +54,7 @@ class PlanExecutor:
         self._layer_base: dict[str, LayerCounters] = {}
         self._lock = threading.Lock()
         self._installed = False
+        self._counting = False  # the plan's counters are this executor's
         self._batches = 0
         self._samples = 0
         self._wall_time = 0.0
@@ -59,11 +62,25 @@ class PlanExecutor:
     # ------------------------------------------------------------------ #
     def install(self) -> "PlanExecutor":
         with self._lock:
-            if not self._installed:
-                self.plan.install(self.model)
-                self.model.eval()
-                self._installed = True
+            self._install()
         return self
+
+    def _install(self) -> None:
+        """Install the plan on the model (caller holds the lock).
+
+        The first install zeroes the plan's counters, as a pool worker
+        does at start: counts the plan recorded under another executor
+        are not this one's.  A re-install after :meth:`close` keeps
+        counting.
+        """
+        if self._installed:
+            return
+        self.plan.install(self.model)
+        self.model.eval()
+        if not self._counting:
+            self.plan.reset_counters()
+            self._counting = True
+        self._installed = True
 
     def close(self) -> None:
         with self._lock:
@@ -71,31 +88,18 @@ class PlanExecutor:
                 self.plan.uninstall(self.model)
                 self._installed = False
 
-    def __enter__(self) -> "PlanExecutor":
-        return self.install()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     def run(self, x: np.ndarray) -> np.ndarray:
         """One timed forward of the plan-installed model over a batch."""
         x = np.asarray(x)
         with self._lock:
-            if not self._installed:
-                self.plan.install(self.model)
-                self.model.eval()
-                self._installed = True
+            self._install()
             t0 = time.perf_counter()
             y = self.model(x)
             self._wall_time += time.perf_counter() - t0
             self._batches += 1
             self._samples += int(x.shape[0])
         return y
-
-    def run_many(self, batches) -> list[np.ndarray]:
-        """Run a sequence of batches, returning their outputs in order."""
-        return [self.run(x) for x in batches]
 
     # ------------------------------------------------------------------ #
     def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
@@ -110,8 +114,6 @@ class PlanExecutor:
         refuses raises :class:`~repro.runtime.pool.PlanSwapError` with the
         old plan still installed.  Returns 1, the worker count.
         """
-        from .pool import PlanSwapError
-
         old_plan = self.plan
         with self._lock:
             try:
@@ -144,7 +146,7 @@ class PlanExecutor:
         plan.reset_counters()
         self.model.eval()
         self.plan = plan
-        self._installed = True
+        self._installed = self._counting = True
 
     # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:

@@ -22,8 +22,8 @@ This module turns those counters into *live* telemetry:
   liveness) into one scrape.
 - :class:`MetricsServer` — a stdlib ``ThreadingHTTPServer`` exporter
   serving ``/metrics`` (Prometheus text), ``/metrics.json`` (the
-  snapshot), ``/healthz`` (pool liveness), and ``/statusz`` (recent
-  request traces).  No new dependencies.
+  snapshot), ``/healthz`` (pool liveness), and ``/statusz`` (the most
+  recent request records).  No new dependencies.
 
 Nothing here imports the rest of the runtime, so every layer (counters,
 plan, serve) can import this module freely.
@@ -539,7 +539,7 @@ class MetricsServer:
       200-with-status: a degraded-but-serving engine returns ``ok`` with
       ``{"status": "degraded"}`` in the detail, reserving 503 for
       ``"dead"`` — stopped, or collapsed with nothing to serve through;
-    - ``status_fn() -> str`` backs ``/statusz`` (the recent-request trace
+    - ``status_fn() -> str`` backs ``/statusz`` (the recent-request
       table).
 
     ``port=0`` binds an ephemeral port; read the chosen one from

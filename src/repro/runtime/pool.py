@@ -4,8 +4,7 @@
 actually drives.  Two substrates honour it:
 
 - :class:`~repro.runtime.executor.PlanExecutor` — the serial in-process
-  executor (a single lock-serialised worker), registered as a virtual
-  subclass so everything the engine accepts is a :class:`WorkerPool`.
+  executor, a :class:`WorkerPool` with a single lock-serialised worker.
 - :class:`ProcessWorkerPool` — one worker *process* per worker.  Every
   worker is forked from the parent and inherits its model and compiled
   plan copy-on-write: nothing is pickled or copied at start, the child
@@ -57,7 +56,6 @@ from repro.analysis.annotations import hot_path
 from repro.nn.module import Module
 
 from .counters import ExecutorStats, LayerCounters, WorkerStat
-from .executor import PlanExecutor
 from .plan import ExecutionPlan
 
 __all__ = [
@@ -127,8 +125,12 @@ class WorkerPool(abc.ABC):
       after a ``close``);
     - :meth:`stats` / :meth:`reset_stats` — per-layer counters merged
       across workers, plus whole-forward batch/sample/wall totals;
+    - :meth:`worker_stats` — per-worker liveness and served counts;
+    - :meth:`swap_plan` — move every worker onto another plan;
     - :attr:`degraded` — true once the pool cannot return to service on
-      its own, the engine's cue to serve in-process instead.
+      its own, the engine's cue to serve in-process instead;
+    - :attr:`respawns` / :attr:`deaths` — cumulative workers respawned
+      and retired.
 
     Implementations must keep :meth:`run` lock-free across the forward
     itself so up to ``workers`` forwards proceed concurrently.
@@ -136,8 +138,9 @@ class WorkerPool(abc.ABC):
 
     model: Module
     plan: ExecutionPlan
-    workers: int
     degraded: bool
+    respawns: int
+    deaths: int
 
     @abc.abstractmethod
     def install(self) -> "WorkerPool":
@@ -163,15 +166,15 @@ class WorkerPool(abc.ABC):
     def reset_stats(self) -> None:
         """Zero every counter this pool reports."""
 
+    @abc.abstractmethod
     def worker_stats(self) -> list[WorkerStat]:
         """Per-worker liveness + served-forward counts (telemetry gauges).
 
         Retired workers (previous generations, mid-request deaths) stay
-        listed with ``alive=False`` so a scrape can alert on them; the
-        default is an empty list for substrates with no worker identity.
+        listed with ``alive=False`` so a scrape can alert on them.
         """
-        return []
 
+    @abc.abstractmethod
     def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
         """Roll every worker onto ``new_plan``; returns workers swapped.
 
@@ -181,19 +184,12 @@ class WorkerPool(abc.ABC):
         canary raising *anything* rejects the swap: the pool rolls back
         to the old plan and the exception propagates to the caller.
         """
-        raise NotImplementedError(f"{type(self).__name__} cannot hot-swap plans")
 
     def __enter__(self) -> "WorkerPool":
         return self.install()
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-# A PlanExecutor is the degenerate one-worker pool (its internal lock
-# serialises forwards); registering it keeps `isinstance(x, WorkerPool)`
-# true for everything the serving engine accepts.
-WorkerPool.register(PlanExecutor)
 
 
 # ---------------------------------------------------------------------- #
@@ -894,7 +890,10 @@ class ProcessWorkerPool(WorkerPool):
                                 "the new plan"
                             ) from None
                         except BaseException:
-                            self._free.put(worker)
+                            # The rejected plan must never reach the free
+                            # queue, where a waiting run() would take it.
+                            swapped.discard(worker.uid)
+                            self._restore(worker, old_plan)
                             raise
                         canaried = True
                     self._free.put(worker)
@@ -921,16 +920,20 @@ class ProcessWorkerPool(WorkerPool):
             if worker is None:
                 return
             remaining.discard(worker.uid)
-            try:
-                self._swap_one(worker, old_plan)
-            except WorkerCrashError:
-                continue
-            except PlanSwapError:
-                # Could not restore the old plan either: retire it; a
-                # respawn from the old plan replaces it.
-                self._retire(worker)
-                continue
-            self._free.put(worker)
+            self._restore(worker, old_plan)
+
+    def _restore(self, worker: _ProcWorker, old_plan: ExecutionPlan) -> None:
+        """Swap one held-out worker back onto ``old_plan``, then return it
+        to service.  A worker that dies, or cannot install the old plan
+        either, is retired; a respawn from the old plan replaces it."""
+        try:
+            self._swap_one(worker, old_plan)
+        except WorkerCrashError:
+            return
+        except PlanSwapError:
+            self._retire(worker)
+            return
+        self._free.put(worker)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:

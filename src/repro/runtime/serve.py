@@ -29,10 +29,12 @@ engine reports ``dead`` (503).
 
 The engine is *observable while running* (the telemetry spine):
 
-- every request feeds latency / queue-wait / batch-size / window-occupancy
-  histograms in the engine's :class:`~repro.runtime.metrics.MetricsRegistry` and
-  leaves a span trace (``enqueue → batch_form → execute → reply``) in a
-  bounded ring buffer (:meth:`traces`);
+- every request, served or not, leaves one
+  :class:`~repro.runtime.counters.RequestStats` record (:meth:`records`)
+  whose stamps give its ``enqueue → batch_form → execute → reply`` spans,
+  and a served one feeds latency / queue-wait / batch-size /
+  window-occupancy histograms in the engine's
+  :class:`~repro.runtime.metrics.MetricsRegistry`;
 - :meth:`metrics_snapshot` assembles one scrape from the engine's own
   registry plus scrape-time views of the pool (per-layer GEMM histograms
   merged across every worker, per-worker liveness);
@@ -56,7 +58,7 @@ import numpy as np
 
 from repro.analysis.annotations import hot_path
 
-from .counters import RequestStats, ServeReport, WorkerStat
+from .counters import RequestStats, ServeReport
 from .executor import PlanExecutor
 from .metrics import (
     BATCH_SIZE_BUCKETS,
@@ -67,9 +69,10 @@ from .metrics import (
     merge_snapshots,
 )
 from .pool import PlanSwapError, PoolDegradedError, WorkerCrashError, WorkerPool
-from .tracing import RequestTrace, TraceBuffer
 
 __all__ = ["DeadlineExceeded", "EngineStopped", "QueueFull", "SwapRejected", "ServingEngine"]
+
+_STATUSZ_ROWS = 25  # records /statusz shows
 
 
 class EngineStopped(RuntimeError):
@@ -136,8 +139,6 @@ class ServingEngine:
         Worker threads draining the queue.  Pair ``workers=N`` with a
         pool of ``N`` workers (``ProcessWorkerPool(..., workers=N)``) to
         scale throughput.
-    trace_capacity : int
-        Ring-buffer bound for per-request span traces (:meth:`traces`).
     max_queue : int | None
         Admission bound: :meth:`submit` raises :class:`QueueFull` once
         this many requests are waiting (``None`` = unbounded, the old
@@ -166,7 +167,6 @@ class ServingEngine:
         max_batch: int = 8,
         batch_window: float = 0.002,
         workers: int = 1,
-        trace_capacity: int = 256,
         max_queue: int | None = None,
         max_retries: int = 2,
     ) -> None:
@@ -220,10 +220,10 @@ class ServingEngine:
         # request input is retained as the default canary batch.
         self._swap_lock = threading.Lock()
         self._last_input: "np.ndarray | None" = None  # guarded-by: _state_lock
-        self._request_stats: list[RequestStats] = []  # guarded-by: _stats_lock
+        # One record per admitted request, appended when it resolves.
+        self._records: list[RequestStats] = []  # guarded-by: _stats_lock
         self._started_at = 0.0  # guarded-by: _state_lock
         self._stopped_at = 0.0  # guarded-by: _state_lock
-        self._traces = TraceBuffer(trace_capacity)
         metrics = self.metrics = MetricsRegistry()
         # Children resolved once here, so the hot path never pays the
         # registry's name lookup.
@@ -295,7 +295,7 @@ class ServingEngine:
             # the restart sees either the old window or the new one — never a
             # half-reset mix.
             with self._stats_lock:
-                self._request_stats.clear()
+                self._records.clear()
             self._stopped_at = 0.0
             self._started_at = time.perf_counter()
             self._draining = False
@@ -316,16 +316,16 @@ class ServingEngine:
         for t in self._threads:
             t.join()
         self._threads.clear()
-        # Safety net: a request submitted concurrently with stop() may still
-        # sit behind the sentinels.  Resolve leftovers synchronously so no
-        # future is ever stranded — but compute only the ones someone is
-        # still waiting for: a cancelled future is skipped outright, and an
-        # expired deadline fails typed instead of burning a forward on an
-        # answer nobody will read.  Survivors are re-batched by sample
-        # shape, so a burst of stranded same-shape requests drains in a few
-        # forwards rather than one each.
+        # Safety net: submit() enqueues only while running, so every admitted
+        # request sits ahead of the sentinels and normally a worker has
+        # served it; one still queued here (a worker thread died) is
+        # resolved synchronously so no future is ever stranded, through the
+        # same path a worker takes (a cancelled request is skipped, an
+        # expired one fails typed).
+        # Leftovers are re-batched by sample shape, so a burst of stranded
+        # same-shape requests drains in a few forwards rather than one each.
         now = time.perf_counter()
-        survivors: dict[tuple, list[_Request]] = {}
+        leftovers: dict[tuple, list[_Request]] = {}
         while True:
             try:
                 leftover = self._queue.get_nowait()
@@ -335,18 +335,11 @@ class ServingEngine:
                 continue
             self._dec_depth()
             leftover.collected_at = now
-            if not leftover.future.set_running_or_notify_cancel():
-                self._trace_failure(leftover, now, now, 1, "cancelled")
-                self._request_resolved()
-                continue
-            if leftover.deadline_at and now > leftover.deadline_at:
-                self._fail_deadline(leftover, now, 1)
-                continue
             key = (leftover.x.shape[1:], leftover.x.dtype)
-            survivors.setdefault(key, []).append(leftover)
-        for batch in survivors.values():
+            leftovers.setdefault(key, []).append(leftover)
+        for batch in leftovers.values():
             for chunk_start in range(0, len(batch), self.max_batch):
-                self._run_batch(batch[chunk_start : chunk_start + self.max_batch], self.max_retries)
+                self._execute_batch(batch[chunk_start : chunk_start + self.max_batch])
         with self._state_lock:
             self._stopped_at = time.perf_counter()
 
@@ -498,14 +491,10 @@ class ServingEngine:
                     "engine is degraded (serving through the in-process "
                     "fallback); recover the pool before swapping plans"
                 )
-            old_plan = getattr(self.executor, "plan", None)
-            swap_fn = getattr(self.executor, "swap_plan", None)
-            if old_plan is None or swap_fn is None:
-                reject(f"{type(self.executor).__name__} cannot hot-swap plans")
+            old_plan = self.executor.plan
             if isinstance(plan_or_path, (str, Path)):
-                model = getattr(self.executor, "model", None)
                 try:
-                    new_plan = load_plan(plan_or_path, model)
+                    new_plan = load_plan(plan_or_path, self.executor.model)
                 except (OSError, PlanFormatError, PlanDigestError) as exc:
                     reject(f"artifact rejected: {exc}", exc)
             else:
@@ -567,7 +556,7 @@ class ServingEngine:
                     )
 
             try:
-                swapped = swap_fn(new_plan, canary=check)
+                swapped = self.executor.swap_plan(new_plan, canary=check)
             except SwapRejected:
                 self._m_rollbacks.inc()
                 raise
@@ -586,7 +575,7 @@ class ServingEngine:
                 post_ok, post_error = False, exc
             if not post_ok:
                 try:
-                    swap_fn(old_plan)  # roll the fleet back, no canary needed
+                    self.executor.swap_plan(old_plan)  # roll the fleet back, no canary needed
                 # lint: disable=broad-except — best-effort rollback; the
                 # supervisor respawns onto whichever spec committed
                 except Exception:
@@ -687,25 +676,25 @@ class ServingEngine:
             self._execute_batch(batch)
 
     def _execute_batch(self, batch: list[_Request]) -> None:
-        """Admission-filter a freshly formed micro-batch, then dispatch it."""
-        now = time.perf_counter()
+        """Skip the requests nobody waits for any more, then dispatch the rest."""
         live: list[_Request] = []
+        cancelled: list[_Request] = []
         for req in batch:
-            if not req.future.set_running_or_notify_cancel():
-                # infer(timeout=) gave up on this request: skip it here
-                # instead of computing an answer nobody will collect.
-                self._trace_failure(req, now, now, len(batch), "cancelled")
-                self._request_resolved()
-                continue
-            if req.deadline_at and now > req.deadline_at:
-                self._fail_deadline(req, now, len(batch))
-                continue
-            live.append(req)
+            # infer(timeout=) may have given up on a request: skip it here
+            # instead of computing an answer nobody will collect.
+            (live if req.future.set_running_or_notify_cancel() else cancelled).append(req)
+        if cancelled:
+            now = time.perf_counter()
+            self._settle(cancelled, len(batch), now, now, None)
         if live:
             self._run_batch(live, self.max_retries)
 
     def _run_batch(self, batch: list[_Request], retries_left: int) -> None:
         """Dispatch one micro-batch with crash recovery.
+
+        A request whose deadline has expired is dropped before each
+        attempt: a retry after a crash must not dispatch requests whose
+        budget the crash already spent.
 
         A :class:`~repro.runtime.pool.WorkerCrashError` (the worker died or
         missed its reply deadline with this batch in flight) is retried up
@@ -720,25 +709,26 @@ class ServingEngine:
         switches the engine to the in-process fallback permanently.
         """
         if any(req.deadline_at for req in batch):
-            # Re-checked per attempt: a retry after a crash must not
-            # dispatch requests whose budget the crash already spent.
             now = time.perf_counter()
-            keep = []
+            live = []
             for req in batch:
                 if req.deadline_at and now > req.deadline_at:
-                    self._fail_deadline(req, now, len(batch))
+                    expired = DeadlineExceeded(
+                        f"request {req.request_id} missed its deadline by "
+                        f"{now - req.deadline_at:.3f}s before dispatch"
+                    )
+                    self._settle([req], len(batch), now, now, expired)
                 else:
-                    keep.append(req)
-            batch = keep
+                    live.append(req)
+            batch = live
             if not batch:
                 return
         dispatched_at = time.perf_counter()
         for req in batch:
             req.attempts += 1
-        sizes = [req.x.shape[0] for req in batch]
         inputs = np.concatenate([req.x for req in batch], axis=0) if len(batch) > 1 else batch[0].x
         try:
-            outputs = self._dispatch(inputs)
+            outcome = self._dispatch(inputs)
         except WorkerCrashError as exc:
             if self._note_degraded():
                 self._run_batch(batch, retries_left)  # pool collapsed: fallback serves it
@@ -752,72 +742,85 @@ class ServingEngine:
                 self._run_batch(batch[:mid], self.max_retries)
                 self._run_batch(batch[mid:], self.max_retries)
                 return
-            self._fail_batch(batch, exc, dispatched_at)
-            return
+            outcome = exc
         except PoolDegradedError as exc:
             if self._note_degraded():
                 self._run_batch(batch, retries_left)
                 return
-            self._fail_batch(batch, exc, dispatched_at)
-            return
-        # lint: disable=broad-except — captured into every batch future via
-        # _fail_batch; retrying a deterministic error would fail identically
+            outcome = exc
+        # lint: disable=broad-except — settled into every batch future;
+        # retrying a deterministic error would fail identically
         except Exception as exc:
-            self._fail_batch(batch, exc, dispatched_at)
-            return
-        done_at = time.perf_counter()
-        self._record_batch(batch, dispatched_at, done_at)
-        offsets = np.cumsum([0] + sizes)
-        for req, lo, hi in zip(batch, offsets[:-1], offsets[1:]):
-            req.future.set_result(outputs[lo:hi])
-            self._request_resolved()
-            self._traces.record(
-                RequestTrace.from_timestamps(
-                    request_id=req.request_id,
-                    submitted_at=req.submitted_at,
-                    collected_at=req.collected_at,
-                    dispatched_at=dispatched_at,
-                    done_at=done_at,
-                    resolved_at=time.perf_counter(),
-                    batch_size=len(batch),
-                    samples=req.x.shape[0],
-                    attempts=req.attempts,
-                )
-            )
+            outcome = exc
+        self._settle(batch, len(batch), dispatched_at, time.perf_counter(), outcome)
 
     @hot_path
-    def _record_batch(self, batch: list[_Request], dispatched_at: float, done_at: float) -> None:
-        """Record one completed micro-batch's stats and metrics.
+    def _settle(
+        self,
+        batch: list[_Request],
+        batch_size: int,
+        dispatched_at: float,
+        done_at: float,
+        outcome,
+    ) -> None:
+        """The one terminal path: record, count and resolve ``batch``.
 
-        Runs once per micro-batch on the serving path, between compute and
-        reply, so it is fenced ``@hot_path``: no wall clock, no I/O, no
-        lock construction — only counter bumps and one guarded extend.
+        ``outcome`` is the micro-batch's output array (served, split back
+        per request), the exception every future raises (failed, or
+        expired when it is a :class:`DeadlineExceeded`), or ``None``
+        (cancelled: the future already is).  The batch's records land in
+        one extend before any future resolves, so a report() taken right
+        after ``result()`` counts the request and a racing one never sees
+        a torn micro-batch.  Runs on the serving path, so it is fenced
+        ``@hot_path``: no wall clock, no I/O, no lock construction.
         """
-        compute_time = done_at - dispatched_at
-        batch_stats = [
+        failed = isinstance(outcome, BaseException)
+        served = not failed and outcome is not None
+        if served:
+            error = None
+        elif failed:
+            error = f"{type(outcome).__name__}: {outcome}"
+        else:
+            error = "cancelled"
+        records = [
             RequestStats(
                 request_id=req.request_id,
-                batch_size=len(batch),
+                batch_size=batch_size,
                 samples=req.x.shape[0],
-                queue_time=dispatched_at - req.submitted_at,
-                compute_time=compute_time,
-                latency=done_at - req.submitted_at,
+                submitted_at=req.submitted_at,
+                collected_at=req.collected_at,
+                dispatched_at=dispatched_at,
+                done_at=done_at,
+                resolved_at=done_at,
                 attempts=req.attempts,
+                error=error,
             )
             for req in batch
         ]
-        # One atomic extend per micro-batch: a report() racing this never
-        # sees a half-recorded batch (some of its requests but not others).
         with self._stats_lock:
-            self._request_stats.extend(batch_stats)
-        self._m_batches.inc()
-        self._m_batch_size.observe(len(batch))
-        self._m_occupancy.observe(len(batch) / self.max_batch)
-        for stats in batch_stats:
-            self._m_requests.inc()
-            self._m_samples.inc(stats.samples)
-            self._m_latency.observe(stats.latency)
-            self._m_queue_wait.observe(stats.queue_time)
+            self._records.extend(records)
+        if served:
+            self._m_batches.inc()
+            self._m_batch_size.observe(batch_size)
+            self._m_occupancy.observe(batch_size / self.max_batch)
+            for record in records:
+                self._m_requests.inc()
+                self._m_samples.inc(record.samples)
+                self._m_latency.observe(record.latency)
+                self._m_queue_wait.observe(record.queue_time)
+        elif isinstance(outcome, DeadlineExceeded):
+            self._m_deadline.inc(len(batch))
+        elif failed:
+            self._m_errors.inc(len(batch))
+        lo = 0
+        for req, record in zip(batch, records):
+            if served:
+                req.future.set_result(outcome[lo : lo + record.samples])
+                lo += record.samples
+            elif failed:
+                req.future.set_exception(outcome)
+            record.resolved_at = time.perf_counter()
+            self._request_resolved()
 
     # ------------------------------------------------------------------ #
     # Recovery plumbing.
@@ -850,71 +853,34 @@ class ServingEngine:
         self._degraded = True
         return True
 
-    def _fail_deadline(self, req: _Request, now: float, batch_size: int) -> None:
-        self._m_deadline.inc()
-        exc = DeadlineExceeded(
-            f"request {req.request_id} missed its deadline by "
-            f"{now - req.deadline_at:.3f}s before dispatch"
-        )
-        req.future.set_exception(exc)
-        self._request_resolved()
-        self._trace_failure(req, now, now, batch_size, "DeadlineExceeded: dropped before dispatch")
-
-    def _fail_batch(self, batch: list[_Request], exc: Exception, dispatched_at: float) -> None:
-        failed_at = time.perf_counter()
-        self._m_errors.inc(len(batch))
-        label = f"{type(exc).__name__}: {exc}"
-        for req in batch:
-            req.future.set_exception(exc)
-            self._request_resolved()
-            self._trace_failure(req, dispatched_at, failed_at, len(batch), label)
-
-    def _trace_failure(
-        self, req: _Request, dispatched_at: float, failed_at: float, batch_size: int, error: str
-    ) -> None:
-        self._traces.record(
-            RequestTrace.from_timestamps(
-                request_id=req.request_id,
-                submitted_at=req.submitted_at,
-                collected_at=req.collected_at,
-                dispatched_at=dispatched_at,
-                done_at=failed_at,
-                resolved_at=failed_at,
-                batch_size=batch_size,
-                samples=req.x.shape[0],
-                error=error,
-                attempts=req.attempts,
-            )
-        )
-
     # ------------------------------------------------------------------ #
     def report(self) -> ServeReport:
-        """Latency/throughput report over everything served so far.
+        """Latency/throughput report over every request served so far.
 
-        The request list is snapshotted under the stats lock (batches land
-        atomically, so a mid-batch report never sees a torn micro-batch),
-        and carries the engine's live latency histogram, so
-        ``p50``/``p95``/``p99`` are bucket-exact with what ``/metrics``
-        exports.
+        Holds the served records only (failed, expired and cancelled ones
+        are in :meth:`records`).  The record list is snapshotted under the
+        stats lock (batches land atomically, so a mid-batch report never
+        sees a torn micro-batch), and the report carries the engine's live
+        latency histogram, so ``p50``/``p95``/``p99`` are bucket-exact with
+        what ``/metrics`` exports.
         """
         with self._state_lock:
             started, stopped = self._started_at, self._stopped_at
         end = stopped if stopped > started else time.perf_counter()
         with self._stats_lock:
-            requests = list(self._request_stats)
+            records = list(self._records)
         wall = max(0.0, end - started) if started else 0.0
         return ServeReport(
-            requests=requests, wall_time=wall, histogram=self._m_latency.snapshot()
+            requests=[r for r in records if r.error is None],
+            wall_time=wall,
+            histogram=self._m_latency.snapshot(),
         )
 
-    def traces(self) -> list:
-        """Span traces of the most recent requests (oldest first, bounded)."""
-        return self._traces.snapshot()
-
-    def worker_stats(self) -> list[WorkerStat]:
-        """Per-worker liveness/served counts from the pool (empty if opaque)."""
-        fn = getattr(self.executor, "worker_stats", None)
-        return list(fn()) if fn is not None else []
+    def records(self) -> list[RequestStats]:
+        """One record per request admitted since :meth:`start` and resolved
+        so far — served, failed, expired and cancelled — oldest first."""
+        with self._stats_lock:
+            return list(self._records)
 
     def healthz(self) -> tuple[bool, dict]:
         """Liveness with degradation: ``ok`` / ``draining`` / ``degraded``
@@ -927,7 +893,7 @@ class ServingEngine:
         mid-respawn with no worker up right now).  ``dead`` means the
         engine is stopped and scrapes as 503.
         """
-        workers = self.worker_stats()
+        workers = self.executor.worker_stats()
         alive = sum(1 for w in workers if w.alive)
         with self._state_lock:
             running, draining = self._running, self._draining
@@ -938,7 +904,7 @@ class ServingEngine:
             # Load balancers read this as "stop routing here" while the
             # scrape stays 200 (the server is leaving, not failing).
             status = "draining"
-        elif self._degraded or self.executor.degraded or (workers and alive == 0):
+        elif self._degraded or self.executor.degraded or alive == 0:
             # Serving through the in-process fallback, or no worker up
             # *right now* while the supervisor respawns one.
             status = "degraded"
@@ -966,23 +932,18 @@ class ServingEngine:
         """
         snaps = [self.metrics.snapshot()]
         registry = MetricsRegistry()
-        stats_fn = getattr(self.executor, "stats", None)
-        plan = getattr(self.executor, "plan", None)
-        if stats_fn is not None:
-            backends = {}
-            if plan is not None:
-                backends = {
-                    name: (lp.backend if lp.mode == "compiled" else lp.mode)
-                    for name, lp in plan.layers.items()
-                }
-            export_executor_stats(registry, stats_fn(), backends)
+        backends = {
+            name: (lp.backend if lp.mode == "compiled" else lp.mode)
+            for name, lp in self.executor.plan.layers.items()
+        }
+        export_executor_stats(registry, self.executor.stats(), backends)
         alive_g = registry.gauge(
             "tasd_worker_alive", "1 while the pool worker is serving", labels=("worker",)
         )
         served_c = registry.counter(
             "tasd_worker_requests_total", "Forwards served per pool worker", labels=("worker",)
         )
-        for w in self.worker_stats():
+        for w in self.executor.worker_stats():
             alive_g.labels(worker=str(w.uid)).set(1.0 if w.alive else 0.0)
             served_c.labels(worker=str(w.uid)).inc(w.requests)
         registry.gauge("tasd_serve_queue_depth", "Requests waiting in the queue").set(
@@ -991,22 +952,15 @@ class ServingEngine:
         registry.gauge("tasd_serve_running", "1 while the engine accepts requests").set(
             1.0 if self.running else 0.0
         )
-        registry.gauge(
-            "tasd_serve_traces_dropped", "Traces discarded by the ring-buffer bound"
-        ).set(self._traces.dropped)
-        # Recovery telemetry: supervised pools count deaths/respawns on
-        # their own attributes (no registry on the hot path); exported here
-        # at scrape time alongside the engine's degradation state.
-        respawns = getattr(self.executor, "respawns", None)
-        if respawns is not None:
-            registry.counter(
-                "tasd_worker_respawns_total", "Workers respawned by the pool supervisor"
-            ).inc(respawns)
-        deaths = getattr(self.executor, "deaths", None)
-        if deaths is not None:
-            registry.counter(
-                "tasd_worker_deaths_total", "Pool workers retired after dying"
-            ).inc(deaths)
+        # Recovery telemetry: pools count deaths/respawns on their own
+        # attributes (no registry on the hot path); exported here at scrape
+        # time alongside the engine's degradation state.
+        registry.counter(
+            "tasd_worker_respawns_total", "Workers respawned by the pool supervisor"
+        ).inc(self.executor.respawns)
+        registry.counter(
+            "tasd_worker_deaths_total", "Pool workers retired after dying"
+        ).inc(self.executor.deaths)
         degraded = self._degraded or self.executor.degraded
         registry.gauge(
             "tasd_serve_degraded",
@@ -1016,8 +970,35 @@ class ServingEngine:
         return merge_snapshots(*snaps)
 
     def statusz(self) -> str:
-        """Human-readable recent-request table plus the report summary."""
-        return self.report().summary() + "\n\n" + self._traces.table()
+        """The report summary plus the newest records, newest first,
+        whatever their outcome — the ``/statusz`` body."""
+        with self._stats_lock:
+            recent = self._records[-_STATUSZ_ROWS:][::-1]
+            total = len(self._records)
+        header = (
+            f"{'request':>8s} {'batch':>5s} {'samples':>7s} "
+            f"{'enqueue_ms':>10s} {'form_ms':>8s} {'execute_ms':>10s} "
+            f"{'reply_ms':>8s} {'total_ms':>9s}  status"
+        )
+        lines = [
+            self.report().summary(),
+            "",
+            f"recent requests: showing {len(recent)} of {total} recorded",
+            header,
+            "-" * len(header),
+        ]
+        for r in recent:
+            ms = {name: seconds * 1e3 for name, seconds in r.spans().items()}
+            status = r.error or "ok"
+            if r.attempts > 1:  # crash-recovery retries are worth seeing
+                status = f"{status} (x{r.attempts})"
+            lines.append(
+                f"{r.request_id:>8d} {r.batch_size:>5d} {r.samples:>7d} "
+                f"{ms['enqueue']:>10.2f} {ms['batch_form']:>8.2f} "
+                f"{ms['execute']:>10.2f} {ms['reply']:>8.2f} "
+                f"{sum(ms.values()):>9.2f}  {status}"
+            )
+        return "\n".join(lines) + "\n"
 
     def serve_metrics(self, port: int = 0, host: str = "127.0.0.1") -> MetricsServer:
         """Expose this engine's telemetry over HTTP (``/metrics``,

@@ -11,12 +11,11 @@ engine onto the in-process fallback instead of going down.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
-import threading
 import time
-import urllib.error
 import urllib.request
 
 import numpy as np
@@ -256,44 +255,45 @@ class TestEngineRecovery:
                 )
 
     def test_every_worker_killed_at_once_serves_on(self, compiled, batch, reference):
-        """SIGKILL the whole fleet behind a running engine: the next
-        requests still equal PlanExecutor bit for bit, and /healthz
-        scrapes HTTP 200 throughout (``degraded`` while no worker is up)."""
+        """SIGKILL the whole fleet behind a running engine while the
+        supervisor is held: the request's retries retire both workers and
+        it waits for a free one, /healthz scrapes HTTP 200 ``degraded``
+        with no worker alive, and once the supervisor is released the
+        request equals PlanExecutor bit for bit."""
         model, plan = compiled
         pool = ProcessWorkerPool(model, plan, workers=2, **FAST)
-        codes: list[int] = []
-        stop = threading.Event()
-
-        def poll_healthz(url: str) -> None:
-            while not stop.is_set():
-                try:
-                    with urllib.request.urlopen(url, timeout=10.0) as resp:
-                        codes.append(resp.status)
-                except urllib.error.HTTPError as exc:
-                    codes.append(exc.code)
-                time.sleep(0.001)
-
         with pool:
-            with ServingEngine(pool, workers=1, max_batch=2) as engine:
+            with ServingEngine(pool, workers=1, max_batch=2, max_retries=2) as engine:
                 with engine.serve_metrics(port=0) as server:
                     assert np.array_equal(engine.infer(batch, timeout=60.0), reference)
-                    poller = threading.Thread(
-                        target=poll_healthz, args=(server.url + "/healthz",)
-                    )
-                    poller.start()
+                    # Hold the supervisor, as a plan swap does, and let a
+                    # pass already under way finish before the kills.
+                    pool._ops_pause.set()
                     try:
-                        for pid in pool.worker_pids():
-                            os.kill(pid, signal.SIGKILL)
-                        outputs = [engine.infer(batch, timeout=60.0) for _ in range(4)]
+                        time.sleep(20 * FAST["health_interval"])
+                        workers = list(pool._procs.values())
+                        assert len(workers) == 2
+                        for worker in workers:
+                            os.kill(worker.process.pid, signal.SIGKILL)
                         assert _wait_until(
-                            lambda: pool.respawns >= 2 and len(pool.worker_pids()) == 2
+                            lambda: not any(w.process.is_alive() for w in workers)
                         )
+                        future = engine.submit(batch)
+                        assert _wait_until(lambda: pool.deaths == 2)
+                        assert not future.done()  # waiting for a free worker
+                        with urllib.request.urlopen(
+                            server.url + "/healthz", timeout=10.0
+                        ) as resp:
+                            status, detail = resp.status, json.loads(resp.read())
+                        assert status == 200
+                        assert detail["status"] == "degraded"
+                        assert detail["workers_alive"] == 0
+                        assert pool.respawns == 0
                     finally:
-                        stop.set()
-                        poller.join(timeout=30.0)
-                    assert not poller.is_alive()
-        assert all(np.array_equal(y, reference) for y in outputs)
-        assert codes and set(codes) == {200}
+                        pool._ops_pause.clear()
+                        pool._wake.set()
+                    assert np.array_equal(future.result(timeout=60.0), reference)
+                    assert _wait_until(lambda: len(pool.worker_pids()) == 2)
 
 
 # --------------------------------------------------------------------- #
@@ -351,8 +351,8 @@ class TestDeadlinesAndAdmission:
             time.sleep(0.02)
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=30.0)
-            trace = engine.traces()[-1]
-            assert trace.error is not None and "DeadlineExceeded" in trace.error
+            record = engine.records()[-1]
+            assert record.error is not None and "DeadlineExceeded" in record.error
             snap = engine.metrics_snapshot()
             assert (
                 snap["tasd_serve_deadline_exceeded_total"]["series"][0]["value"] >= 1
@@ -409,7 +409,7 @@ class TestDeadlinesAndAdmission:
             time.sleep(0.5)  # let the loop drain
         # Only the first request was computed; the abandoned one was skipped.
         assert served.value == 1
-        cancelled = [t for t in engine.traces() if t.error == "cancelled"]
+        cancelled = [r for r in engine.records() if r.error == "cancelled"]
         assert len(cancelled) == 1
 
     def test_max_queue_validation(self, compiled):

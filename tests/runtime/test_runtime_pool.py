@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core import TASDConfig
+from repro.nn import Linear, Sequential
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
@@ -287,8 +288,34 @@ class TestProcessWorkerPool:
 class TestWorkerPoolSeam:
     def test_every_executor_is_a_worker_pool(self, compiled):
         model, _, plan = compiled
-        assert isinstance(PlanExecutor(model, plan), WorkerPool)
+        executor = PlanExecutor(model, plan)
+        assert isinstance(executor, WorkerPool)
         assert isinstance(ProcessWorkerPool(model, plan), WorkerPool)
+        assert executor.respawns == executor.deaths == 0
+
+    def test_executor_counts_from_zero_on_first_install(self):
+        """A new executor does not report what its plan counted under
+        another executor; a re-install after close() keeps counting."""
+        model = Sequential(Linear(32, 48), Linear(48, 16))
+        global_magnitude_prune(model, 0.6)
+        transform = TASDTransform(
+            weight_configs={name: CFG for name, _ in gemm_layers(model)}
+        )
+        plan = compile_plan(model, transform)
+        x = np.random.default_rng(5).normal(size=(2, 32))
+        with PlanExecutor(model, plan) as first:
+            for _ in range(3):
+                first.run(x)
+        second = PlanExecutor(model, plan)
+        with second:
+            second.run(x)
+        stats = second.stats()
+        assert stats.batches == 1
+        assert [c.calls for c in stats.layers.values()] == [1, 1]
+        second.run(x)  # lazily re-installs after close()
+        stats = second.stats()
+        assert stats.batches == 2
+        assert [c.calls for c in stats.layers.values()] == [2, 2]
 
 
 # ---------------------------------------------------------------------- #

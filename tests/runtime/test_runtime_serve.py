@@ -164,7 +164,7 @@ def test_mixed_dtype_requests_keep_exact_results(executor):
 
 
 # ---------------------------------------------------------------------- #
-# Telemetry: reports, traces, and the live HTTP endpoint
+# Telemetry: reports, request records, and the live HTTP endpoint
 # ---------------------------------------------------------------------- #
 def test_empty_report_is_well_defined(executor):
     """A server that starts and stops without traffic must summarise cleanly
@@ -193,7 +193,7 @@ def test_report_percentiles_come_from_the_live_histogram(executor):
         for _ in range(6):
             engine.infer(rng.normal(size=(1, 3, 8, 8)), timeout=60.0)
     report = engine.report()
-    hist = report.latency_histogram()
+    hist = report.histogram
     assert hist.count == report.count == 6
     assert 0.0 < report.p50 <= report.p95 <= report.p99
     assert "p50" in report.summary() and "p99" in report.summary()
@@ -234,19 +234,20 @@ def test_concurrent_report_never_sees_a_torn_batch(executor):
     assert engine.report().count == 32
 
 
-def test_traces_record_the_request_timeline(executor):
+def test_records_carry_the_request_timeline(executor):
     rng = np.random.default_rng(24)
-    with ServingEngine(executor, max_batch=2, batch_window=0.01, trace_capacity=4) as engine:
+    with ServingEngine(executor, max_batch=2, batch_window=0.01) as engine:
         futures = [engine.submit(rng.normal(size=(1, 3, 8, 8))) for _ in range(6)]
         for f in futures:
             f.result(timeout=60.0)
-    traces = engine.traces()
-    assert len(traces) == 4  # ring bound holds
-    for t in traces:
-        assert tuple(s.name for s in t.spans) == ("enqueue", "batch_form", "execute", "reply")
-        assert t.ok and t.latency > 0.0
-        assert t.span("execute").duration > 0.0
-    assert "recent requests" in engine.statusz()
+    records = engine.records()
+    assert sorted(r.request_id for r in records) == list(range(6))
+    for r in records:
+        spans = r.spans()
+        assert tuple(spans) == ("enqueue", "batch_form", "execute", "reply")
+        assert r.error is None and r.latency > 0.0
+        assert spans["execute"] > 0.0 and spans["reply"] >= 0.0
+    assert "recent requests: showing 6 of 6 recorded" in engine.statusz()
 
 
 def _scrape(url: str):

@@ -222,6 +222,36 @@ class TestExecutorSwap:
             assert pool.plan is plan
             np.testing.assert_allclose(pool.run(batch), reference)
 
+    def test_canary_rejected_worker_never_serves_live_traffic(
+        self, compiled, batch, reference, monkeypatch
+    ):
+        """A run() waiting for a worker while the canary rejects the plan
+        gets the worker back on the old plan, however slow the rollback."""
+        model, plan = compiled
+        with ProcessWorkerPool(model, plan, workers=1, **FAST) as pool:
+            pool.run(batch)
+            rollback = pool._rollback_swapped
+
+            def slow_rollback(swapped, old_plan):
+                time.sleep(0.3)  # every chance for the waiter to go first
+                rollback(swapped, old_plan)
+
+            monkeypatch.setattr(pool, "_rollback_swapped", slow_rollback)
+            outputs = []
+            waiter = threading.Thread(target=lambda: outputs.append(pool.run(batch)))
+
+            def canary(run):
+                waiter.start()  # the only worker is held out: it waits
+                time.sleep(0.1)
+                np.testing.assert_allclose(run(batch), reference)
+
+            with pytest.raises(AssertionError):
+                pool.swap_plan(skewed_plan(plan), canary=canary)
+            waiter.join(timeout=30.0)
+            assert not waiter.is_alive()
+            np.testing.assert_array_equal(outputs[0], reference)
+            assert pool.plan is plan
+
     @pytest.mark.parametrize("canary", [False, True], ids=["no-canary", "canary"])
     @pytest.mark.parametrize("substrate", ["executor", "pool"])
     def test_stats_keep_every_count_across_a_swap(self, batch, substrate, canary):
