@@ -2,13 +2,13 @@
 
 The acceptance scenario for zero-downtime operations, run by CI on every
 push.  An unswapped run establishes the reference outputs; the swap run
-serves the same request stream while (a) a hot swap rolls the fleet onto
-an equivalent re-compiled plan mid-stream and (b) a *corrupt* candidate
-(same weight fingerprint, skewed arithmetic) is pushed and must be
-thrown out by the canary.  Asserts:
+serves the same request stream while (a) a hot swap forks a candidate
+pool on an equivalent re-compiled plan mid-stream and switches the engine
+onto it and (b) a *corrupt* candidate (same weight fingerprint, skewed
+arithmetic) is pushed and must be thrown out by the canary.  Asserts:
 
 - **zero failed requests** — every future resolves across both the
-  committed swap and the forced rollback;
+  committed swap and the rejected one;
 - **bit-identical outputs** — the swap run matches the unswapped run
   exactly, request by request (the exact backends make an equivalent
   plan compute bit-for-bit the same function);
@@ -17,6 +17,9 @@ thrown out by the canary.  Asserts:
 - **graceful drain** — the engine drains to an empty queue at the end,
   and the swap/rollback counters are visible in the metrics snapshot.
 
+It also prints the peak resident set size the run reached (this process
+plus its largest worker), since a swap briefly runs two pools.
+
 Run it yourself::
 
     PYTHONPATH=src python benchmarks/swap_smoke.py
@@ -24,6 +27,7 @@ Run it yourself::
 
 from __future__ import annotations
 
+import resource
 import sys
 
 import numpy as np
@@ -74,7 +78,7 @@ def main() -> int:
             reference = [f.result(timeout=120.0) for f in futures]
     print(f"unswapped run: {REQUESTS} requests served")
 
-    # Swap run: same stream, one committed hot swap + one forced rollback.
+    # Swap run: same stream, one committed hot swap + one rejected swap.
     pool = ProcessWorkerPool(
         model,
         plan,
@@ -92,7 +96,7 @@ def main() -> int:
         assert info["swapped_workers"] == WORKERS, info
         print(
             f"hot swap committed mid-stream: {info['swapped_workers']} workers "
-            f"rolled behind a {info['canary_samples']}-sample canary"
+            f"forked behind a {info['canary_samples']}-sample canary"
         )
 
         futures += [engine.submit(x) for x in requests[SWAP_AFTER : 2 * SWAP_AFTER]]
@@ -135,6 +139,13 @@ def main() -> int:
             f"drained to an empty queue; metrics: {int(swaps)} swap committed, "
             f"{int(rollbacks)} rollback recorded"
         )
+    # ru_maxrss is in KiB on Linux; RUSAGE_CHILDREN reports the largest
+    # reaped child, so the sum bounds the parent plus one worker.
+    peak_kib = sum(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
+    print(f"peak RSS: {peak_kib / 1024:.0f} MB (parent + largest worker)")
     print("SWAP SMOKE OK")
     return 0
 

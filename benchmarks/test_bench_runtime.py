@@ -11,8 +11,8 @@ On top of that sit the kernel-backend fences: ``test_runtime_autotune_speedup``
 requires the compile-time autotuner to beat the reference ``einsum-gather``
 compiled path by >= 1.5x on the same serving workload, and the worker-pool
 benches track how serving throughput scales across forked process workers
-that inherit the compiled plan (asserted >= 2x for 4 workers where the
-machine has cores to scale onto — no GIL in common).
+that inherit the compiled plan (asserted at a fixed fraction of
+``min(4, usable cores)`` for 4 workers — no GIL in common).
 
 ``test_runtime_plan_persistence_warm_restart`` fences the restart story:
 loading a persisted plan artifact must be >= 5x faster than compile +
@@ -27,6 +27,8 @@ compare against.  No test here writes a file: the perf trajectory is the
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import os
 import time
 
@@ -130,19 +132,6 @@ def test_bench_autotuned_forward(benchmark, serving_setup):
     assert out.shape == (BATCH, 10)
 
 
-def _serve_throughput(model, plan, x, workers: int, requests: int) -> float:
-    """Requests/second over one drain of ``requests`` pre-submitted inputs."""
-    with ProcessWorkerPool(model, plan, workers=workers) as executor:
-        executor.install()  # workers built outside the measured window
-        with ServingEngine(
-            executor, max_batch=2, batch_window=0.0, workers=workers
-        ) as engine:
-            futures = [engine.submit(x[:1]) for _ in range(requests)]
-            for f in futures:
-                f.result(timeout=120.0)
-    return engine.report().throughput
-
-
 def test_bench_process_pool_serving(benchmark, serving_setup):
     """Serving throughput with 2 process workers draining 16 requests."""
     model, transform, x = serving_setup
@@ -160,34 +149,77 @@ def test_bench_process_pool_serving(benchmark, serving_setup):
     assert report.count == 16
 
 
-def test_process_pool_scaling_throughput(serving_setup):
-    """Acceptance fence: 4 process workers >= 2x single-worker throughput.
+# The scaling fence's measurement: each side serves a closed loop for a
+# fixed wall time per window, and the two sides' windows interleave, so a
+# slow spell of the host lands on both.  The fraction of ideal scaling was
+# set from recorded runs on a 2-core host (see CHANGES.md): a pool whose
+# workers serialise behind one lock measures about 1x there.
+SCALING_WORKERS = 4
+SCALING_WINDOW_S = 1.0
+SCALING_ROUNDS = 3
+SCALING_FRACTION = 0.7
 
-    The whole point of the process pool — threads in one interpreter
-    serialise every non-BLAS part of a forward on the GIL, worker processes
-    don't, so 4 workers must reach >= 2x.  True parallel speedup
-    needs cores to scale onto: on a single-core machine the ratio
-    assertion is physically unsatisfiable and is skipped (correctness of
-    process-pool serving is covered by
-    ``tests/runtime/test_runtime_pool.py`` and ``benchmarks/pool_smoke.py``,
-    which run everywhere).
+
+def _closed_loop_throughput(engine, x, seconds: float, depth: int) -> float:
+    """Requests/second served with ``depth`` requests outstanding for ``seconds``."""
+    pending = collections.deque(engine.submit(x) for _ in range(depth))
+    served = 0
+    t0 = time.perf_counter()
+    end = t0 + seconds
+    while True:
+        pending.popleft().result(timeout=120.0)
+        served += 1
+        if time.perf_counter() >= end:
+            break
+        pending.append(engine.submit(x))
+    elapsed = time.perf_counter() - t0
+    for future in pending:
+        future.result(timeout=120.0)
+    return served / elapsed
+
+
+def test_process_pool_scaling_throughput(serving_setup):
+    """Acceptance fence: N process workers reach a fixed fraction of
+    ``min(N, usable cores)`` times one worker's throughput.
+
+    Threads in one interpreter serialise every non-BLAS part of a forward
+    on the GIL; worker processes don't, so throughput scales with the
+    cores there are to scale onto — and on a 1-core host the fence asks
+    only that four workers keep up with one.
     """
     model, transform, x = serving_setup
     plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
-    _serve_throughput(model, plan, x, workers=1, requests=8)  # warm
-    single = _serve_throughput(model, plan, x, workers=1, requests=32)
-    quad = _serve_throughput(model, plan, x, workers=4, requests=32)
-    scaling = quad / single
-    print(f"\nserving throughput: 1 process worker {single:.1f} req/s, "
-          f"4 process workers {quad:.1f} req/s -> {scaling:.2f}x "
-          f"({_usable_cores()} usable cores)")
-    assert single > 0 and quad > 0
-    if _usable_cores() < 2:
-        pytest.skip(
-            f"process-pool scaling fence needs >= 2 cores; this machine "
-            f"exposes {_usable_cores()} (measured {scaling:.2f}x)"
-        )
-    assert scaling >= 2.0, f"4 process workers only {scaling:.2f}x single-worker throughput"
+    sides = {}
+    with contextlib.ExitStack() as stack:
+        for workers in (1, SCALING_WORKERS):
+            pool = stack.enter_context(ProcessWorkerPool(model, plan, workers=workers))
+            sides[workers] = stack.enter_context(
+                ServingEngine(pool, max_batch=1, batch_window=0.0, workers=workers)
+            )
+        rates: dict[int, list[float]] = {workers: [] for workers in sides}
+        for engine in sides.values():  # warm outside the clock
+            _closed_loop_throughput(engine, x[:1], 0.2, depth=2)
+        for _ in range(SCALING_ROUNDS):
+            for workers, engine in sides.items():
+                rates[workers].append(
+                    _closed_loop_throughput(engine, x[:1], SCALING_WINDOW_S, depth=2 * workers)
+                )
+    single = float(np.median(rates[1]))
+    many = float(np.median(rates[SCALING_WORKERS]))
+    scaling = many / single
+    cores = _usable_cores()
+    bound = SCALING_FRACTION * min(SCALING_WORKERS, cores)
+    print(
+        f"\nserving throughput: 1 process worker {single:.1f} req/s, "
+        f"{SCALING_WORKERS} process workers {many:.1f} req/s -> {scaling:.2f}x "
+        f"(bound {bound:.2f}x on {cores} usable cores; windows "
+        f"{[round(r) for r in rates[1]]} vs {[round(r) for r in rates[SCALING_WORKERS]]})"
+    )
+    assert scaling >= bound, (
+        f"{SCALING_WORKERS} process workers only {scaling:.2f}x single-worker "
+        f"throughput; {SCALING_FRACTION} of min({SCALING_WORKERS}, {cores} cores) "
+        f"is {bound:.2f}x"
+    )
 
 
 def test_runtime_autotune_speedup(serving_setup):

@@ -25,9 +25,10 @@ a human-readable ``/statusz`` — so you can watch a live server instead of
 waiting for a post-mortem ``report()``.
 
 Finally it is *operable with zero downtime* (section 8): a hot
-``swap_plan`` rolls a new compiled artifact onto the live fleet behind a
-canary batch (a corrupt candidate is rejected typed-ly with the old plan
-still serving), and ``drain`` finishes every admitted request before
+``swap_plan`` forks a candidate pool on a new compiled artifact, canaries
+it while the live pool serves, and switches over only if it passes (a
+corrupt candidate is rejected typed-ly with the old plan still
+serving), and ``drain`` finishes every admitted request before
 stopping — the CLI maps SIGHUP and SIGTERM to the same operations.
 
 Run:  python examples/serve_resnet.py
@@ -204,15 +205,16 @@ if __name__ == "__main__":
     # 8. Rolling upgrades and drain: change the plan or shut down — both
     #    without dropping a request.
     #
-    #    `engine.swap_plan(plan_or_path)` rolls a new compiled artifact
-    #    onto the live workers one at a time: a *canary* batch validates
-    #    the candidate on the first swapped worker (outputs must allclose
-    #    the live plan's), and only then does the rest of the fleet
-    #    follow, each worker installing the plan shipped down its pipe.
-    #    A candidate that computes the wrong function —
-    #    wrong weights (fingerprint gate), corrupt arithmetic, a crash —
-    #    raises a typed `SwapRejected` and the old plan never stops
-    #    serving.  `engine.drain()` closes the admission door (`/healthz`
+    #    `engine.swap_plan(plan_or_path)` is a blue/green swap: it forks
+    #    a whole candidate pool on the new compiled artifact next to the
+    #    live one, runs a *canary* batch through it (outputs must
+    #    allclose the live plan's), and only then switches the engine
+    #    onto it; the old pool finishes its in-flight requests and
+    #    closes.  No pool ever holds two plans.  A candidate that
+    #    computes the wrong function — wrong weights (fingerprint gate),
+    #    corrupt arithmetic, a worker that cannot start — raises a typed
+    #    `SwapRejected`, the candidate closes, and the old plan never
+    #    stops serving.  `engine.drain()` closes the admission door (`/healthz`
     #    reports "draining", late submits get `QueueFull`), finishes
     #    everything already accepted, then stops.
     #    Against a real server the CLI wires the same operations to
@@ -242,7 +244,7 @@ if __name__ == "__main__":
         info = engine.swap_plan(candidate, canary=inputs[0])
         after = engine.infer(inputs[0], timeout=120.0)
         np.testing.assert_array_equal(after, before)  # upgrade invisible
-        print(f"\nhot swap: {info['swapped_workers']} workers rolled, "
+        print(f"\nhot swap: {info['swapped_workers']} workers forked, "
               "served outputs bit-identical across the upgrade")
 
         try:  # a corrupt artifact dies at the canary, serving never blinks

@@ -35,7 +35,6 @@ ALLOWED_RAISES = {
     "EngineStopped",
     "WorkerCrashError",
     "PoolDegradedError",
-    "PlanSwapError",
     "RemoteTraceback",
     "PlanFormatError",
     "PlanDigestError",

@@ -324,7 +324,7 @@ def _serve(args: argparse.Namespace) -> str:
                                     info = engine.swap_plan(args.plan)
                                     lines.append(
                                         f"SIGHUP: hot-swapped plan from {args.plan} "
-                                        f"({info['swapped_workers']} workers rolled)"
+                                        f"({info['swapped_workers']} workers forked)"
                                     )
                                 except SwapRejected as exc:
                                     lines.append(
@@ -355,7 +355,7 @@ def _serve(args: argparse.Namespace) -> str:
                 if server is not None:
                     server.close()
         report = engine.report()
-        stats = executor.stats()
+        stats = engine.stats()
     tail = [stats.table(), report.summary()]
     if metrics_note is not None:
         tail.append(metrics_note)

@@ -54,11 +54,13 @@ admission queue, and degrades onto an in-process :class:`PlanExecutor`
 when the pool collapses.  :mod:`repro.runtime.chaos` injects all of those faults
 on purpose (kill/hang/slow/poison/crash-on-Nth) for tests and drills.
 
-Operations are zero-downtime: ``engine.swap_plan(path_or_plan)`` rolls a
-new compiled artifact onto live workers one at a time behind a canary
-batch (mismatch, install failure, or a mid-roll crash rolls everything
-back and raises :class:`SwapRejected` — the old plan never stops
-serving), and ``engine.drain(timeout)`` stops admission,
+Operations are zero-downtime: ``engine.swap_plan(path_or_plan)`` builds
+a candidate executor on a new compiled artifact next to the live one,
+canaries it, and switches the engine onto it only if it reproduces the
+live plan's outputs (a wrong-weights artifact, a candidate that fails to
+start, or a diverging canary closes the candidate and raises
+:class:`SwapRejected` — no executor ever holds two plans, and the old
+one never stops serving), and ``engine.drain(timeout)`` stops admission,
 finishes every accepted request, then shuts down — the CLI maps SIGTERM
 to drain and SIGHUP to a plan reload.
 """
@@ -102,7 +104,6 @@ from .planio import (
 )
 from .chaos import ChaosMonkey, ChaosSpec, is_poisoned, poison_batch, skewed_plan
 from .pool import (
-    PlanSwapError,
     PoolDegradedError,
     ProcessWorkerPool,
     RemoteTraceback,
@@ -132,7 +133,6 @@ __all__ = [
     "PlanDigestError",
     "PlanExecutor",
     "PlanFormatError",
-    "PlanSwapError",
     "PoolDegradedError",
     "ProcessWorkerPool",
     "QueueFull",

@@ -75,13 +75,10 @@ class ChaosSpec:
       value kills the worker mid-request: a *poison input* that sinks
       every worker it touches, which is what the engine's batch
       splitting must isolate.  Use :func:`poison_batch` to mark inputs.
-    - ``die_on_swap`` — ``os._exit`` the moment a hot plan-swap command
-      arrives (before installing the new plan): a worker SIGKILLed
-      mid-rollout, which the swap must absorb — completing or rolling
-      back cleanly without stranding a request.
-      ``die_on_nth_swap`` limits it to that swap ordinal (1-based,
-      per worker), so later swaps (and respawned workers) proceed
-      normally.
+
+    A pool hands its spec on to the candidate pool a plan swap builds
+    (:meth:`~repro.runtime.pool.WorkerPool.with_plan`): ``die_on_start``
+    then makes that candidate fail to start.
     """
 
     die_on_start: bool = False
@@ -91,8 +88,6 @@ class ChaosSpec:
     hang_seconds: float = 30.0
     slow_seconds: float = 0.0
     poison_value: float = float("-1.7976931348623157e308")  # sentinel marker
-    die_on_swap: bool = False
-    die_on_nth_swap: int | None = None
 
     # ------------------------------------------------------------------ #
     # Worker-side hooks (called from _pool_worker_main; must never raise
@@ -114,11 +109,6 @@ class ChaosSpec:
             time.sleep(self.hang_seconds)
         if self.slow_seconds > 0.0:
             time.sleep(self.slow_seconds)
-
-    def on_swap(self, nth: int) -> None:
-        """Apply swap-time faults; ``nth`` is 1-based within this worker."""
-        if self.die_on_swap and (self.die_on_nth_swap is None or nth == self.die_on_nth_swap):
-            os._exit(CHAOS_EXIT_CODE)
 
 
 def skewed_plan(plan, scale: float = 2.0):

@@ -126,6 +126,17 @@ class ExecutorStats:
             out = out.merged_with(counters)
         return out
 
+    def merged_with(self, other: "ExecutorStats") -> "ExecutorStats":
+        layers = {name: c.snapshot() for name, c in self.layers.items()}
+        for name, c in other.layers.items():
+            layers[name] = layers[name].merged_with(c) if name in layers else c.snapshot()
+        return ExecutorStats(
+            batches=self.batches + other.batches,
+            samples=self.samples + other.samples,
+            wall_time=self.wall_time + other.wall_time,
+            layers=layers,
+        )
+
     @property
     def throughput(self) -> float:
         """Samples per second over the executor's measured forwards."""

@@ -17,18 +17,30 @@ processes that inherit the model and plan, past the GIL.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 
 import numpy as np
 
 from repro.nn.module import Module
+from repro.pruning.targets import gemm_layers
 
-from .counters import ExecutorStats, LayerCounters, WorkerStat
+from .counters import ExecutorStats, WorkerStat
 from .plan import ExecutionPlan
-from .pool import PlanSwapError, WorkerPool
+from .pool import _WORKER_UIDS, WorkerPool
 
 __all__ = ["PlanExecutor"]
+
+
+def _clone_model(model: Module) -> Module:
+    """A copy of ``model`` sharing its weight and buffer arrays, with no
+    plan installed: every module object is new, every array is the same."""
+    memo: dict = {id(p): p for p in model.parameters()}
+    memo.update((id(b), b) for _, b in model.named_buffers())
+    for _, layer in gemm_layers(model, include_head=True):
+        memo[id(layer.compiled_plan)] = None
+    return copy.deepcopy(model, memo)
 
 
 class PlanExecutor(WorkerPool):
@@ -50,8 +62,7 @@ class PlanExecutor(WorkerPool):
     def __init__(self, model: Module, plan: ExecutionPlan) -> None:
         self.model = model
         self.plan = plan
-        # Counts of the plans swapped away from (see _cut_over).
-        self._layer_base: dict[str, LayerCounters] = {}
+        self._uid = next(_WORKER_UIDS)
         self._lock = threading.Lock()
         self._installed = False
         self._counting = False  # the plan's counters are this executor's
@@ -102,51 +113,17 @@ class PlanExecutor(WorkerPool):
         return y
 
     # ------------------------------------------------------------------ #
-    def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
-        """Hot-swap the compiled plan on this single-worker executor.
+    def with_plan(self, plan: ExecutionPlan) -> "PlanExecutor":
+        """A new, uninstalled executor serving ``plan`` on a clone of the model.
 
-        The degenerate pool has no spare worker to validate on, so the
-        new plan is installed first and ``canary(run_fn)`` — when given —
-        validates it *after* the cutover; the canary raising anything
-        reinstalls the old plan and re-raises.  (Live traffic can hit the
-        unvalidated plan during that brief window; real pools canary on
-        an isolated worker instead.)  A plan :meth:`ExecutionPlan.install`
-        refuses raises :class:`~repro.runtime.pool.PlanSwapError` with the
-        old plan still installed.  Returns 1, the worker count.
+        The clone shares this model's weight and buffer arrays but none of
+        its layer objects, so installing ``plan`` on it leaves this
+        executor's model, and the forwards it serves, untouched.  It is
+        taken under the execution lock, between forwards.
         """
-        old_plan = self.plan
         with self._lock:
-            try:
-                new_plan.install(self.model)
-            except KeyError as exc:
-                raise PlanSwapError(f"cannot install the new plan: {exc.args[0]}") from exc
-            self._cut_over(new_plan)
-        if canary is not None:
-            try:
-                canary(self.run)
-            except BaseException:
-                with self._lock:
-                    old_plan.install(self.model)
-                    self._cut_over(old_plan)
-                raise
-        return 1
-
-    def _cut_over(self, plan: ExecutionPlan) -> None:
-        """Serve the just-installed ``plan`` from now on (caller holds the lock).
-
-        The executor, not the plan, owns what :meth:`stats` reports: the
-        outgoing plan's counts fold into a base, and the incoming plan
-        counts from zero, so a swap loses no count and picks up none the
-        plan recorded under another executor.
-        """
-        for name, lp in self.plan.layers.items():
-            self._layer_base[name] = self._layer_base.get(
-                name, LayerCounters()
-            ).merged_with(lp.counters)
-        plan.reset_counters()
-        self.model.eval()
-        self.plan = plan
-        self._installed = self._counting = True
+            model = _clone_model(self.model)
+        return PlanExecutor(model, plan)
 
     # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:
@@ -161,20 +138,16 @@ class PlanExecutor(WorkerPool):
                 batches=self._batches,
                 samples=self._samples,
                 wall_time=self._wall_time,
-                layers={
-                    name: self._layer_base.get(name, LayerCounters()).merged_with(lp.counters)
-                    for name, lp in self.plan.layers.items()
-                },
+                layers={name: lp.counters.snapshot() for name, lp in self.plan.layers.items()},
             )
 
     def worker_stats(self) -> list[WorkerStat]:
         """The degenerate pool's one worker: alive while installed."""
         with self._lock:
-            return [WorkerStat(uid=0, alive=self._installed, requests=self._batches)]
+            return [WorkerStat(uid=self._uid, alive=self._installed, requests=self._batches)]
 
     def reset_stats(self) -> None:
         with self._lock:
             self._batches = self._samples = 0
             self._wall_time = 0.0
-            self._layer_base.clear()
             self.plan.reset_counters()

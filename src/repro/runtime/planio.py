@@ -26,9 +26,9 @@ Integrity is enforced on two axes:
   drifted (retrained, re-pruned, differently seeded) raises
   :class:`PlanDigestError` naming the stale layers.
 
-Process-pool workers never load an artifact: they are forked with the
-live plan in memory, and a hot swap pickles the plan object down each
-worker's pipe.
+Process-pool workers never load an artifact: they are forked with their
+pool's plan in memory, and a hot swap forks a new pool with the loaded
+plan.
 
 Usage::
 

@@ -19,17 +19,21 @@ the process pool at ``--workers N``.  Both produce **bit-identical**
 outputs: process workers run the same kernels over the same operands.
 
 Every parent-to-worker exchange after the ready handshake — a forward, a
-canary probe, a plan swap, a health-check ping, a counter reset, a stop —
-is one command and one reply through a single method, and worker failure
+health-check ping, a counter reset, a stop — is one command and one reply
+through a single method, and worker failure
 has one behaviour there: a broken pipe, an EOF or a missed reply deadline
 retires the worker and raises the *retryable* :class:`WorkerCrashError`,
 while an error the worker reports is re-raised with its
 :class:`RemoteTraceback` and leaves the worker serving.  No reply is ever
 left unread on a live worker's pipe.
 
+A pool serves exactly one plan for its whole life.  Changing plans means
+building another pool (:meth:`WorkerPool.with_plan`) and switching to it;
+the serving engine canaries that candidate before it takes any traffic.
+
 The process pool is always *supervised*: a background supervisor thread
 health-checks idle workers and respawns the retired ones, forked again
-from the parent with whichever plan is committed, with capped exponential
+from the parent with the pool's plan, with capped exponential
 backoff and a crash-loop circuit breaker (too many respawns inside a
 sliding window stops respawning and marks the pool
 :attr:`~ProcessWorkerPool.degraded`).  The serving engine re-dispatches a
@@ -62,7 +66,6 @@ __all__ = [
     "RemoteTraceback",
     "WorkerCrashError",
     "PoolDegradedError",
-    "PlanSwapError",
     "WorkerPool",
     "ProcessWorkerPool",
 ]
@@ -100,18 +103,6 @@ class PoolDegradedError(RuntimeError):
     the signal to degrade to in-process execution."""
 
 
-class PlanSwapError(RuntimeError):
-    """A hot plan-swap could not commit and was rolled back.
-
-    Raised by :meth:`WorkerPool.swap_plan` when the new plan cannot be
-    installed (:meth:`ExecutionPlan.install` refuses it, in-process or on
-    a pool worker) or the canary worker dies before delivering a verdict.
-    The pool is left serving the *old* plan.  The serving engine wraps
-    this (and canary verdicts) in the user-facing
-    :class:`~repro.runtime.serve.SwapRejected`.
-    """
-
-
 class WorkerPool(abc.ABC):
     """The execution seam between the serving engine and the substrate.
 
@@ -126,7 +117,8 @@ class WorkerPool(abc.ABC):
     - :meth:`stats` / :meth:`reset_stats` — per-layer counters merged
       across workers, plus whole-forward batch/sample/wall totals;
     - :meth:`worker_stats` — per-worker liveness and served counts;
-    - :meth:`swap_plan` — move every worker onto another plan;
+    - :meth:`with_plan` — a new, not yet installed pool of the same
+      configuration serving another plan (a pool never changes plans);
     - :attr:`degraded` — true once the pool cannot return to service on
       its own, the engine's cue to serve in-process instead;
     - :attr:`respawns` / :attr:`deaths` — cumulative workers respawned
@@ -175,14 +167,12 @@ class WorkerPool(abc.ABC):
         """
 
     @abc.abstractmethod
-    def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
-        """Roll every worker onto ``new_plan``; returns workers swapped.
+    def with_plan(self, plan: ExecutionPlan) -> "WorkerPool":
+        """A new pool with this one's configuration, serving ``plan``.
 
-        ``canary``, when given, is called as ``canary(run_fn)`` after the
-        first worker holds the new plan and before any other worker is
-        touched; ``run_fn(x)`` executes a batch on that worker.  The
-        canary raising *anything* rejects the swap: the pool rolls back
-        to the old plan and the exception propagates to the caller.
+        The new pool is not installed, and nothing it does touches this
+        pool's model, plan or workers, so it can be validated while this
+        one serves.
         """
 
     def __enter__(self) -> "WorkerPool":
@@ -209,9 +199,6 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
     the worker's cumulative per-layer counters so the parent can merge
     :meth:`stats` without an extra round-trip.  ``ping`` is the
     supervisor's idle health check and ``reset`` zeroes the counters.
-    ``("swap", plan)`` hot-swaps the worker onto a plan shipped down the
-    pipe, and ``("probe", batch)`` runs one untracked canary forward — the
-    two halves of the zero-downtime plan rollout.
 
     ``chaos`` (a :class:`~repro.runtime.chaos.ChaosSpec`) injects
     deterministic faults — crash/hang/slow at exact request counts — for
@@ -233,7 +220,6 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
             conn.close()
         return
     served = 0
-    swaps = 0
     try:
         conn.send(("ready", None))
         while True:
@@ -257,31 +243,6 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
                         name: lp.counters.snapshot() for name, lp in plan.layers.items()
                     }
                     reply = (y, elapsed, counters)
-                elif cmd == "probe":
-                    # Canary forward: same kernels as "run", but no chaos
-                    # injection, no served-count bump, and the per-layer
-                    # counters it bumps are put back — a swap's validation
-                    # traffic must not perturb fault-injection schedules
-                    # or serving telemetry.
-                    saved = {name: lp.counters.snapshot() for name, lp in plan.layers.items()}
-                    reply = model(payload)
-                    for name, lp in plan.layers.items():
-                        lp.counters = saved[name]
-                elif cmd == "swap":
-                    # Hot plan-swap: install the shipped plan over the
-                    # current one.  On any failure the current plan is
-                    # reinstalled and keeps serving — the parent decides
-                    # whether to roll back the fleet.
-                    swaps += 1
-                    if chaos is not None:
-                        chaos.on_swap(swaps)
-                    try:
-                        payload.install(model)
-                    except Exception:
-                        plan.install(model)  # a partial install must not serve
-                        raise
-                    plan = payload
-                    plan.reset_counters()
                 elif cmd == "reset":
                     plan.reset_counters()
                 # "ping" needs no work: the reply itself is the health check.
@@ -306,10 +267,15 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
 # stop): an idle worker answers them in microseconds.
 _IDLE_REPLY_TIMEOUT = 2.0
 
+# Worker uids are unique across every pool in the process, so the
+# per-worker series a scrape exports never restart when the serving
+# engine replaces its pool.
+_WORKER_UIDS = itertools.count()
+
 
 @dataclasses.dataclass
 class _ProcWorker:
-    uid: int  # unique across pool generations (stats keys)
+    uid: int  # unique across pools and generations (stats keys)
     process: object  # multiprocessing.Process (context-specific class)
     conn: object  # parent end of the pipe
 
@@ -319,7 +285,7 @@ class ProcessWorkerPool(WorkerPool):
 
     The parent pays plan compilation once.  Each worker is **forked** from
     the parent — the pool's only start method, recorded as
-    :attr:`mp_context` — and inherits the model and the committed
+    :attr:`mp_context` — and inherits the model and the pool's
     :class:`ExecutionPlan` copy-on-write, so N workers share one copy of
     the compressed operands with the parent and nothing is pickled at
     start.  Workers run forwards with no GIL in common, so throughput
@@ -341,8 +307,8 @@ class ProcessWorkerPool(WorkerPool):
     worker that dies — detected by a pipe error on a request, by missing
     a reply within ``request_timeout``, or by failing the periodic idle
     health-check ping — is retired and a replacement is forked from the
-    parent, inheriting whichever plan is committed in :attr:`plan` (no
-    recompression, no copy).  Respawns back off exponentially
+    parent, inheriting the pool's :attr:`plan` (no recompression, no
+    copy).  Respawns back off exponentially
     (``respawn_backoff`` doubling up to ``backoff_cap``)
     while deaths keep coming, and a crash-loop circuit breaker stops
     respawning entirely after ``max_respawns`` respawns inside a sliding
@@ -397,23 +363,14 @@ class ProcessWorkerPool(WorkerPool):
         self._installed = False  # guarded-by: _state_lock
         self._state_lock = threading.Lock()
         self._stats_lock = threading.Lock()
-        # Zero-downtime operations: one swap at a time, and the
-        # supervisor stands down while one owns the worker fleet (a
-        # respawn mid-roll would come up on an ambiguous plan).
-        self._ops_lock = threading.Lock()
-        self._ops_pause = threading.Event()
         # Workers that will eventually return to the free queue.
         self._live = 0  # guarded-by: _stats_lock
-        self._uids = itertools.count()
         self._batches = 0  # guarded-by: _stats_lock
         self._samples = 0  # guarded-by: _stats_lock
         self._wall_time = 0.0  # guarded-by: _stats_lock
         # Latest cumulative per-layer counters per worker uid.  Kept across
         # close() so stats survive it (old generations merge with new ones).
         self._counter_snapshots: dict[int, dict[str, LayerCounters]] = {}  # guarded-by: _stats_lock
-        # Counters a worker had shipped for the plan it swapped away from:
-        # a swapped worker counts the incoming plan from zero.
-        self._counter_base: dict[str, LayerCounters] = {}  # guarded-by: _stats_lock
         # Telemetry: liveness + served-forward count per worker uid.  Kept
         # across close() too, so a scrape can still see retired workers.
         self._worker_alive: dict[int, bool] = {}  # guarded-by: _stats_lock
@@ -435,12 +392,30 @@ class ProcessWorkerPool(WorkerPool):
         self.respawns = 0
         self.deaths = 0
 
+    def with_plan(self, plan: ExecutionPlan) -> "ProcessWorkerPool":
+        """A new, uninstalled pool with every setting of this one, serving
+        ``plan``.  Its workers fork with ``plan``; this pool's workers never
+        see it."""
+        return ProcessWorkerPool(
+            self.model,
+            plan,
+            workers=self.workers,
+            start_timeout=self._start_timeout,
+            max_respawns=self.max_respawns,
+            respawn_window=self.respawn_window,
+            respawn_backoff=self.respawn_backoff,
+            backoff_cap=self.backoff_cap,
+            health_interval=self.health_interval,
+            request_timeout=self.request_timeout,
+            chaos=self.chaos,
+        )
+
     # ------------------------------------------------------------------ #
     def _start_worker(self) -> _ProcWorker:
         """Fork one worker and complete its ready handshake.
 
-        The child inherits :attr:`model` and the committed :attr:`plan`, so
-        a respawn costs one fork — not a recompile or a copy of the plan.
+        The child inherits :attr:`model` and :attr:`plan`, so a respawn
+        costs one fork — not a recompile or a copy of the plan.
         """
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
@@ -450,7 +425,7 @@ class ProcessWorkerPool(WorkerPool):
         )
         proc.start()
         child_conn.close()  # child's end lives in the child only
-        worker = _ProcWorker(next(self._uids), proc, parent_conn)
+        worker = _ProcWorker(next(_WORKER_UIDS), proc, parent_conn)
         try:
             if not worker.conn.poll(self._start_timeout):
                 raise RuntimeError(
@@ -507,7 +482,7 @@ class ProcessWorkerPool(WorkerPool):
             failure, cause = "died", exc
         if failure is not None:
             self._retire(worker)
-            what = {"run": "request", "probe": "canary"}.get(cmd, cmd)
+            what = "request" if cmd == "run" else cmd
             raise WorkerCrashError(
                 f"process-pool worker pid {worker.process.pid} {failure} mid-{what}"
             ) from cause
@@ -534,32 +509,6 @@ class ProcessWorkerPool(WorkerPool):
                 collected.append(self._free.get(timeout=0.05))
             except queue.Empty:
                 continue  # an in-flight run() will return its worker
-
-    def _checkout_where(self, wanted) -> _ProcWorker | None:
-        """Check out one live worker whose uid satisfies ``wanted(uid)``.
-
-        Returns ``None`` once no live worker is wanted — workers retired
-        meanwhile drop out of ``_procs`` and stop counting — or when the
-        pool is closing.  Unwanted workers drawn by accident go straight
-        back to the free queue.
-        """
-        while not self._closing.is_set():
-            with self._stats_lock:
-                if not any(wanted(uid) for uid in self._procs):
-                    return None
-            try:
-                worker = self._free.get(timeout=0.5)
-            except queue.Empty:
-                continue  # wanted workers are busy serving; wait them out
-            with self._stats_lock:
-                alive = self._worker_alive.get(worker.uid, False)
-            if alive and wanted(worker.uid):
-                return worker
-            self._free.put(worker)
-            # Cap the put/get spin while only unwanted workers are idle and
-            # a wanted one is mid-request.
-            time.sleep(0.005)
-        return None
 
     def install(self) -> "ProcessWorkerPool":
         with self._state_lock:
@@ -709,8 +658,6 @@ class ProcessWorkerPool(WorkerPool):
                 return
             if woken:
                 self._wake.clear()
-            if self._ops_pause.is_set():
-                continue  # a swap owns the fleet right now
             if not woken:
                 self._health_check()
             self._respawn_deficit()
@@ -800,155 +747,17 @@ class ProcessWorkerPool(WorkerPool):
         return y
 
     # ------------------------------------------------------------------ #
-    # Zero-downtime operation: hot plan-swap
-    # ------------------------------------------------------------------ #
-    def _probe(self, worker: _ProcWorker, x: np.ndarray) -> np.ndarray:
-        """One forward on a specific held-out worker (canary traffic).
-
-        Bypasses the free queue and the stats counters; a worker death
-        here raises :class:`WorkerCrashError` after retiring it.
-        """
-        timeout = self.request_timeout if self.request_timeout else self._start_timeout
-        return self._call(worker, "probe", np.asarray(x), timeout)
-
-    def _swap_one(self, worker: _ProcWorker, plan: ExecutionPlan) -> None:
-        """Ship ``plan`` to one held-out worker and install it there.
-
-        Returns on an acknowledged swap.  Raises
-        :class:`WorkerCrashError` (worker retired) when the worker died
-        mid-swap, or :class:`PlanSwapError` (worker healthy, still on its
-        previous plan — the caller owns returning it to the free queue)
-        when the worker could not install the plan.
-        """
-        try:
-            self._call(worker, "swap", plan, self._start_timeout)
-        except WorkerCrashError:
-            raise
-        except Exception as exc:
-            raise PlanSwapError(
-                f"process-pool worker pid {worker.process.pid} failed to install "
-                f"the new plan: {type(exc).__name__}: {exc}"
-            ) from exc
-        with self._stats_lock:
-            outgoing = self._counter_snapshots.pop(worker.uid, {})
-            for name, counters in outgoing.items():
-                self._counter_base[name] = self._counter_base.get(
-                    name, LayerCounters()
-                ).merged_with(counters)
-
-    def swap_plan(self, new_plan: ExecutionPlan, canary=None) -> int:
-        """Roll every worker onto ``new_plan`` with zero downtime.
-
-        The plan object itself is shipped down each worker's pipe, so a
-        swapped worker holds a private copy of it until it is respawned.
-        Workers move over one at a time (the rest keep serving the old
-        plan), so admission never pauses.  After the first worker holds
-        the new plan, ``canary(run_fn)`` — when given — validates it with
-        real forwards on that worker; the canary raising anything rolls
-        every swapped worker back to the old plan (shipped the same way)
-        and re-raises.  A worker *dying* mid-swap is a worker failure, not
-        a plan failure: it is retired, the roll continues, and the
-        supervisor respawns the replacement from whichever plan commits.
-        Returns the number of workers swapped.
-        """
-        self.install()
-        with self._ops_lock:
-            old_plan = self.plan
-            self._ops_pause.set()
-            swapped: set[int] = set()
-            try:
-                canaried = canary is None
-                while True:
-                    worker = self._checkout_where(lambda uid: uid not in swapped)
-                    if worker is None:
-                        if self._closing.is_set():
-                            raise PlanSwapError("pool is closing; plan swap abandoned")
-                        break
-                    try:
-                        self._swap_one(worker, new_plan)
-                    except WorkerCrashError:
-                        if not canaried and not swapped:
-                            # The would-be canary worker died before the
-                            # plan was ever judged: reject rather than
-                            # roll out an unvalidated plan.
-                            raise PlanSwapError(
-                                "worker died before the canary could "
-                                "validate the new plan"
-                            ) from None
-                        continue
-                    except PlanSwapError:
-                        self._free.put(worker)  # still serving the old plan
-                        raise
-                    swapped.add(worker.uid)
-                    if not canaried:
-                        try:
-                            canary(lambda x: self._probe(worker, x))
-                        except WorkerCrashError:
-                            swapped.discard(worker.uid)
-                            raise PlanSwapError(
-                                "canary worker died before validating "
-                                "the new plan"
-                            ) from None
-                        except BaseException:
-                            # The rejected plan must never reach the free
-                            # queue, where a waiting run() would take it.
-                            swapped.discard(worker.uid)
-                            self._restore(worker, old_plan)
-                            raise
-                        canaried = True
-                    self._free.put(worker)
-            except BaseException:
-                self._rollback_swapped(swapped, old_plan)
-                raise
-            else:
-                with self._state_lock:
-                    self.plan = new_plan  # what respawns fork with from now on
-                return len(swapped)
-            finally:
-                self._ops_pause.clear()
-                self._wake.set()  # let the supervisor top up any deficit
-
-    def _rollback_swapped(self, swapped: set[int], old_plan: ExecutionPlan) -> None:
-        """Best-effort return of already-swapped workers to the old plan.
-
-        A worker that dies (or errors) rolling back is retired; the
-        supervisor respawns it from the still-committed old plan.
-        """
-        remaining = set(swapped)
-        while True:
-            worker = self._checkout_where(remaining.__contains__)
-            if worker is None:
-                return
-            remaining.discard(worker.uid)
-            self._restore(worker, old_plan)
-
-    def _restore(self, worker: _ProcWorker, old_plan: ExecutionPlan) -> None:
-        """Swap one held-out worker back onto ``old_plan``, then return it
-        to service.  A worker that dies, or cannot install the old plan
-        either, is retired; a respawn from the old plan replaces it."""
-        try:
-            self._swap_one(worker, old_plan)
-        except WorkerCrashError:
-            return
-        except PlanSwapError:
-            self._retire(worker)
-            return
-        self._free.put(worker)
-
-    # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:
         """Counters merged across all worker processes plus forward timing.
 
         Each worker ships its cumulative per-layer counters with every
         ``run`` reply, so merging here needs no cross-process round-trip.
-        What a worker counted before a plan swap is kept in a base the
-        swap folds it into, so a hot swap loses no count.
         ``wall_time`` sums per-forward time across workers (compute volume,
         not elapsed wall-clock).
         """
         with self._stats_lock:
             batches, samples, wall = self._batches, self._samples, self._wall_time
-            snapshots = [dict(self._counter_base), *self._counter_snapshots.values()]
+            snapshots = list(self._counter_snapshots.values())
         layers: dict[str, LayerCounters] = {}
         for name in self.plan.layers:
             merged = LayerCounters()
@@ -998,6 +807,5 @@ class ProcessWorkerPool(WorkerPool):
             self._batches = self._samples = 0
             self._wall_time = 0.0
             self._counter_snapshots.clear()
-            self._counter_base.clear()
             self._worker_requests = {uid: 0 for uid in self._worker_requests}
 

@@ -45,6 +45,7 @@ The engine is *observable while running* (the telemetry spine):
 
 from __future__ import annotations
 
+import collections
 import itertools
 import queue
 import threading
@@ -58,7 +59,7 @@ import numpy as np
 
 from repro.analysis.annotations import hot_path
 
-from .counters import RequestStats, ServeReport
+from .counters import ExecutorStats, RequestStats, ServeReport, WorkerStat
 from .executor import PlanExecutor
 from .metrics import (
     BATCH_SIZE_BUCKETS,
@@ -68,7 +69,7 @@ from .metrics import (
     export_executor_stats,
     merge_snapshots,
 )
-from .pool import PlanSwapError, PoolDegradedError, WorkerCrashError, WorkerPool
+from .pool import PoolDegradedError, WorkerCrashError, WorkerPool
 
 __all__ = ["DeadlineExceeded", "EngineStopped", "QueueFull", "SwapRejected", "ServingEngine"]
 
@@ -95,12 +96,12 @@ class DeadlineExceeded(TimeoutError):
 
 
 class SwapRejected(RuntimeError):
-    """A hot plan-swap was rejected (and rolled back if it had begun).
+    """A hot plan-swap was rejected before the candidate took any traffic.
 
-    ``reason`` carries the verdict: a wrong-weights artifact, a canary
-    whose outputs diverge from the live plan, a canary error/latency
-    guard, a worker that failed to attach, or a failed post-swap check.
-    The engine keeps serving the *old* plan in every case.
+    ``reason`` carries the verdict: a wrong-weights artifact, a candidate
+    executor that failed to start on the new plan, or a canary whose
+    outputs diverge from the live plan, that raised, or that ran too
+    slowly.  The engine keeps serving the *old* executor in every case.
     """
 
     def __init__(self, reason: str) -> None:
@@ -151,6 +152,11 @@ class ServingEngine:
         batchmates; a single request that still crashes workers fails
         with the crash error (it is *not* run in-process, where it could
         take the server down with it).
+
+    :attr:`executor` is the executor serving right now: a committed
+    :meth:`swap_plan` replaces it with a new one the engine built, and
+    the engine closes the executors it built when it stops.  The one a
+    caller passes in stays the caller's to close.
 
     The engine records into its own
     :class:`~repro.runtime.metrics.MetricsRegistry` (:attr:`metrics`).
@@ -220,6 +226,17 @@ class ServingEngine:
         # request input is retained as the default canary batch.
         self._swap_lock = threading.Lock()
         self._last_input: "np.ndarray | None" = None  # guarded-by: _state_lock
+        # A swap switches `executor` under this condition's lock, where
+        # _dispatch also picks the executor up and counts its call in
+        # flight, so the swap can wait out the retiring executor's calls.
+        self._exec_cond = threading.Condition()
+        self._inflight: collections.Counter = collections.Counter()  # guarded-by: _exec_cond
+        self._owns_executor = False  # guarded-by: _exec_cond
+        # Executors a swap retired: their totals, folded once each
+        # (stats, worker stats, respawns, deaths), and the one a swap is
+        # retiring right now, which still counts until it is folded.
+        self._retired: tuple = (ExecutorStats(), [], 0, 0)  # guarded-by: _exec_cond
+        self._retiring: "WorkerPool | None" = None  # guarded-by: _exec_cond
         # One record per admitted request, appended when it resolves.
         self._records: list[RequestStats] = []  # guarded-by: _stats_lock
         self._started_at = 0.0  # guarded-by: _state_lock
@@ -276,7 +293,7 @@ class ServingEngine:
         ).labels()
         self._m_rollbacks = metrics.counter(
             "tasd_swap_rollbacks_total",
-            "Hot plan-swaps rejected or rolled back",
+            "Hot plan-swaps rejected before the switch",
         ).labels()
         self._m_drain = metrics.histogram(
             "tasd_serve_drain_seconds", "Graceful-drain duration"
@@ -316,30 +333,25 @@ class ServingEngine:
         for t in self._threads:
             t.join()
         self._threads.clear()
-        # Safety net: submit() enqueues only while running, so every admitted
-        # request sits ahead of the sentinels and normally a worker has
-        # served it; one still queued here (a worker thread died) is
-        # resolved synchronously so no future is ever stranded, through the
-        # same path a worker takes (a cancelled request is skipped, an
-        # expired one fails typed).
-        # Leftovers are re-batched by sample shape, so a burst of stranded
-        # same-shape requests drains in a few forwards rather than one each.
-        now = time.perf_counter()
-        leftovers: dict[tuple, list[_Request]] = {}
+        # submit() enqueues only while running, so every admitted request
+        # sat ahead of the sentinels and a worker served it.  A worker that
+        # saw the engine stopped exits without taking its sentinel: drop
+        # the surplus, so a restarted engine's workers never read one.
         while True:
             try:
-                leftover = self._queue.get_nowait()
+                self._queue.get_nowait()
             except queue.Empty:
                 break
-            if leftover is None:  # surplus shutdown sentinel
-                continue
-            self._dec_depth()
-            leftover.collected_at = now
-            key = (leftover.x.shape[1:], leftover.x.dtype)
-            leftovers.setdefault(key, []).append(leftover)
-        for batch in leftovers.values():
-            for chunk_start in range(0, len(batch), self.max_batch):
-                self._execute_batch(batch[chunk_start : chunk_start + self.max_batch])
+        # Under the swap lock: a swap under way commits (or closes its
+        # candidate) first, and none starts on a stopped engine.
+        with self._swap_lock:
+            with self._exec_cond:
+                built = [self.executor] if self._owns_executor else []
+            with self._fallback_lock:
+                if self._fallback_pool is not None:
+                    built.append(self._fallback_pool)
+            for executor in built:
+                executor.close()
         with self._state_lock:
             self._stopped_at = time.perf_counter()
 
@@ -452,32 +464,37 @@ class ServingEngine:
         atol: float = 1e-8,
         max_latency_factor: float | None = None,
     ) -> dict:
-        """Hot-swap the serving plan with canary validation and rollback.
+        """Hot-swap the serving plan: canary a candidate executor, then switch.
 
         ``plan_or_path`` is a compiled
         :class:`~repro.runtime.plan.ExecutionPlan` or the path of a saved
         artifact (loaded through :func:`~repro.runtime.planio.load_plan`,
-        digests verified).  The rollout never pauses serving:
+        digests verified).  The live executor serves throughout:
 
-        1. **identity gate** — the candidate's per-layer weight
-           fingerprint must match the live plan's (same weights,
-           different layout/tuning); a wrong-weights artifact is rejected
-           before any worker is touched;
-        2. **canary** — the pool moves *one* worker onto the new plan and
-           runs the canary batch (``canary=``, or the most recently
-           served input) on it; outputs must ``allclose`` the live
-           plan's, the forward must not raise, and — when
+        1. **gate** — the candidate's per-layer weight fingerprint must
+           match the live plan's (same weights, different layout/tuning);
+           a wrong-weights artifact is rejected before anything starts;
+        2. **candidate** — :meth:`WorkerPool.with_plan` builds a new
+           executor of the live one's configuration on the new plan and
+           installs it (a process pool forks its workers with the plan;
+           the in-process executor clones the model);
+        3. **canary** — the canary batch (``canary=``, or the most
+           recently submitted input) runs on the live executor and on the
+           candidate; the candidate's outputs must ``allclose`` the live
+           plan's, its forward must not raise, and — when
            ``max_latency_factor`` is set — must not be slower than that
-           factor times the live plan's canary time;
-        3. **roll** — remaining workers move over one at a time, each
-           installing the new plan shipped down its pipe;
-        4. **post-swap check** — the canary batch re-runs through the
-           normal dispatch path; a divergence rolls everything back.
+           factor times the live forward;
+        4. **switch** — the engine serves through the candidate from the
+           next dispatch on, waits for the calls still in flight on the
+           old executor, closes it, and folds its counts into
+           :meth:`stats`.
 
-        Any rejection raises :class:`SwapRejected` (``.reason`` says
-        why), increments ``tasd_swap_rollbacks_total``, and leaves the
-        old plan serving.  Success increments ``tasd_plan_swaps_total``
-        and returns a report dict.
+        No executor ever holds two plans, so a rejection has nothing to
+        roll back: it closes the candidate, raises :class:`SwapRejected`
+        (``.reason`` says why) and increments
+        ``tasd_swap_rollbacks_total``.  Success increments
+        ``tasd_plan_swaps_total`` and returns a report dict whose
+        ``swapped_workers`` is the new executor's worker count.
         """
         from .planio import PlanDigestError, PlanFormatError, load_plan, plan_fingerprint
 
@@ -486,21 +503,27 @@ class ServingEngine:
             raise SwapRejected(reason) from cause
 
         with self._swap_lock:
+            if not self.running:
+                reject("engine is not running; start() it before swapping plans")
             if self._degraded:
                 reject(
                     "engine is degraded (serving through the in-process "
                     "fallback); recover the pool before swapping plans"
                 )
-            old_plan = self.executor.plan
+            live = self.executor
             if isinstance(plan_or_path, (str, Path)):
                 try:
-                    new_plan = load_plan(plan_or_path, self.executor.model)
+                    new_plan = load_plan(plan_or_path, live.model)
                 except (OSError, PlanFormatError, PlanDigestError) as exc:
                     reject(f"artifact rejected: {exc}", exc)
             else:
                 new_plan = plan_or_path
+            if new_plan is live.plan:
+                # An in-process executor counts on its plan object: two
+                # executors on one plan would count into the same place.
+                reject("candidate is the plan object the live executor already serves")
             try:
-                if plan_fingerprint(new_plan) != plan_fingerprint(old_plan):
+                if plan_fingerprint(new_plan) != plan_fingerprint(live.plan):
                     reject(
                         "candidate plan was compiled from different weights "
                         "than the live plan (fingerprint mismatch); this is "
@@ -521,25 +544,30 @@ class ServingEngine:
             canary_x = np.asarray(canary_x)
             try:
                 t0 = time.perf_counter()
-                reference = self.executor.run(canary_x)
+                reference = live.run(canary_x)
                 ref_elapsed = time.perf_counter() - t0
             # lint: disable=broad-except — reject() raises typed SwapRejected
             except Exception as exc:
                 reject(f"live plan failed the canary batch; swap aborted: {exc}", exc)
 
-            def check(run_fn) -> None:
-                t1 = time.perf_counter()
+            candidate = live.with_plan(new_plan)
+            try:
                 try:
-                    y = run_fn(canary_x)
-                except SwapRejected:
-                    raise
+                    candidate.install()
+                # lint: disable=broad-except — reject() raises typed SwapRejected
                 except Exception as exc:
-                    raise SwapRejected(f"canary execution failed: {exc}") from exc
-                elapsed = time.perf_counter() - t1
-                if np.asarray(y).shape != np.asarray(reference).shape or not np.allclose(
+                    reject(f"candidate executor failed to start on the new plan: {exc}", exc)
+                try:
+                    t1 = time.perf_counter()
+                    y = candidate.run(canary_x)
+                    elapsed = time.perf_counter() - t1
+                # lint: disable=broad-except — reject() raises typed SwapRejected
+                except Exception as exc:
+                    reject(f"canary execution failed: {exc}", exc)
+                if np.shape(y) != np.shape(reference) or not np.allclose(
                     y, reference, rtol=rtol, atol=atol
                 ):
-                    raise SwapRejected(
+                    reject(
                         "canary outputs diverge from the live plan beyond "
                         f"rtol={rtol}/atol={atol}; the artifact does not "
                         "compute the same function"
@@ -549,46 +577,27 @@ class ServingEngine:
                     and ref_elapsed > 0
                     and elapsed > max_latency_factor * ref_elapsed
                 ):
-                    raise SwapRejected(
+                    reject(
                         f"canary latency {elapsed * 1e3:.1f} ms exceeds "
                         f"{max_latency_factor}x the live plan's "
                         f"{ref_elapsed * 1e3:.1f} ms"
                     )
-
-            try:
-                swapped = self.executor.swap_plan(new_plan, canary=check)
-            except SwapRejected:
-                self._m_rollbacks.inc()
+                candidate.reset_stats()
+            except BaseException:
+                candidate.close()
                 raise
-            except (PlanSwapError, WorkerCrashError, PoolDegradedError) as exc:
-                reject(f"swap rolled back: {exc}", exc)
-            # Post-swap check through the normal dispatch path: catches a
-            # plan that canaries clean on one worker but misbehaves once
-            # the fleet serves it (e.g. an attach-order dependence).
-            post_error: "Exception | None" = None
-            try:
-                post_ok = np.allclose(
-                    self.executor.run(canary_x), reference, rtol=rtol, atol=atol
-                )
-            # lint: disable=broad-except — captured into the typed reject() below
-            except Exception as exc:
-                post_ok, post_error = False, exc
-            if not post_ok:
-                try:
-                    self.executor.swap_plan(old_plan)  # roll the fleet back, no canary needed
-                # lint: disable=broad-except — best-effort rollback; the
-                # supervisor respawns onto whichever spec committed
-                except Exception:
-                    pass
-                reject(
-                    "post-swap check failed: the swapped fleet no longer "
-                    "reproduces the canary reference"
-                    + (f" ({post_error})" if post_error is not None else ""),
-                    post_error,
-                )
+            with self._exec_cond:
+                self.executor, self._retiring = candidate, live
+                self._owns_executor = True
+                self._exec_cond.wait_for(lambda: not self._inflight[live])
+                self._inflight.pop(live, None)
+            live.close()
+            with self._exec_cond:
+                self._retired = self._tally(self._retired, [live])
+                self._retiring = None
             self._m_swaps.inc()
             return {
-                "swapped_workers": swapped,
+                "swapped_workers": len(candidate.worker_stats()),
                 "canary_samples": int(canary_x.shape[0]),
                 "reference_latency": ref_elapsed,
             }
@@ -832,7 +841,15 @@ class ServingEngine:
         if self._degraded and fallback is not None:
             self._m_fallback.inc()
             return fallback.run(inputs)
-        return self.executor.run(inputs)
+        with self._exec_cond:
+            executor = self.executor
+            self._inflight[executor] += 1
+        try:
+            return executor.run(inputs)
+        finally:
+            with self._exec_cond:
+                self._inflight[executor] -= 1
+                self._exec_cond.notify_all()
 
     def _note_degraded(self) -> bool:
         """Pin the engine to its in-process fallback once the pool collapses.
@@ -875,6 +892,32 @@ class ServingEngine:
             wall_time=wall,
             histogram=self._m_latency.snapshot(),
         )
+
+    @staticmethod
+    def _tally(base: tuple, executors) -> tuple:
+        """``base`` (stats, worker stats, respawns, deaths) plus ``executors``'."""
+        stats, workers, respawns, deaths = base
+        for executor in executors:
+            stats = stats.merged_with(executor.stats())
+            workers = workers + executor.worker_stats()
+            respawns += executor.respawns
+            deaths += executor.deaths
+        return stats, workers, respawns, deaths
+
+    def _fleet(self) -> tuple[ExecutorStats, list[WorkerStat], int, int]:
+        """Totals over every executor this engine has served through: the
+        retired ones' folded counts plus the executors still counting."""
+        with self._exec_cond:
+            base = self._retired
+            counting = [e for e in (self._retiring, self.executor) if e is not None]
+        return self._tally(base, counting)
+
+    def stats(self) -> ExecutorStats:
+        """Per-layer counters and forward totals across plan swaps: what
+        every executor this engine served through has counted, the
+        current one included.  A swap's reference forward counts on the
+        live executor that ran it; the candidate's canary counts nowhere."""
+        return self._fleet()[0]
 
     def records(self) -> list[RequestStats]:
         """One record per request admitted since :meth:`start` and resolved
@@ -927,23 +970,25 @@ class ServingEngine:
         path; everything pool-side (per-layer GEMM histograms merged across
         all workers — processes included, via the counters they ship with
         replies — per-worker liveness) is assembled at
-        scrape time from :meth:`WorkerPool.stats`, so scraping costs the
-        scraper, not the serving path.
+        scrape time from :meth:`stats` and the executors' worker stats, so
+        scraping costs the scraper, not the serving path.  Executors a swap
+        retired stay in every series, so no exported total goes backwards.
         """
         snaps = [self.metrics.snapshot()]
         registry = MetricsRegistry()
+        stats, workers, respawns, deaths = self._fleet()
         backends = {
             name: (lp.backend if lp.mode == "compiled" else lp.mode)
             for name, lp in self.executor.plan.layers.items()
         }
-        export_executor_stats(registry, self.executor.stats(), backends)
+        export_executor_stats(registry, stats, backends)
         alive_g = registry.gauge(
             "tasd_worker_alive", "1 while the pool worker is serving", labels=("worker",)
         )
         served_c = registry.counter(
             "tasd_worker_requests_total", "Forwards served per pool worker", labels=("worker",)
         )
-        for w in self.executor.worker_stats():
+        for w in workers:
             alive_g.labels(worker=str(w.uid)).set(1.0 if w.alive else 0.0)
             served_c.labels(worker=str(w.uid)).inc(w.requests)
         registry.gauge("tasd_serve_queue_depth", "Requests waiting in the queue").set(
@@ -957,10 +1002,10 @@ class ServingEngine:
         # time alongside the engine's degradation state.
         registry.counter(
             "tasd_worker_respawns_total", "Workers respawned by the pool supervisor"
-        ).inc(self.executor.respawns)
+        ).inc(respawns)
         registry.counter(
             "tasd_worker_deaths_total", "Pool workers retired after dying"
-        ).inc(self.executor.deaths)
+        ).inc(deaths)
         degraded = self._degraded or self.executor.degraded
         registry.gauge(
             "tasd_serve_degraded",

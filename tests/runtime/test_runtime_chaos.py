@@ -15,6 +15,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import urllib.request
 
@@ -30,7 +31,6 @@ from repro.runtime import (
     ChaosSpec,
     DeadlineExceeded,
     PlanExecutor,
-    PlanSwapError,
     ProcessWorkerPool,
     QueueFull,
     ServingEngine,
@@ -253,22 +253,34 @@ class TestEngineRecovery:
                 assert (
                     snap["tasd_serve_fallback_batches_total"]["series"][0]["value"] >= 1
                 )
+        # The engine built the fallback, so stopping closed it: the plan
+        # it installed on the shared model is gone again.
+        assert all(
+            layer.compiled_plan is None for _, layer in gemm_layers(model, include_head=True)
+        )
 
-    def test_every_worker_killed_at_once_serves_on(self, compiled, batch, reference):
+    def test_every_worker_killed_at_once_serves_on(
+        self, compiled, batch, reference, monkeypatch
+    ):
         """SIGKILL the whole fleet behind a running engine while the
-        supervisor is held: the request's retries retire both workers and
-        it waits for a free one, /healthz scrapes HTTP 200 ``degraded``
-        with no worker alive, and once the supervisor is released the
+        supervisor's respawns are held: the request's retries retire both
+        workers and it waits for a free one, /healthz scrapes HTTP 200
+        ``degraded`` with no worker alive, and once respawns resume the
         request equals PlanExecutor bit for bit."""
         model, plan = compiled
         pool = ProcessWorkerPool(model, plan, workers=2, **FAST)
+        held = threading.Event()
+        respawn_deficit = pool._respawn_deficit
+        monkeypatch.setattr(
+            pool, "_respawn_deficit", lambda: None if held.is_set() else respawn_deficit()
+        )
         with pool:
             with ServingEngine(pool, workers=1, max_batch=2, max_retries=2) as engine:
                 with engine.serve_metrics(port=0) as server:
                     assert np.array_equal(engine.infer(batch, timeout=60.0), reference)
-                    # Hold the supervisor, as a plan swap does, and let a
-                    # pass already under way finish before the kills.
-                    pool._ops_pause.set()
+                    # Hold the respawns, and let a pass already under way
+                    # finish before the kills.
+                    held.set()
                     try:
                         time.sleep(20 * FAST["health_interval"])
                         workers = list(pool._procs.values())
@@ -290,7 +302,7 @@ class TestEngineRecovery:
                         assert detail["workers_alive"] == 0
                         assert pool.respawns == 0
                     finally:
-                        pool._ops_pause.clear()
+                        held.clear()
                         pool._wake.set()
                     assert np.array_equal(future.result(timeout=60.0), reference)
                     assert _wait_until(lambda: len(pool.worker_pids()) == 2)
@@ -429,74 +441,78 @@ def _recompiled_plan(model):
 
 
 class TestSwapUnderChaos:
-    """A hot plan-swap must absorb worker deaths mid-rollout: either the
-    roll completes (casualty after the canary verdict) or it rolls back
-    (casualty before it) — never a stranded request, never a leaked
-    shared-memory segment, never a half-swapped fleet."""
+    """A plan swap must absorb worker deaths: a candidate that cannot
+    start is rejected with the live pool serving on, and a candidate
+    worker that dies after the canary is respawned by the candidate's own
+    supervisor once it serves — never a stranded request, never a leaked
+    process or shared-memory segment, never a pool holding two plans."""
 
-    def test_worker_killed_mid_swap_rolls_back_cleanly(
+    def test_candidate_workers_dying_on_start_reject_the_swap(
         self, compiled, batch, reference
     ):
-        # Every worker exits the instant its first swap command arrives,
-        # so the roll can never obtain a canary verdict: typed rejection,
-        # nothing is left behind in /dev/shm, the old plan keeps serving,
-        # and the supervisor heals the casualties.
         model, plan = compiled
         candidate = _recompiled_plan(model)
-        spec = ChaosSpec(die_on_swap=True, die_on_nth_swap=1)
-        with ProcessWorkerPool(
-            model, plan, workers=2, chaos=spec, max_respawns=50, **FAST
-        ) as pool:
-            np.testing.assert_allclose(pool.run(batch), reference)
-            segments_before = (
-                set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
-            )
-            with pytest.raises(PlanSwapError):
-                pool.swap_plan(
-                    candidate,
-                    canary=lambda run: np.testing.assert_allclose(
-                        run(batch), reference
-                    ),
+        with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
+            with ServingEngine(pool, max_batch=2) as engine:
+                np.testing.assert_array_equal(engine.infer(batch), reference)
+                segments_before = (
+                    set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
                 )
-            if segments_before is not None:
-                leaked = set(os.listdir("/dev/shm")) - segments_before
-                assert not leaked, f"swap leaked shm segments: {leaked}"
-            assert pool.plan is plan
-            assert _wait_until(lambda: len(pool.worker_pids()) == 2)
-            np.testing.assert_allclose(pool.run(batch), reference)
+                # The candidate inherits the live pool's chaos spec.
+                pool.chaos = ChaosSpec(die_on_start=True)
+                try:
+                    with pytest.raises(SwapRejected, match="failed to start"):
+                        engine.swap_plan(candidate, canary=batch)
+                finally:
+                    pool.chaos = None
+                if segments_before is not None:
+                    leaked = set(os.listdir("/dev/shm")) - segments_before
+                    assert not leaked, f"swap leaked shm segments: {leaked}"
+                assert {p.pid for p in multiprocessing.active_children()} == set(
+                    pool.worker_pids()
+                ), "the failed candidate's workers were not reaped"
+                assert engine.executor is pool and pool.plan is plan
+                np.testing.assert_array_equal(engine.infer(batch), reference)
+                snap = engine.metrics_snapshot()
+                assert snap["tasd_swap_rollbacks_total"]["series"][0]["value"] == 1.0
 
-    def test_swap_completes_when_worker_dies_after_canary(
+    def test_candidate_worker_killed_after_canary_is_respawned(
         self, compiled, batch, reference, monkeypatch
     ):
-        # The casualty falls *after* the canary validated the new plan:
-        # the roll continues over the survivors, commits, and the
-        # supervisor respawns the dead worker from the *committed* plan.
+        # The casualty falls after the canary validated the candidate:
+        # the swap commits, and the candidate's supervisor respawns the
+        # dead worker with the candidate's plan.
         model, plan = compiled
         candidate = _recompiled_plan(model)
-        with ProcessWorkerPool(
-            model, plan, workers=3, max_respawns=50, **FAST
-        ) as pool:
-            np.testing.assert_allclose(pool.run(batch), reference)
-            real = pool._swap_one
-            rolled = []
+        with ProcessWorkerPool(model, plan, workers=3, max_respawns=50, **FAST) as pool:
+            real_with_plan = pool.with_plan
+            victims = []
 
-            def chaotic(worker, shipped):
-                rolled.append(shipped)
-                if len(rolled) == 2 and shipped is rolled[0]:
-                    # SIGKILL the second worker the (forward) roll reaches.
-                    os.kill(worker.process.pid, signal.SIGKILL)
-                    worker.process.join(timeout=5.0)
-                return real(worker, shipped)
+            def with_plan(new_plan):
+                built = real_with_plan(new_plan)
+                real_reset = built.reset_stats
 
-            monkeypatch.setattr(pool, "_swap_one", chaotic)
-            swapped = pool.swap_plan(
-                candidate,
-                canary=lambda run: np.testing.assert_allclose(run(batch), reference),
-            )
-            assert swapped == 2  # canary worker + third worker; casualty skipped
-            assert pool.plan is candidate
-            assert _wait_until(lambda: len(pool.worker_pids()) == 3)
-            np.testing.assert_allclose(pool.run(batch), reference)
+                def reset_after_a_kill():  # the engine's last step before commit
+                    victims.append(built.worker_pids()[0])
+                    os.kill(victims[0], signal.SIGKILL)
+                    real_reset()
+
+                built.reset_stats = reset_after_a_kill
+                return built
+
+            monkeypatch.setattr(pool, "with_plan", with_plan)
+            with ServingEngine(pool, max_batch=2, max_retries=4) as engine:
+                np.testing.assert_array_equal(engine.infer(batch), reference)
+                engine.swap_plan(candidate, canary=batch)
+                new = engine.executor
+                assert new is not pool and new.plan is candidate
+                assert pool.worker_pids() == []
+                assert _wait_until(
+                    lambda: len(new.worker_pids()) == 3 and victims[0] not in new.worker_pids()
+                )
+                assert new.respawns >= 1
+                for _ in range(4):
+                    np.testing.assert_array_equal(engine.infer(batch), reference)
 
     def test_poisoned_artifact_rejected_while_serving(
         self, compiled, batch, reference
@@ -514,4 +530,4 @@ class TestSwapUnderChaos:
                 futures += [engine.submit(batch) for _ in range(8)]
                 for f in futures:
                     np.testing.assert_allclose(f.result(timeout=120.0), reference)
-                assert pool.plan is plan
+                assert engine.executor is pool and pool.plan is plan

@@ -267,6 +267,7 @@ def test_live_metrics_endpoint_end_to_end():
     rng = np.random.default_rng(25)
     with ProcessWorkerPool(model, plan, workers=2) as pool:
         with ServingEngine(pool, max_batch=4, batch_window=0.005, workers=2) as engine:
+            uids = {str(w.uid) for w in pool.worker_stats()}
             with engine.serve_metrics(port=0) as server:
                 futures = [engine.submit(rng.normal(size=(2, 3, 8, 8))) for _ in range(8)]
                 for f in futures:
@@ -299,7 +300,7 @@ def test_live_metrics_endpoint_end_to_end():
         s["labels"]["worker"]: s["value"]
         for s in snap["tasd_worker_alive"]["series"]
     }
-    assert set(workers) == {"0", "1"}
+    assert set(workers) == uids and len(uids) == 2
     assert all(v == 1.0 for v in workers.values())
     assert health["ok"] is True and health["workers_alive"] == 2
     # Per-layer GEMM histograms merged across workers: calls recorded on

@@ -1,11 +1,12 @@
-"""Zero-downtime operations: hot plan-swap and graceful drain.
+"""Zero-downtime operations: blue/green plan swap and graceful drain.
 
 The serving engine promises that a plan upgrade is invisible to clients:
-a canary batch validates the candidate on one worker before the fleet
-rolls, any mismatch (wrong weights, corrupt arithmetic, crash, latency
-blow-up) raises a typed :class:`SwapRejected` with the old plan still
-serving, and a committed swap changes *nothing* observable — the exact
-backends make swapped outputs bit-identical.  Drain is the same promise
+a canary batch validates a whole candidate executor on the new plan
+while the live one serves, any mismatch (wrong weights, corrupt
+arithmetic, a candidate that cannot start, latency blow-up) raises a
+typed :class:`SwapRejected` with the old executor still serving, and a
+committed swap changes *nothing* observable — the exact backends make
+swapped outputs bit-identical.  Drain is the same promise
 at shutdown: everything admitted finishes, everything late is rejected
 typed-ly.  These tests pin all of it, plus the exact queue-depth counter
 that replaced the approximate ``Queue.qsize()`` read.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -28,7 +30,6 @@ from repro.pruning.targets import gemm_layers
 from repro.runtime import (
     DeadlineExceeded,
     PlanExecutor,
-    PlanSwapError,
     ProcessWorkerPool,
     QueueFull,
     ServingEngine,
@@ -97,189 +98,234 @@ def _foreign_plan():
     return compile_plan(model, transform)
 
 
-# --------------------------------------------------------------------- #
-# Executor-level swap: PlanExecutor, ProcessWorkerPool
-# --------------------------------------------------------------------- #
-class TestExecutorSwap:
-    def test_plan_executor_swap_commits(self, compiled, candidate, batch, reference):
-        model, plan = compiled
-        with PlanExecutor(model, plan) as executor:
-            before = executor.run(batch)
-            ran = []
-            swapped = executor.swap_plan(
-                candidate, canary=lambda run: ran.append(run(batch))
-            )
-            assert swapped == 1 and len(ran) == 1
-            assert executor.plan is candidate
-            np.testing.assert_array_equal(executor.run(batch), before)
+def _substrate(kind, model, plan, workers=2):
+    if kind == "executor":
+        return PlanExecutor(model, plan)
+    return ProcessWorkerPool(model, plan, workers=workers, **FAST)
 
-    def test_plan_executor_swap_rolls_back_on_canary_failure(
-        self, compiled, candidate, batch, reference
+
+def _uninstallable(model):
+    """A plan over the live weights that no executor can install."""
+    _, transform = _small_model()
+    plan = compile_plan(model, transform)
+    layer = next(lp for lp in plan.layers.values() if lp.mode == "compiled")
+    layer.backend = "no-such-backend"
+    return plan
+
+
+SUBSTRATES = ["executor", "pool"]
+
+
+# --------------------------------------------------------------------- #
+# Blue/green swap on both substrates: commit, rejection, counts
+# --------------------------------------------------------------------- #
+class TestBlueGreenSwap:
+    @pytest.mark.parametrize("kind", SUBSTRATES)
+    def test_committed_swap_serves_through_a_new_executor(
+        self, compiled, candidate, batch, reference, kind
     ):
         model, plan = compiled
-        with PlanExecutor(model, plan) as executor:
+        with _substrate(kind, model, plan) as live:
+            with ServingEngine(live, max_batch=4) as engine:
+                before = engine.infer(batch)
+                info = engine.swap_plan(candidate, canary=batch)
+                new = engine.executor
+                assert new is not live and new.plan is candidate
+                assert live.plan is plan  # the old executor never held the candidate
+                assert info["swapped_workers"] == (1 if kind == "executor" else 2)
+                np.testing.assert_array_equal(engine.infer(batch), before)
+                if kind == "pool":
+                    assert live.worker_pids() == []  # retired and closed
+            if kind == "pool":
+                assert new.worker_pids() == []  # the engine closes what it built
+            with pytest.raises(SwapRejected, match="not running"):
+                engine.swap_plan(candidate, canary=batch)
+        np.testing.assert_array_equal(before, reference)
 
-            def failing_canary(run):
-                run(batch)
-                raise AssertionError("canary says no")
-
-            with pytest.raises(AssertionError):
-                executor.swap_plan(candidate, canary=failing_canary)
-            assert executor.plan is plan
-            np.testing.assert_allclose(executor.run(batch), reference)
-
-    def test_plan_executor_refuses_a_plan_it_cannot_install(
-        self, compiled, batch, reference
+    @pytest.mark.parametrize("kind", SUBSTRATES)
+    def test_canary_rejection_keeps_the_live_executor(
+        self, compiled, batch, reference, kind
     ):
         model, plan = compiled
-        _, transform = _small_model()
-        uninstallable = compile_plan(model, transform)
-        layer = next(lp for lp in uninstallable.layers.values() if lp.mode == "compiled")
-        layer.backend = "no-such-backend"
-        with PlanExecutor(model, plan) as executor:
-            with pytest.raises(PlanSwapError, match="no-such-backend"):
-                executor.swap_plan(uninstallable)
-            assert executor.plan is plan
-            np.testing.assert_array_equal(executor.run(batch), reference)
-            with ServingEngine(executor) as engine:
+        with _substrate(kind, model, plan) as live:
+            with ServingEngine(live, max_batch=4) as engine:
+                engine.infer(batch)
+                with pytest.raises(SwapRejected, match="already serves"):
+                    engine.swap_plan(plan, canary=batch)
+                with pytest.raises(SwapRejected, match="diverge"):
+                    engine.swap_plan(skewed_plan(plan), canary=batch)
+                assert engine.executor is live and live.plan is plan
+                np.testing.assert_array_equal(engine.infer(batch), reference)
+
+    @pytest.mark.parametrize("kind", SUBSTRATES)
+    def test_uninstallable_plan_is_rejected(self, compiled, batch, reference, kind):
+        model, plan = compiled
+        with _substrate(kind, model, plan) as live:
+            with ServingEngine(live, max_batch=4) as engine:
                 with pytest.raises(SwapRejected, match="no-such-backend"):
-                    engine.swap_plan(uninstallable, canary=batch)
-            assert executor.plan is plan
-            np.testing.assert_array_equal(executor.run(batch), reference)
-
-    def test_process_pool_swap_rolls_all_workers(
-        self, compiled, candidate, batch, reference
-    ):
-        model, plan = compiled
-        with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
-            before = pool.run(batch)
-            swapped = pool.swap_plan(
-                candidate,
-                canary=lambda run: np.testing.assert_allclose(run(batch), reference),
-            )
-            assert swapped == 2
-            assert pool.plan is candidate
-            np.testing.assert_array_equal(pool.run(batch), before)
+                    engine.swap_plan(_uninstallable(model), canary=batch)
+                assert engine.executor is live and live.plan is plan
+                np.testing.assert_array_equal(engine.infer(batch), reference)
+                if kind == "pool":
+                    assert len(live.worker_pids()) == 2
 
     def test_respawn_after_committed_swap_serves_the_committed_plan(
         self, compiled, batch, reference
     ):
+        # A perturbation far inside the canary's tolerance commits, yet
+        # changes the output bits, so the respawned workers' plan shows.
         model, plan = compiled
-        skewed = skewed_plan(plan)
-        with PlanExecutor(model, skewed) as executor:
+        nudged = skewed_plan(plan, scale=1.0 + 1e-12)
+        with PlanExecutor(model, nudged) as executor:
             expected = executor.run(batch)
-        assert not np.allclose(expected, reference)
+        assert not np.array_equal(expected, reference)
         with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
-            pool.swap_plan(skewed)
-            victims = set(pool.worker_pids())
-            for pid in victims:
-                os.kill(pid, signal.SIGKILL)
-            deadline = time.monotonic() + 30.0
-            while pool.respawns < 2 or victims & set(pool.worker_pids()):
-                assert time.monotonic() < deadline, "killed workers were not respawned"
-                time.sleep(0.02)
-            for _ in range(4):
-                np.testing.assert_array_equal(pool.run(batch), expected)
+            with ServingEngine(pool, max_batch=4) as engine:
+                engine.swap_plan(nudged, canary=batch)
+                new = engine.executor
+                victims = set(new.worker_pids())
+                for pid in victims:
+                    os.kill(pid, signal.SIGKILL)
+                deadline = time.monotonic() + 30.0
+                while new.respawns < 2 or victims & set(new.worker_pids()):
+                    assert time.monotonic() < deadline, "killed workers were not respawned"
+                    time.sleep(0.02)
+                for _ in range(4):
+                    np.testing.assert_array_equal(engine.infer(batch), expected)
 
-    def test_process_pool_worker_rejecting_the_spec_stays_in_service(
-        self, compiled, batch, reference
-    ):
-        """A worker that cannot install the new plan keeps serving the old
-        plan from the free queue, so the pool stays full and close() can
-        bring every worker home."""
-        model, plan = compiled
-        _, transform = _small_model()
-        uninstallable = compile_plan(model, transform)
-        layer = next(lp for lp in uninstallable.layers.values() if lp.mode == "compiled")
-        layer.backend = "no-such-backend"  # refused by the worker's install
-        pool = ProcessWorkerPool(model, plan, workers=2, **FAST).install()
-        try:
-            with pytest.raises(PlanSwapError, match="failed to install"):
-                pool.swap_plan(uninstallable)
-            assert pool.plan is plan
-            assert len(pool.worker_pids()) == 2
-            for _ in range(4):
-                np.testing.assert_array_equal(pool.run(batch), reference)
-        finally:
-            closer = threading.Thread(target=pool.close, daemon=True)
-            closer.start()
-            closer.join(timeout=30.0)
-        assert not closer.is_alive(), "close() waited forever for a checked-out worker"
-
-    def test_process_pool_swap_rolls_back_on_canary_rejection(
-        self, compiled, batch, reference
-    ):
-        model, plan = compiled
-        with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
-            pool.run(batch)
-            with pytest.raises(AssertionError):
-                pool.swap_plan(
-                    skewed_plan(plan),
-                    canary=lambda run: np.testing.assert_allclose(
-                        run(batch), reference
-                    ),
-                )
-            assert pool.plan is plan
-            np.testing.assert_allclose(pool.run(batch), reference)
-
+    @pytest.mark.parametrize("kind", SUBSTRATES)
     def test_canary_rejected_worker_never_serves_live_traffic(
-        self, compiled, batch, reference, monkeypatch
+        self, compiled, batch, reference, kind
     ):
-        """A run() waiting for a worker while the canary rejects the plan
-        gets the worker back on the old plan, however slow the rollback."""
+        """Requests flowing while the engine canaries a corrupt plan are
+        all served by the live plan, bit for bit: the candidate runs on
+        its own workers (or its own model clone in-process)."""
         model, plan = compiled
-        with ProcessWorkerPool(model, plan, workers=1, **FAST) as pool:
-            pool.run(batch)
-            rollback = pool._rollback_swapped
+        bad = skewed_plan(plan)
+        with _substrate(kind, model, plan, workers=1) as live:
+            with ServingEngine(live, max_batch=1, batch_window=0.0, workers=2) as engine:
+                futures = []
+                swapping = threading.Event()
+                swapping.set()
 
-            def slow_rollback(swapped, old_plan):
-                time.sleep(0.3)  # every chance for the waiter to go first
-                rollback(swapped, old_plan)
+                def submit_loop():
+                    while swapping.is_set():
+                        futures.append(engine.submit(batch))
+                        time.sleep(0.0005)
 
-            monkeypatch.setattr(pool, "_rollback_swapped", slow_rollback)
-            outputs = []
-            waiter = threading.Thread(target=lambda: outputs.append(pool.run(batch)))
+                submitter = threading.Thread(target=submit_loop)
+                submitter.start()
+                try:
+                    for _ in range(5):
+                        with pytest.raises(SwapRejected, match="diverge"):
+                            engine.swap_plan(bad, canary=batch)
+                finally:
+                    swapping.clear()
+                    submitter.join(timeout=30.0)
+                outputs = [f.result(timeout=60.0) for f in futures]
+        assert len(outputs) > 5
+        for i, y in enumerate(outputs):
+            np.testing.assert_array_equal(
+                y, reference, err_msg=f"request {i} was served by the rejected plan"
+            )
 
-            def canary(run):
-                waiter.start()  # the only worker is held out: it waits
-                time.sleep(0.1)
-                np.testing.assert_allclose(run(batch), reference)
+    @pytest.mark.parametrize("kind", SUBSTRATES)
+    def test_swaps_under_concurrent_load_lose_no_call(
+        self, compiled, candidate, batch, reference, kind
+    ):
+        """More serving threads than cores, a short switch interval, and
+        repeated committed swaps: every request is served by a live
+        executor, every retired executor is closed for good, and the
+        engine's stats count each served request and each swap's
+        reference forward exactly once."""
+        model, plan = compiled
+        clients, per_client, swaps = 3, 40, 8
+        outputs, retired = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _substrate(kind, model, plan) as live:
+                with ServingEngine(live, max_batch=1, batch_window=0.0, workers=4) as engine:
 
-            with pytest.raises(AssertionError):
-                pool.swap_plan(skewed_plan(plan), canary=canary)
-            waiter.join(timeout=30.0)
-            assert not waiter.is_alive()
-            np.testing.assert_array_equal(outputs[0], reference)
-            assert pool.plan is plan
+                    def client():
+                        for _ in range(per_client):
+                            outputs.append(engine.infer(batch, timeout=60.0))
 
-    @pytest.mark.parametrize("canary", [False, True], ids=["no-canary", "canary"])
-    @pytest.mark.parametrize("substrate", ["executor", "pool"])
-    def test_stats_keep_every_count_across_a_swap(self, batch, substrate, canary):
+                    threads = [threading.Thread(target=client) for _ in range(clients)]
+                    for t in threads:
+                        t.start()
+                    for i in range(swaps):
+                        retired.append(engine.executor)
+                        engine.swap_plan(candidate if i % 2 == 0 else plan, canary=batch)
+                    for t in threads:
+                        t.join(timeout=120.0)
+                    assert not any(t.is_alive() for t in threads)
+                    stats = engine.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(outputs) == clients * per_client
+        for y in outputs:
+            np.testing.assert_array_equal(y, reference)
+        assert stats.batches == clients * per_client + swaps
+        for old in retired:
+            assert not any(w.alive for w in old.worker_stats())
+
+    @pytest.mark.parametrize("canary", [False, True], ids=["last-input", "canary"])
+    @pytest.mark.parametrize("kind", SUBSTRATES)
+    def test_stats_keep_every_count_across_a_swap(self, batch, kind, canary):
         # The candidate already served under another executor: none of
-        # those counts may leak into this substrate's stats, and none of
-        # the substrate's own pre-swap counts may be lost.
+        # those counts may leak into the engine's stats, none of the
+        # retired executor's counts may be lost, and the candidate's
+        # canary forward counts nowhere.  Before the swap the live
+        # executor runs three requests and the reference forward.
         model, transform = _small_model()
         plan, candidate = compile_plan(model, transform), compile_plan(model, transform)
         with PlanExecutor(model, candidate) as other:
             for _ in range(3):
                 other.run(batch)
-        if substrate == "executor":
-            substrate_cm = PlanExecutor(model, plan)
-        else:
-            substrate_cm = ProcessWorkerPool(model, plan, workers=2, **FAST)
-        with substrate_cm as pool:
-            for _ in range(4):
-                pool.run(batch)
-            pool.swap_plan(candidate, canary=(lambda run: run(batch)) if canary else None)
-            pool.run(batch)
-            stats = pool.stats()
-        # A PlanExecutor canaries through its own run(), a counted batch; a
-        # pool worker's canary probe is counted nowhere.
-        expected = 6 if canary and substrate == "executor" else 5
-        assert stats.batches == expected
+        with _substrate(kind, model, plan) as live:
+            with ServingEngine(live, max_batch=4) as engine:
+                for _ in range(3):
+                    engine.infer(batch)
+                engine.swap_plan(candidate, canary=batch if canary else None)
+                engine.infer(batch)
+                stats = engine.stats()
+        assert stats.batches == 5
         assert {name: c.calls for name, c in stats.layers.items()} == dict.fromkeys(
-            plan.layers, expected
+            plan.layers, 5
         )
+
+    @pytest.mark.parametrize("kind", SUBSTRATES)
+    def test_exported_totals_never_go_backwards_across_a_swap(
+        self, compiled, candidate, batch, kind
+    ):
+        model, plan = compiled
+
+        def totals(snap):
+            return {
+                (name, tuple(sorted(series["labels"].items()))): series["value"]
+                for name, family in snap.items()
+                if name.endswith("_total")
+                for series in family["series"]
+            }
+
+        with _substrate(kind, model, plan) as live:
+            with ServingEngine(live, max_batch=4) as engine:
+                for _ in range(3):
+                    engine.infer(batch)
+                retired = {str(w.uid) for w in live.worker_stats()}
+                before = totals(engine.metrics_snapshot())
+                engine.swap_plan(candidate, canary=batch)
+                snap = engine.metrics_snapshot()
+                after = totals(snap)
+        assert any(name == "tasd_worker_requests_total" for name, _ in before)
+        for key, value in before.items():
+            assert after.get(key, 0.0) >= value, f"{key} went from {value} to {after.get(key)}"
+        alive = {
+            s["labels"]["worker"]: s["value"] for s in snap["tasd_worker_alive"]["series"]
+        }
+        assert retired and all(alive[uid] == 0.0 for uid in retired)
+        assert sum(alive.values()) == (1 if kind == "executor" else 2)
 
 
 # --------------------------------------------------------------------- #
@@ -537,10 +583,34 @@ class TestDrainAndDepth:
         assert not stopper.is_alive()
 
         np.testing.assert_allclose(blocker.result(timeout=1.0), reference)
+        # The worker thread reaches every queued request before its
+        # shutdown sentinel: it skips the cancelled one, fails the expired
+        # one typed, and computes the survivor.
         assert cancelled.cancelled()
         with pytest.raises(DeadlineExceeded):
             expired.result(timeout=1.0)
-        # The survivor is real work: stop() computes it instead of
-        # throwing it away.
         np.testing.assert_allclose(survivor.result(timeout=1.0), reference)
         assert engine.queue_depth == 0
+
+    def test_restarted_engine_serves(self, compiled, batch, reference, monkeypatch):
+        """A stopped engine leaves no shutdown sentinel behind for the
+        worker threads of its next start to read."""
+        model, plan = compiled
+        with PlanExecutor(model, plan) as executor:
+            engine = ServingEngine(executor, max_batch=1, workers=2)
+            engine.start()
+            put = engine._queue.put
+
+            def late_sentinel(item, *args, **kwargs):
+                if item is None:  # let every worker see the engine stopped first
+                    time.sleep(0.2)
+                put(item, *args, **kwargs)
+
+            monkeypatch.setattr(engine._queue, "put", late_sentinel)
+            engine.stop()  # both workers exit without taking a sentinel
+            monkeypatch.undo()
+            with engine:
+                futures = [engine.submit(batch) for _ in range(4)]
+                for f in futures:
+                    np.testing.assert_array_equal(f.result(timeout=10.0), reference)
+            assert engine.report().count == 4
