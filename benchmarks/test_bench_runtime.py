@@ -16,7 +16,8 @@ that inherit the compiled plan (asserted at a fixed fraction of
 
 ``test_runtime_plan_persistence_warm_restart`` fences the restart story:
 loading a persisted plan artifact must be >= 5x faster than compile +
-autotune, with identical backend choices and bit-identical served outputs.
+autotune (each side the median of a few repeats), with identical backend
+choices and bit-identical served outputs.
 
 The serving engine always records metrics and traces, and the process
 pool is always supervised, so their cost sits inside every serving number
@@ -30,6 +31,7 @@ from __future__ import annotations
 import collections
 import contextlib
 import os
+import statistics
 import time
 
 import numpy as np
@@ -50,6 +52,7 @@ from repro.runtime import (
 from repro.tasder.transform import TASDTransform
 
 BATCH = 2
+WARM_RESTART_REPEATS = 3
 
 
 def _usable_cores() -> int:
@@ -262,14 +265,21 @@ def test_runtime_plan_persistence_warm_restart(serving_setup, tmp_path):
     and bit-identical served outputs.
     """
     model, transform, x = serving_setup
-    t0 = time.perf_counter()
-    plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
-    compile_time = time.perf_counter() - t0
+    # Each side is the median of a few repeats: one sample of either is at
+    # the mercy of whatever else the host runs in that instant.
+    compile_times, load_times = [], []
+    for _ in range(WARM_RESTART_REPEATS):
+        t0 = time.perf_counter()
+        plan = compile_plan(model, transform, autotune=True, autotune_repeats=2)
+        compile_times.append(time.perf_counter() - t0)
     path = plan.save(tmp_path / "plan.npz")
     load_plan(path, model)  # warm the file cache / import paths
-    t0 = time.perf_counter()
-    loaded = load_plan(path, model)
-    load_time = time.perf_counter() - t0
+    for _ in range(WARM_RESTART_REPEATS):
+        t0 = time.perf_counter()
+        loaded = load_plan(path, model)
+        load_times.append(time.perf_counter() - t0)
+    compile_time = statistics.median(compile_times)
+    load_time = statistics.median(load_times)
     speedup = compile_time / load_time
     print(
         f"\ncompile+autotune {compile_time * 1e3:.1f} ms vs plan load "

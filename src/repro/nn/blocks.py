@@ -13,10 +13,12 @@ from .layers import (
     Activation,
     BatchNorm2d,
     Conv2d,
+    ConvEpilogue,
     DepthwiseConv2d,
     Dropout,
     LayerNorm,
     Linear,
+    _epilogue_live,
 )
 from .module import Identity, Module, Sequential
 
@@ -26,6 +28,8 @@ __all__ = [
     "TransformerEncoderBlock",
     "ConvNeXtBlock",
     "conv_bn_act",
+    "fold_epilogues",
+    "unfold_epilogues",
 ]
 
 
@@ -63,6 +67,8 @@ class BasicBlock(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.act1(self.bn1(self.conv1(x)))
+        if _epilogue_live(self.conv2):
+            return self.conv2.forward(out, residual=self.shortcut(x))
         out = self.bn2(self.conv2(out))
         out = out + self.shortcut(x)
         return self.act2(out)
@@ -104,6 +110,8 @@ class BottleneckBlock(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         out = self.act1(self.bn1(self.conv1(x)))
         out = self.act2(self.bn2(self.conv2(out)))
+        if _epilogue_live(self.conv3):
+            return self.conv3.forward(out, residual=self.shortcut(x))
         out = self.bn3(self.conv3(out))
         out = out + self.shortcut(x)
         return self.act3(out)
@@ -119,6 +127,53 @@ class BottleneckBlock(Module):
         g_main = self.bn1.backward(g_main)
         g_main = self.conv1.backward(g_main)
         return g_main + self.shortcut.backward(g)
+
+
+def _is_relu(module: Module | None) -> bool:
+    return isinstance(module, Activation) and module.kind == "relu"
+
+
+def _fold(conv: Conv2d, bn: BatchNorm2d, act: Module | None, residual: bool = False) -> None:
+    if residual and not _is_relu(act):
+        return  # the add sits between BN and a non-ReLU tail; stay unfused
+    act = act if _is_relu(act) else None
+    epilogue = ConvEpilogue(conv, bn, act, residual)
+    conv.epilogue = epilogue
+    if not residual:  # a block skips its tail modules itself
+        for module in (bn, act):
+            if module is not None:
+                module.epilogue = epilogue
+
+
+def fold_epilogues(model: Module) -> None:
+    """Pair each conv with the BatchNorm2d and ReLU that follow it.
+
+    The pairs are ``Sequential(Conv2d, BatchNorm2d[, ReLU])`` runs (the
+    stem, :func:`conv_bn_act`, a projection shortcut, VGG's features),
+    each convolution of a :class:`BasicBlock` or :class:`BottleneckBlock`,
+    and a block's last conv together with its residual add and final ReLU.
+    Each pair is a :class:`~repro.nn.layers.ConvEpilogue` on the conv, and
+    on the modules it folds; whether it runs is decided per forward.
+    """
+    for module in model.modules():
+        if isinstance(module, Sequential):
+            layers = module.layers
+            for conv, bn, act in zip(layers, layers[1:], layers[2:] + [None]):
+                if isinstance(conv, Conv2d) and isinstance(bn, BatchNorm2d):
+                    _fold(conv, bn, act)
+        elif isinstance(module, BasicBlock):
+            _fold(module.conv1, module.bn1, module.act1)
+            _fold(module.conv2, module.bn2, module.act2, residual=True)
+        elif isinstance(module, BottleneckBlock):
+            _fold(module.conv1, module.bn1, module.act1)
+            _fold(module.conv2, module.bn2, module.act2)
+            _fold(module.conv3, module.bn3, module.act3, residual=True)
+
+
+def unfold_epilogues(model: Module) -> None:
+    """Drop every pair :func:`fold_epilogues` made; the model runs unfused."""
+    for module in model.modules():
+        vars(module).pop("epilogue", None)
 
 
 class TransformerEncoderBlock(Module):

@@ -18,7 +18,13 @@ Quickstart::
 The structured GEMMs behind every compiled forward dispatch to one of
 three kernel backends (:mod:`repro.runtime.backends`);
 ``compile_plan(..., autotune=True)`` micro-benchmarks them per layer and
-records each winner in the plan.  For worker-parallel serving,
+records each winner in the plan.  Installing a plan also folds the
+work that follows each conv GEMM into its epilogue: in eval mode a conv
+applies the BatchNorm2d and ReLU after it, and a ResNet block's last conv
+also its residual add, in place on the GEMM's fresh output buffer, with
+the unfused modules' own arithmetic, so the bits do not change
+(:class:`repro.nn.layers.ConvEpilogue`).  A plan-installed forward keeps
+no backward caches.  For worker-parallel serving,
 swap the :class:`PlanExecutor` for a :class:`ProcessWorkerPool`
 (:mod:`repro.runtime.pool`): its worker processes are forked from the
 parent, inherit the model and compiled plan copy-on-write, and scale past

@@ -75,7 +75,10 @@ class GemmBackend:
         return None
 
     def matmul(self, operand: "CompiledOperand", state: Any, b: np.ndarray) -> np.ndarray:
-        """Contract ``operand @ b`` with ``b`` spanning the padded reduction."""
+        """Contract ``operand @ b`` with ``b`` spanning the padded reduction.
+
+        Returns a new array: the caller may overwrite it in place.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #

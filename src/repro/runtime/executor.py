@@ -35,11 +35,15 @@ __all__ = ["PlanExecutor"]
 
 def _clone_model(model: Module) -> Module:
     """A copy of ``model`` sharing its weight and buffer arrays, with no
-    plan installed: every module object is new, every array is the same."""
+    plan or epilogue installed: every module object is new, every array
+    is the same."""
     memo: dict = {id(p): p for p in model.parameters()}
     memo.update((id(b), b) for _, b in model.named_buffers())
     for _, layer in gemm_layers(model, include_head=True):
         memo[id(layer.compiled_plan)] = None
+    for module in model.modules():
+        if "epilogue" in vars(module):
+            memo[id(module.epilogue)] = None
     return copy.deepcopy(model, memo)
 
 

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.series import DENSE_CONFIG, TASDConfig
 from repro.core.sparse_ops import tasd_matmul
+from repro.nn.blocks import fold_epilogues, unfold_epilogues
 from repro.nn.layers import Conv2d, _GemmLayer
 from repro.nn.module import Module
 from repro.pruning.targets import gemm_layers
@@ -110,7 +111,11 @@ class LayerPlan:
     # ------------------------------------------------------------------ #
     @hot_path
     def gemm(self, x2: np.ndarray) -> np.ndarray:
-        """Execute this layer's GEMM: ``x2 @ W_eff.T`` through the plan."""
+        """Execute this layer's GEMM: ``x2 @ W_eff.T`` through the plan.
+
+        The result is allocated by this call and owned by the caller: a
+        conv's epilogue overwrites it in place.
+        """
         t0 = time.perf_counter()
         if x2.ndim != 2 or x2.shape[1] != self.reduction:
             # Never silently zero-pad a wrong-width input up to the padded
@@ -257,6 +262,12 @@ class ExecutionPlan:
         lacks, or a compiled layer whose backend is unknown, raises
         ``KeyError`` before the model is touched, so whatever plan was
         installed keeps serving.
+
+        It then pairs each conv with the BatchNorm2d and ReLU that follow
+        it (:func:`repro.nn.blocks.fold_epilogues`): in eval mode the conv
+        applies them, and a block's residual add, to its GEMM output in
+        place.  The pairs come from the model's live modules, not from the
+        plan, whose artifact holds no BN statistics.
         """
         layers = dict(gemm_layers(model, include_head=True))
         missing = set(self.layers) - set(layers)
@@ -268,11 +279,13 @@ class ExecutionPlan:
         clear_transform(model)
         for name, plan in self.layers.items():
             layers[name].set_compiled_plan(plan)
+        fold_epilogues(model)
 
     def uninstall(self, model: Module) -> None:
-        """Detach all layer plans, restoring the uncompiled forward."""
+        """Detach all layer plans and epilogues, restoring the uncompiled forward."""
         for _, layer in gemm_layers(model, include_head=True):
             layer.set_compiled_plan(None)
+        unfold_epilogues(model)
 
     # ------------------------------------------------------------------ #
     def summary(self) -> str:
