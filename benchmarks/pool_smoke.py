@@ -73,11 +73,8 @@ def main() -> int:
         bad = {ln: c.calls for ln, c in stats.layers.items() if c.calls != REQUESTS}
         assert not bad, f"{name} counters out of step: {bad}"
         assert stats.total.structured_macs > 0
-        widths = stats.observed_cols()
-        assert widths, f"{name} executor recorded no GEMM widths"
     print(f"per-worker counters merge consistently: {len(process_stats.layers)} layers x "
-          f"{REQUESTS} calls in both executors; observed widths recorded for "
-          f"{len(process_stats.observed_cols())} layers")
+          f"{REQUESTS} calls in both executors")
     print("POOL SMOKE OK")
     return 0
 

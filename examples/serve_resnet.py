@@ -2,14 +2,14 @@
 
 A sparse ResNet-18's weights are decomposed and compressed into structured
 N:M operands exactly once, at plan-build time; every request after that
-runs only the structured sparse GEMMs.  Compilation also *autotunes* the
-kernel backend per layer (micro-benchmarking the three structured GEMM
-implementations), and serving runs through one in-process executor
-that binds the compiled plan to the model.
+runs only the structured sparse GEMMs, here through the BLAS-backed
+``dense-emulation`` kernel backend (the bit-exact ``einsum-gather``
+reference is the default), and serving runs through one in-process
+executor that binds the compiled plan to the model.
 
 The compiled plan also *persists*: it is saved to a digest-keyed ``.npz``
-artifact and reloaded as a warm restart would — no re-decomposition, no
-re-tuning, identical backend choices — which is how a production server
+artifact and reloaded as a warm restart would — no re-decomposition,
+identical backend choices — which is how a production server
 skips the compile cost after a process restart.  And it *shares*: the
 final section serves the same plan through a pool of worker processes
 forked from this one, which inherit the compiled plan and scale past the
@@ -64,18 +64,18 @@ transform = TASDTransform(
 
 # ---------------------------------------------------------------------------
 # 2. Compile: weights decompose + compress exactly once, at build time,
-#    and the autotuner picks the fastest GEMM kernel backend per layer
-#    (visible in the summary).  Tasder.compile(result, autotune=True) does
+#    with every compiled layer on the dense-emulation GEMM backend
+#    (visible in the summary).  Tasder.compile(result, backend=...) does
 #    the same from a search result.
 # ---------------------------------------------------------------------------
-plan = compile_plan(model, transform, autotune=True)
+plan = compile_plan(model, transform, backend="dense-emulation")
 print(plan.summary(), "\n")
 
 # ---------------------------------------------------------------------------
 # 3. Persist + warm-restart: save the compiled artifact (operands, gather
-#    tables, autotuned backend choices, keyed by weight digests) and reload
-#    it the way a restarted server would — milliseconds instead of a full
-#    recompile + re-tune, with the per-layer kernel choices preserved.
+#    tables, backend choices, keyed by weight digests) and reload it the
+#    way a restarted server would — faster than a full recompile, with the
+#    per-layer kernel choices preserved.
 # ---------------------------------------------------------------------------
 fresh_choices = plan.backend_choices()
 with tempfile.TemporaryDirectory() as tmpdir:
@@ -83,7 +83,7 @@ with tempfile.TemporaryDirectory() as tmpdir:
     plan.save(artifact)
     plan = load_plan(artifact, model)
     print(f"plan reloaded from {artifact} in {plan.build_time * 1e3:.1f} ms\n")
-assert plan.backend_choices() == fresh_choices  # tuning survived the restart
+assert plan.backend_choices() == fresh_choices  # choices survived the restart
 
 # ---------------------------------------------------------------------------
 # 4. Serve in-process: the engine micro-batches queued requests and runs
@@ -108,7 +108,8 @@ assert all(out.shape == (1, 10) for out in outputs)
 #    serves with no GIL in common.  Outputs are bit-identical to the
 #    in-process PlanExecutor; per-worker counters merge into one stats()
 #    view.  This is the compile-once / serve-everywhere step a production
-#    deployment takes after `compile --autotune --save-plan plan.npz`:
+#    deployment takes after `compile --backend dense-emulation --save-plan
+#    plan.npz`:
 #
 #        python -m repro.cli serve --plan plan.npz --workers 4
 #
@@ -229,7 +230,7 @@ if __name__ == "__main__":
     from repro.runtime import SwapRejected, skewed_plan
 
     # The candidate: a freshly re-compiled artifact carrying the live
-    # plan's tuned kernel choices — same function, same kernels, so the
+    # plan's kernel choices — same function, same kernels, so the
     # upgrade must be bit-exact.  (A candidate with *different* backend
     # choices still canaries clean, just at allclose rather than ulp.)
     candidate = compile_plan(model, transform)

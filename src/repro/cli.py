@@ -9,23 +9,22 @@ Usage::
     python -m repro.cli all                  # everything (trains the zoo)
 
     python -m repro.cli compile --config 2:4          # build an execution plan
-    python -m repro.cli compile --autotune            # + pick kernels per layer
+    python -m repro.cli compile --backend dense-emulation   # BLAS-backed kernels
     python -m repro.cli serve --requests 32 --max-batch 8   # serving demo
     python -m repro.cli serve --workers 4                   # process pool, past the GIL
-    python -m repro.cli serve --autotune --tune-observed    # tune on real shapes
     python -m repro.cli serve --metrics-port 9100           # live /metrics scrape
     python -m repro.cli serve --workers 2 --max-queue 64 --request-timeout 30 \
         --max-retries 2                                     # fault-tolerance knobs
     python -m repro.cli compile --metrics-json plan_metrics.json
     python -m repro.cli lint --strict        # runtime invariant linter
 
-Compiled plans persist across restarts: ``compile --autotune --save-plan
-plan.npz`` pays decomposition + tuning once and writes a digest-keyed
-artifact; ``compile --plan plan.npz`` / ``serve --plan plan.npz`` reload
-it in milliseconds (autotuned backend choices included) and refuse models
-whose weights have drifted::
+Compiled plans persist across restarts: ``compile --save-plan plan.npz``
+pays decomposition once and writes a digest-keyed artifact;
+``compile --plan plan.npz`` / ``serve --plan plan.npz`` reload it in
+milliseconds (backend choices included) and refuse models whose weights
+have drifted::
 
-    python -m repro.cli compile --autotune --save-plan plan.npz
+    python -m repro.cli compile --backend dense-emulation --save-plan plan.npz
     python -m repro.cli serve --plan plan.npz --requests 32
 """
 
@@ -114,18 +113,13 @@ def _runtime_model(args: argparse.Namespace):
 def _check_runtime_flags(args: argparse.Namespace) -> None:
     """Reject bad flag combinations before paying the model-build cost."""
     if args.plan is not None:
-        if args.autotune or args.backend is not None or args.config is not None:
+        if args.backend is not None or args.config is not None:
             raise SystemExit(
                 "--plan loads a persisted plan (series config and backend "
-                "choices included); --autotune / --backend / --config only "
-                "apply when compiling"
+                "choices included); --backend / --config only apply when "
+                "compiling"
             )
         return
-    if args.autotune and args.backend is not None:
-        raise SystemExit(
-            "--autotune and --backend are mutually exclusive: autotuning "
-            "picks the backend per layer, a fixed --backend pins it"
-        )
     if args.backend is not None:
         from repro.runtime.backends import backend_names
 
@@ -134,13 +128,6 @@ def _check_runtime_flags(args: argparse.Namespace) -> None:
                 f"unknown --backend {args.backend!r}; valid backends: "
                 + ", ".join(backend_names())
             )
-
-
-def _compile_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {"autotune": args.autotune}
-    if args.backend is not None:
-        kwargs["backend"] = args.backend
-    return kwargs
 
 
 def _plan_for(args: argparse.Namespace, model, transform):
@@ -154,9 +141,9 @@ def _plan_for(args: argparse.Namespace, model, transform):
             raise SystemExit(f"plan artifact not found: {args.plan}") from None
         except (PlanFormatError, PlanDigestError) as exc:
             raise SystemExit(f"cannot load plan {args.plan}: {exc}") from None
-    from repro.runtime import compile_plan
+    from repro.runtime import DEFAULT_BACKEND, compile_plan
 
-    return compile_plan(model, transform, **_compile_kwargs(args))
+    return compile_plan(model, transform, backend=args.backend or DEFAULT_BACKEND)
 
 
 def _save_plan_or_exit(plan, path):
@@ -189,33 +176,6 @@ def _compile(args: argparse.Namespace) -> str:
             f"compile metrics ({len(snapshot)} families) written to {args.metrics_json}"
         )
     return "\n".join(lines)
-
-
-def _tune_observed(args: argparse.Namespace, model, plan, requests) -> str:
-    """Profile a served-shaped batch, then re-tune each layer on its shape.
-
-    The serving engine coalesces up to ``max_batch`` requests per
-    micro-batch, so the profiling forward runs a batch of that size — the
-    GEMM widths recorded (and tuned on) are the widths serving will
-    actually see, not the narrower single-request shapes.
-    """
-    import numpy as np
-
-    from repro.runtime import PlanExecutor, retune_plan
-
-    coalesced = np.concatenate(requests[: max(1, min(args.max_batch, len(requests)))])
-    with PlanExecutor(model, plan) as profiler:
-        profiler.run(coalesced)
-        observed = profiler.stats().observed_cols()
-    plan.reset_counters()  # profiling forwards must not pollute the serve stats
-    before = plan.backend_choices()
-    after = retune_plan(plan, observed)
-    changed = sum(1 for name in after if after[name] != before[name])
-    widths = sorted(set(observed.values()))
-    return (
-        f"re-tuned {len(after)} layers on observed GEMM widths {widths} "
-        f"({changed} backend choices changed)"
-    )
 
 
 def _install_serve_signals(flags: dict) -> "dict | None":
@@ -274,16 +234,9 @@ def _serve(args: argparse.Namespace) -> str:
     plan = _plan_for(args, model, transform)
     rng = np.random.default_rng(0)
     requests = [rng.normal(size=(args.batch, 3, 8, 8)) for _ in range(args.requests)]
-    tune_note = None
-    if args.tune_observed:
-        # Before --save-plan, so the persisted artifact (and the summary
-        # below) carry the retuned backend choices.
-        tune_note = _tune_observed(args, model, plan, requests)
     if args.save_plan is not None:
         _save_plan_or_exit(plan, args.save_plan)
     lines = [plan.summary()]
-    if tune_note is not None:
-        lines.append(tune_note)
     if workers == 1:
         executor_cm = PlanExecutor(model, plan)  # the degenerate one-worker pool
     else:
@@ -453,14 +406,10 @@ def main(argv: list[str] | None = None) -> int:
         "--window", type=float, default=0.002, help="micro-batching window in seconds (serve)"
     )
     parser.add_argument(
-        "--autotune",
-        action="store_true",
-        help="micro-benchmark GEMM backends per layer at compile time (compile/serve)",
-    )
-    parser.add_argument(
         "--backend",
         default=None,
-        help="fix one structured-GEMM backend for every compiled layer (compile/serve)",
+        help="structured-GEMM backend for every compiled layer: einsum-gather "
+        "(default, bit-exact) or dense-emulation (compile/serve)",
     )
     parser.add_argument(
         "--workers",
@@ -470,17 +419,10 @@ def main(argv: list[str] | None = None) -> int:
         "N forked worker processes that inherit the compiled plan (serve)",
     )
     parser.add_argument(
-        "--tune-observed",
-        action="store_true",
-        help="profile a few requests, then re-tune each layer's GEMM "
-        "backend on its observed serving shape instead of the fixed "
-        "representative width (serve)",
-    )
-    parser.add_argument(
         "--save-plan",
         default=None,
         metavar="PATH",
-        help="persist the compiled plan (operands, gather tables, autotuned "
+        help="persist the compiled plan (operands, gather tables, "
         "backend choices) to a .npz artifact after compiling (compile/serve)",
     )
     parser.add_argument(
@@ -534,8 +476,8 @@ def main(argv: list[str] | None = None) -> int:
         "--plan",
         default=None,
         metavar="PATH",
-        help="load a plan saved with --save-plan instead of recompiling/"
-        "re-tuning; refuses artifacts whose weight digests do not match "
+        help="load a plan saved with --save-plan instead of recompiling; "
+        "refuses artifacts whose weight digests do not match "
         "the model (compile/serve)",
     )
     args = parser.parse_args(argv)

@@ -76,10 +76,9 @@ def im2col(
 
     ``cols`` is the transpose of a C-contiguous ``(K, M)`` buffer, written
     in ``(c, kh, kw, b, oh, ow)`` order by one copy.  The plan's GEMM
-    contracts ``cols.T`` against the compressed weights, and autotune times
-    every kernel on exactly that C-contiguous ``(K, cols)`` right-hand side,
-    so the served operand needs no further copy and matches the measured
-    layout.  Padding goes through a zero buffer in ``x``'s own memory order
+    contracts ``cols.T`` against the compressed weights, and every kernel
+    backend reads that C-contiguous ``(K, cols)`` right-hand side as is, so
+    the served operand needs no further copy.  Padding goes through a zero buffer in ``x``'s own memory order
     (a channel-major conv output stays channel-major), so the windows are
     read along contiguous rows.
     """

@@ -16,9 +16,10 @@ Quickstart::
             y = engine.infer(x)                    # compile once, serve many
 
 The structured GEMMs behind every compiled forward dispatch to one of
-three kernel backends (:mod:`repro.runtime.backends`);
-``compile_plan(..., autotune=True)`` micro-benchmarks them per layer and
-records each winner in the plan.  Installing a plan also folds the
+two kernel backends (:mod:`repro.runtime.backends`): the bit-exact
+reference ``einsum-gather`` (the default) and the BLAS-backed
+``dense-emulation``, which agrees to rounding error and is the faster one
+at every width served here.  Installing a plan also folds the
 work that follows each conv GEMM into its epilogue: in eval mode a conv
 applies the BatchNorm2d and ReLU after it, and a ResNet block's last conv
 also its residual add, in place on the GEMM's fresh output buffer, with
@@ -30,7 +31,7 @@ swap the :class:`PlanExecutor` for a :class:`ProcessWorkerPool`
 parent, inherit the model and compiled plan copy-on-write, and scale past
 the GIL::
 
-    plan = compile_plan(model, transform, autotune=True)
+    plan = compile_plan(model, transform, backend="dense-emulation")
     with ProcessWorkerPool(model, plan, workers=4) as executor:
         with ServingEngine(executor, workers=4) as engine:
             y = engine.infer(x)                    # forwards run concurrently
@@ -38,8 +39,8 @@ the GIL::
 Compiled plans persist across restarts (:mod:`repro.runtime.planio`):
 ``plan.save("plan.npz")`` writes a digest-keyed artifact and
 ``load_plan("plan.npz", model)`` rebuilds the plan — compressed operands,
-gather tables, and autotuned backend choices included — without
-re-decomposing or re-tuning, refusing models whose weights have drifted.
+gather tables, and backend choices included — without re-decomposing,
+refusing models whose weights have drifted.
 
 The runtime is observable end to end (:mod:`repro.runtime.metrics`):
 per-layer GEMM latency histograms with fixed buckets merge exactly across
@@ -71,12 +72,10 @@ finishes every accepted request, then shuts down — the CLI maps SIGTERM
 to drain and SIGHUP to a plan reload.
 """
 
-from .autotune import AutotuneResult, autotune_operand, retune_plan
 from .backends import (
     DEFAULT_BACKEND,
     GemmBackend,
     backend_names,
-    exact_backend_names,
     get_backend,
 )
 from .cache import CompiledOperand, compile_operand, tensor_digest
@@ -119,7 +118,6 @@ from .pool import (
 from .serve import DeadlineExceeded, QueueFull, ServingEngine, SwapRejected
 
 __all__ = [
-    "AutotuneResult",
     "ChaosMonkey",
     "ChaosSpec",
     "CompiledOperand",
@@ -150,11 +148,9 @@ __all__ = [
     "WorkerCrashError",
     "WorkerPool",
     "WorkerStat",
-    "autotune_operand",
     "backend_names",
     "compile_operand",
     "compile_plan",
-    "exact_backend_names",
     "export_executor_stats",
     "get_backend",
     "is_poisoned",
@@ -165,7 +161,6 @@ __all__ = [
     "poison_batch",
     "skewed_plan",
     "render_prometheus",
-    "retune_plan",
     "save_plan",
     "tensor_digest",
 ]

@@ -2,30 +2,23 @@
 
 Every compiled forward funnels its GEMMs through one seam —
 ``CompiledOperand.matmul`` — and this module supplies the kernels behind
-it: three fixed :class:`GemmBackend` implementations of the
-``CompressedNM``-operand matmul, each trading memory traffic against
-vectorisation differently (SparseRT's lesson: the win is in specialising
-the kernel to the operand ahead of time).
+it: two fixed :class:`GemmBackend` implementations of the
+``CompressedNM``-operand matmul.  ``compile_plan`` picks one per plan by
+rule, not by measurement: exact plans run the reference, allclose plans
+run ``dense-emulation``.
 
 - ``einsum-gather`` is the reference: the per-term einsum of
   :func:`repro.core.sparse_ops.nm_matmul_from_tables` accumulated in term
-  order.
-- ``blocked-gather`` is **bit-identical** to the reference.  It only
-  restructures *memory* movement, never the per-element floating-point
-  evaluation order, and wins on wide GEMMs whose gather tensor spills
-  past cache.
+  order, bit-identical to the per-call ``tasd_matmul`` path.
 - ``dense-emulation`` reassociates the reduction through BLAS and agrees
-  with the reference to rounding error (``allclose``).  It wins on the
-  narrow GEMMs of small-batch serving.
+  with the reference to rounding error (``allclose``).  It is the faster
+  backend at every width this repo's workloads serve.
 
-Bit-exactness note (verified empirically against this NumPy build, and
-fenced by ``tests/runtime/test_runtime_backends.py``): tiling the
-contraction over output *rows* preserves bits (each output element's
-reduction is untouched); tiling over output *columns* does not — NumPy's
-einsum picks a different inner accumulation strategy for narrow
-contiguous trailing dimensions.  ``blocked-gather`` therefore tiles rows,
-which bounds the gather tensor exactly as well (``tile_rows * slots * N``
-elements resident instead of ``rows * slots * N``).
+Bit-exactness note (verified empirically against this NumPy build): a
+faster exact kernel may tile the contraction over output *rows*, which
+preserves bits (each output element's reduction is untouched), but not
+over output *columns* — NumPy's einsum picks a different inner
+accumulation strategy for narrow contiguous trailing dimensions.
 """
 
 from __future__ import annotations
@@ -44,11 +37,9 @@ __all__ = [
     "DEFAULT_BACKEND",
     "GemmBackend",
     "EinsumGatherBackend",
-    "BlockedGatherBackend",
     "DenseEmulationBackend",
     "get_backend",
     "backend_names",
-    "exact_backend_names",
 ]
 
 DEFAULT_BACKEND = "einsum-gather"
@@ -93,8 +84,7 @@ class EinsumGatherBackend(GemmBackend):
 
     This is the arithmetic every exact backend must reproduce bit-for-bit
     and the per-call ``tasd_matmul`` path is verified against.  It
-    materialises a ``(rows, slots, N)`` gather tensor per term per call —
-    the memory-traffic-bound worst case the other backends attack.
+    materialises a ``(rows, slots, N)`` gather tensor per term per call.
     """
 
     name = DEFAULT_BACKEND
@@ -105,51 +95,6 @@ class EinsumGatherBackend(GemmBackend):
         out = np.zeros((rows, b.shape[1]), dtype=self._out_dtype(operand, b))
         for vals, rows_idx in zip(operand.flat_values, operand.flat_rows):
             out += nm_matmul_from_tables(vals, rows_idx, b)
-        return out
-
-
-class BlockedGatherBackend(GemmBackend):
-    """Row-tiled gather: bounds the gather tensor to cache-resident size.
-
-    The reference kernel's ``(rows, slots, N)`` intermediate can spill far
-    past cache for wide layers; this backend runs the identical per-term
-    einsum over row tiles sized so the gather stays within ``budget_bytes``
-    (``tile_rows * slots * N`` resident elements).  Rows are the tiling
-    axis because each output element's reduction is then untouched — see
-    the module docstring for why column tiles would break bit-exactness.
-    """
-
-    name = "blocked-gather"
-    exact = True
-
-    def __init__(self, block_rows: int | None = None, budget_bytes: int = 1 << 22) -> None:
-        if block_rows is not None and block_rows <= 0:
-            raise ValueError(f"block_rows must be positive, got {block_rows}")
-        if budget_bytes <= 0:
-            raise ValueError(f"budget_bytes must be positive, got {budget_bytes}")
-        self.block_rows = block_rows
-        self.budget_bytes = budget_bytes
-
-    def _tile(self, operand: "CompiledOperand", n_cols: int, itemsize: int) -> int:
-        if self.block_rows is not None:
-            return self.block_rows
-        max_slots = max(v.shape[1] for v in operand.flat_values)
-        per_row = max(1, max_slots * max(1, n_cols) * itemsize)
-        return max(1, self.budget_bytes // per_row)
-
-    def matmul(self, operand: "CompiledOperand", state: Any, b: np.ndarray) -> np.ndarray:
-        rows = operand.padded_shape[0]
-        dtype = self._out_dtype(operand, b)
-        tile = min(rows, self._tile(operand, b.shape[1], dtype.itemsize))
-        if tile >= rows:  # fits in budget: exactly the reference call
-            return _REFERENCE.matmul(operand, None, b)
-        out = np.empty((rows, b.shape[1]), dtype=dtype)
-        for r0 in range(0, rows, tile):
-            r1 = min(rows, r0 + tile)
-            acc = np.zeros((r1 - r0, b.shape[1]), dtype=dtype)
-            for vals, rows_idx in zip(operand.flat_values, operand.flat_rows):
-                acc += nm_matmul_from_tables(vals[r0:r1], rows_idx[r0:r1], b)
-            out[r0:r1] = acc
         return out
 
 
@@ -178,12 +123,9 @@ class DenseEmulationBackend(GemmBackend):
         return state @ b
 
 
-_REFERENCE = EinsumGatherBackend()
-
-# Fixed at import: the reference first, then the other exact kernel, then
-# the inexact one.  Autotune breaks timing ties toward this order.
+# Fixed at import, the reference first.
 _BACKENDS: MappingProxyType[str, GemmBackend] = MappingProxyType(
-    {be.name: be for be in (_REFERENCE, BlockedGatherBackend(), DenseEmulationBackend())}
+    {be.name: be for be in (EinsumGatherBackend(), DenseEmulationBackend())}
 )
 
 
@@ -199,7 +141,3 @@ def backend_names() -> tuple[str, ...]:
     """All backend names, reference first."""
     return tuple(_BACKENDS)
 
-
-def exact_backend_names() -> tuple[str, ...]:
-    """Backends guaranteed bit-identical to the reference kernel."""
-    return tuple(name for name, be in _BACKENDS.items() if be.exact)

@@ -40,8 +40,8 @@ class LayerCounters:
     wall_time: float = 0.0  # seconds spent inside the layer's GEMM
     # Observed GEMM column widths (batch rows of the 2-D input block, i.e.
     # the im2col width x batch the layer actually served), width -> count.
-    # This is the shape the autotuner's ``sample_cols`` stands in for, so a
-    # recorded serving run can re-tune on real shapes instead of a guess.
+    # perfbench costs each kernel call's MACs and bytes from these widths
+    # for its per-backend rows of pool-served workloads.
     col_widths: dict[int, int] = field(default_factory=dict)
     # Per-call GEMM latency over the runtime's fixed log-spaced buckets.
     # Fixed bounds make the merge across workers (threads or processes)
@@ -62,18 +62,6 @@ class LayerCounters:
         self.gemm_seconds.observe(seconds)
         if cols is not None:
             self.col_widths[cols] = self.col_widths.get(cols, 0) + 1
-
-    def observed_cols(self) -> int | None:
-        """The most frequently served GEMM column width (ties -> widest).
-
-        ``None`` when the layer has recorded no widths yet.  Ties resolve
-        toward the *wider* shape: tuning for the larger GEMM is the safer
-        bet (the winner at a wide shape rarely loses badly at a narrow one,
-        while the reverse is common).
-        """
-        if not self.col_widths:
-            return None
-        return max(self.col_widths, key=lambda w: (self.col_widths[w], w))
 
     def merged_with(self, other: "LayerCounters") -> "LayerCounters":
         widths = dict(self.col_widths)
@@ -141,22 +129,6 @@ class ExecutorStats:
     def throughput(self) -> float:
         """Samples per second over the executor's measured forwards."""
         return self.samples / self.wall_time if self.wall_time else 0.0
-
-    def observed_cols(self) -> dict[str, int]:
-        """Per-layer dominant GEMM column width observed by this run.
-
-        The shape profile a serving run actually exercised — feed it to
-        :func:`repro.runtime.autotune.retune_plan` to tune each layer on
-        its real serving shape instead of a representative guess.  Layers
-        that recorded no widths (never called, dense-only runs) are
-        omitted.
-        """
-        out: dict[str, int] = {}
-        for name, counters in self.layers.items():
-            width = counters.observed_cols()
-            if width is not None:
-                out[name] = width
-        return out
 
     def table(self) -> str:
         """Per-layer counter table plus totals, for CLI / example output."""

@@ -17,8 +17,10 @@ Three execution modes exist for every layer:
 Compiled layers additionally carry a kernel *backend* (see
 :mod:`repro.runtime.backends`): ``LayerPlan.gemm`` is the single seam every
 structured GEMM flows through, and the backend name chooses which kernel
-implementation serves it.  ``compile_plan(..., autotune=True)`` picks the
-backend per layer by micro-benchmark; the winner is visible in
+implementation serves it.  ``compile_plan(..., autotune=True)`` picks it by
+rule: ``dense-emulation`` for allclose plans, the fastest backend at every
+width the benchmark workloads serve, and the reference ``einsum-gather``
+for exact ones (``autotune_exact_only=True``).  The choice is visible in
 ``plan.summary()``.
 """
 
@@ -46,7 +48,6 @@ from repro.tensor.blocks import pad_to_multiple
 
 from repro.analysis.annotations import hot_path
 
-from .autotune import AutotuneResult, autotune_operand
 from .backends import DEFAULT_BACKEND, get_backend
 from .cache import CompiledOperand, compile_operand, tensor_digest
 from .counters import LayerCounters
@@ -75,7 +76,6 @@ class LayerPlan:
     operand: CompiledOperand | None  # compressed weights (compiled mode)
     dense_weight: np.ndarray | None  # weight matrix (dense / per-call modes)
     backend: str = DEFAULT_BACKEND  # structured-GEMM kernel (compiled mode)
-    autotune: AutotuneResult | None = None  # sweep that chose the backend
     weight_digest: str | None = None  # content digest of the source weight
     counters: LayerCounters = field(default_factory=LayerCounters)
 
@@ -147,8 +147,7 @@ class LayerPlan:
             structured = batch_rows * self.reduction * self.out_features
         dense = batch_rows * self.reduction * self.out_features
         # batch_rows is the GEMM's column count once the operand side is
-        # transposed — the very shape autotune's ``sample_cols`` models —
-        # so recording it lets a serve run re-tune on observed shapes.
+        # transposed: the width each kernel call actually served.
         self.counters.record(structured, dense, time.perf_counter() - t0, cols=batch_rows)
         return y
 
@@ -159,8 +158,6 @@ class LayerPlan:
         if self.operand is not None:
             storage = f"{self.operand.total_nnz} nnz / {self.operand.compressed_bits / 8192:.1f} KiB"
         backend = self.backend if self.mode == "compiled" else "-"
-        if self.autotune is not None:
-            backend += f" ({self.autotune.speedup_vs_reference:.1f}x ref)"
         return (
             f"{self.name:<28s} {self.kind:<7s} {self.mode:<9s} "
             f"W={str(self.weight_config):<10s} A={str(self.activation_config):<10s} "
@@ -191,7 +188,7 @@ class ExecutionPlan:
             plan.counters.reset()
 
     def backend_choices(self) -> dict[str, str]:
-        """Kernel backend per *compiled* layer (autotune / CI smoke hook)."""
+        """Kernel backend per *compiled* layer."""
         return {
             name: plan.backend
             for name, plan in self.layers.items()
@@ -303,13 +300,24 @@ def _layer_kind(layer: _GemmLayer) -> str:
     return "conv2d" if isinstance(layer, Conv2d) else "linear"
 
 
+def autotune_operand(operand: CompiledOperand, exact_only: bool = False) -> str:
+    """The backend rule: ``einsum-gather`` if ``exact_only``, else ``dense-emulation``.
+
+    Builds that backend's prepared state now, at compile time, so forked
+    pool workers inherit it copy-on-write.  The name is kept for
+    perfbench, which looks it up and times it as the plan's backend choice.
+    """
+    name = DEFAULT_BACKEND if exact_only else "dense-emulation"
+    operand.backend_state(get_backend(name))
+    return name
+
+
 def compile_plan(
     model: Module,
     transform: TASDTransform,
     mode: str = "compiled",
     backend: str = DEFAULT_BACKEND,
     autotune: bool = False,
-    autotune_repeats: int = 3,
     autotune_exact_only: bool = False,
 ) -> ExecutionPlan:
     """Compile a model + transform into an :class:`ExecutionPlan`.
@@ -324,13 +332,10 @@ def compile_plan(
     forward re-decomposes through ``tasd_matmul``).
 
     ``backend`` fixes the structured-GEMM kernel for every compiled layer;
-    ``autotune=True`` instead micro-benchmarks the backends per layer at
-    :data:`~repro.runtime.autotune.DEFAULT_SAMPLE_COLS` columns (see
-    :func:`repro.runtime.autotune.autotune_operand`) and records each
-    winner — ``autotune_exact_only`` restricts the sweep to backends
-    bit-identical to the reference kernel.  To tune on the widths a serving
-    run actually saw, pass the compiled plan to
-    :func:`repro.runtime.autotune.retune_plan`.
+    ``autotune=True`` instead applies :func:`autotune_operand`'s rule:
+    ``dense-emulation``, or the bit-exact reference ``einsum-gather`` when
+    ``autotune_exact_only`` is set.  (The keywords keep their names for
+    perfbench; no kernel is timed.)
 
     Dynamic TASD-A activations are decomposed on every forward, never
     cached: like the paper's TASD units, each activation block is
@@ -354,12 +359,9 @@ def compile_plan(
         else:
             layer_mode = "compiled"
             operand, dense_weight = compile_operand(w, weight_config), None
-        layer_backend, sweep = backend, None
+        layer_backend = backend
         if autotune and layer_mode == "compiled":
-            sweep = autotune_operand(
-                operand, repeats=autotune_repeats, exact_only=autotune_exact_only
-            )
-            layer_backend = sweep.backend
+            layer_backend = autotune_operand(operand, exact_only=autotune_exact_only)
         plans[name] = LayerPlan(
             name=name,
             kind=_layer_kind(layer),
@@ -370,7 +372,6 @@ def compile_plan(
             operand=operand,
             dense_weight=dense_weight,
             backend=layer_backend,
-            autotune=sweep,
             weight_digest=w_digest,
         )
     return ExecutionPlan(

@@ -5,16 +5,16 @@ should be paid once per *model*, not once per process (SparseRT pays its
 specialisation cost ahead of time; S2TA keeps exactly this compressed form
 resident).  This module makes the compiled artifact durable: a single
 ``.npz`` file carrying every layer's :class:`CompressedNM` term arrays,
-shapes, series configurations, chosen kernel backend, and autotune
-timings, plus a JSON manifest that keys the whole artifact by the weight
-digests ``compile_plan`` records on every layer (gather tables are index
+shapes, series configurations and chosen kernel backend, plus a JSON
+manifest that keys the whole artifact by the weight digests
+``compile_plan`` records on every layer (gather tables are index
 arithmetic over the stored terms, rederived bit-identically at load).
 
 Loading rebuilds a fully working :class:`ExecutionPlan` without touching
-``tasder`` or ``pruning``: no decomposition, no compression, no
-micro-benchmarking — the arrays deserialize straight into
-:class:`CompiledOperand` storage, backend state rebuilds lazily on first
-dispatch, and every layer keeps the weight digest it was saved with.
+``tasder`` or ``pruning``: no decomposition, no compression — the arrays
+deserialize straight into :class:`CompiledOperand` storage, backend state
+rebuilds lazily on first dispatch, and every layer keeps the weight
+digest it was saved with.
 
 Integrity is enforced on two axes:
 
@@ -32,8 +32,8 @@ plan.
 
 Usage::
 
-    plan = compile_plan(model, transform, autotune=True)
-    plan.save("plan.npz")                      # pay compile+tune once
+    plan = compile_plan(model, transform, backend="dense-emulation")
+    plan.save("plan.npz")                      # pay the compile once
     ...                                        # process restart
     plan = load_plan("plan.npz", model)        # milliseconds, same plan
 """
@@ -57,7 +57,6 @@ from repro.core.patterns import NMPattern
 from repro.core.series import TASDConfig
 from repro.core.sparse_ops import CompressedNM, nm_gather_tables
 
-from .autotune import AutotuneResult
 from .cache import CompiledOperand, tensor_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -142,8 +141,8 @@ def plan_fingerprint(plan: "ExecutionPlan") -> str:
     artifacts, so it equals :func:`model_fingerprint` of the source model.
     A hot plan-swap compares the live and candidate plans' fingerprints
     before any worker is touched: equal fingerprints mean the new plan
-    serves the *same* weights (a retune / re-layout), and a mismatch is a
-    wrong-artifact deploy rejected up front.
+    serves the *same* weights (another backend or re-layout), and a
+    mismatch is a wrong-artifact deploy rejected up front.
     """
     digests = {
         name: _layer_weight_digest(layer_plan)
@@ -178,16 +177,6 @@ def _layer_weight_digest(layer_plan) -> str:
     )
 
 
-def _autotune_entry(sweep: AutotuneResult | None) -> dict | None:
-    if sweep is None:
-        return None
-    return {
-        "backend": sweep.backend,
-        "timings": dict(sweep.timings),
-        "sample_cols": sweep.sample_cols,
-    }
-
-
 def _collect_entries(plan: "ExecutionPlan", put) -> tuple[list[dict], dict[str, str]]:
     """Build the per-layer manifest entries, registering arrays via ``put``.
 
@@ -209,7 +198,6 @@ def _collect_entries(plan: "ExecutionPlan", put) -> tuple[list[dict], dict[str, 
             "activation_axis": lp.activation_axis,
             "backend": lp.backend,
             "weight_digest": weight_digest,
-            "autotune": _autotune_entry(lp.autotune),
         }
         if lp.operand is not None:
             op = lp.operand
@@ -234,11 +222,11 @@ def save_plan(plan: "ExecutionPlan", path: str | Path) -> Path:
 
     The artifact stores, per layer, the :class:`CompressedNM` term arrays
     (``values``/``indices``), the dense weight (dense / per-call layers),
-    the padded/original shapes, the series configuration strings, the
-    chosen backend, and the autotune sweep that chose it — everything
-    :func:`load_plan` needs to rebuild the plan without re-decomposing
-    (the gather tables are pure index arithmetic over the stored terms and
-    are rederived at load).  Returns the written path.
+    the padded/original shapes, the series configuration strings and the
+    chosen backend — everything :func:`load_plan` needs to rebuild the
+    plan without re-decomposing (the gather tables are pure index
+    arithmetic over the stored terms and are rederived at load).  Returns
+    the written path.
     """
     path = Path(path)
     arrays: dict[str, np.ndarray] = {}
@@ -412,8 +400,7 @@ def load_plan(path: str | Path, model: "Module") -> "ExecutionPlan":
     :class:`PlanDigestError` / :class:`PlanFormatError` instead of serving
     wrong results.  Every layer keeps the weight digest it was saved with,
     and per-backend prepared state rebuilds lazily on first dispatch —
-    load time is file I/O plus digest checks, never decomposition or
-    tuning.
+    load time is file I/O plus digest checks, never decomposition.
     """
     t0 = time.perf_counter()
     path = Path(path)
@@ -475,8 +462,8 @@ def _rebuild_plan(data, manifest: dict, model: "Module"):
 
     ``build_time`` is stamped by the caller (it covers the whole load).
     Keys that older version-1 writers recorded and this runtime no longer
-    uses (row-partition schedules, the activation-cache flag) are ignored;
-    the manifest checksum still covers them.
+    uses (row-partition schedules, the activation-cache flag, backend
+    timing sweeps) are ignored; the manifest checksum still covers them.
     """
     from repro.tasder.transform import TASDTransform
 
@@ -498,7 +485,6 @@ def _rebuild_plan(data, manifest: dict, model: "Module"):
             operand = _rebuild_operand(data, manifest, entry, weight_config)
         if "dense_weight" in entry:
             dense_weight = _array(data, manifest, entry["dense_weight"])
-        sweep = entry["autotune"]
         layers[name] = LayerPlan(
             name=name,
             kind=entry["kind"],
@@ -509,13 +495,6 @@ def _rebuild_plan(data, manifest: dict, model: "Module"):
             operand=operand,
             dense_weight=dense_weight,
             backend=entry["backend"],
-            autotune=None
-            if sweep is None
-            else AutotuneResult(
-                backend=sweep["backend"],
-                timings=dict(sweep["timings"]),
-                sample_cols=sweep["sample_cols"],
-            ),
             weight_digest=entry["weight_digest"],
         )
     return ExecutionPlan(

@@ -472,7 +472,7 @@ class ServingEngine:
         digests verified).  The live executor serves throughout:
 
         1. **gate** — the candidate's per-layer weight fingerprint must
-           match the live plan's (same weights, different layout/tuning);
+           match the live plan's (same weights, different layout or backends);
            a wrong-weights artifact is rejected before anything starts;
         2. **candidate** — :meth:`WorkerPool.with_plan` builds a new
            executor of the live one's configuration on the new plan and

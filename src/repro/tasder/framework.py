@@ -147,8 +147,9 @@ class Tasder:
         the returned :class:`repro.runtime.plan.ExecutionPlan` serves many
         requests through :class:`repro.runtime.executor.PlanExecutor`.
         Extra keyword arguments pass through to
-        :func:`repro.runtime.plan.compile_plan` — e.g. ``autotune=True`` to
-        pick structured-GEMM kernel backends per layer.
+        :func:`repro.runtime.plan.compile_plan` — e.g.
+        ``backend="dense-emulation"`` to serve the structured GEMMs through
+        BLAS.
         """
         # Imported lazily: repro.runtime depends on this package.
         from repro.runtime.plan import compile_plan

@@ -187,7 +187,7 @@ class TestCompiledModelForward:
 
     def test_conv_layers_serve_a_c_contiguous_operand(self, sparse_resnet, batch, monkeypatch):
         """Every conv hands its kernel a C-contiguous ``(K, cols)`` right-hand
-        side: the layout ``autotune_operand`` times the backends on."""
+        side: the layout every kernel backend reads without a copy."""
         model, transform = sparse_resnet
         plan = compile_plan(model, transform)
         convs = {

@@ -27,9 +27,9 @@ from repro.runtime import (
     ProcessWorkerPool,
     ServingEngine,
     WorkerPool,
+    backend_names,
     compile_plan,
-    exact_backend_names,
-    retune_plan,
+    get_backend,
 )
 from repro.tasder.transform import TASDTransform
 
@@ -70,7 +70,9 @@ class TestProcessWorkerPool:
         for out in outs:
             np.testing.assert_array_equal(out, ref)
 
-    @pytest.mark.parametrize("backend", exact_backend_names())
+    @pytest.mark.parametrize(
+        "backend", [name for name in backend_names() if get_backend(name).exact]
+    )
     def test_exact_backends_bit_identical_to_plan_executor(self, batch, backend):
         model, transform = _sparse_model()
         plan = compile_plan(model, transform, backend=backend)
@@ -141,9 +143,9 @@ class TestProcessWorkerPool:
         assert all(c.calls == 5 for c in stats.layers.values())
         assert stats.total.structured_macs > 0
         assert stats.wall_time > 0
-        # Workers report their observed GEMM widths; merged like counters.
-        observed = stats.observed_cols()
-        assert observed and all(w > 0 for w in observed.values())
+        # Workers report their served GEMM widths; merged like counters.
+        assert all(sum(c.col_widths.values()) == 5 for c in stats.layers.values())
+        assert stats.layers["head"].col_widths == {batch.shape[0]: 5}
 
     def test_reset_stats(self, compiled, batch):
         model, _, plan = compiled
@@ -313,43 +315,9 @@ class TestWorkerPoolSeam:
 
 
 # ---------------------------------------------------------------------- #
-# Autotune on observed serving shapes
+# Served GEMM widths
 # ---------------------------------------------------------------------- #
-class TestObservedShapeAutotune:
-    def test_gemm_records_observed_cols(self, compiled, batch):
-        model, transform = _sparse_model()
-        plan = compile_plan(model, transform)
-        with PlanExecutor(model, plan) as ex:
-            ex.run(batch)
-            observed = ex.stats().observed_cols()
-        assert observed
-        # The head sees the flattened batch; conv layers see im2col widths.
-        assert observed["head"] == batch.shape[0]
-
-    def test_observed_cols_most_frequent_wins(self, compiled):
-        model, transform = _sparse_model()
-        plan = compile_plan(model, transform)
-        with PlanExecutor(model, plan) as ex:
-            for _ in range(2):
-                ex.run(np.zeros((1, 3, 8, 8)))
-            ex.run(np.zeros((4, 3, 8, 8)))
-            observed = ex.stats().observed_cols()
-        assert observed["head"] == 1  # served twice vs once
-
-    def test_retune_plan_updates_choices_in_place(self, batch):
-        model, transform = _sparse_model()
-        plan = compile_plan(model, transform)
-        with PlanExecutor(model, plan) as ex:
-            ex.run(batch)
-            observed = ex.stats().observed_cols()
-        choices = retune_plan(plan, observed, repeats=1)
-        assert choices == plan.backend_choices()
-        for name, lp in plan.layers.items():
-            if lp.mode == "compiled":
-                assert lp.autotune is not None
-                assert lp.autotune.sample_cols == observed.get(name, 32)
-                assert lp.backend == lp.autotune.backend
-
+class TestServedWidths:
     def test_counter_snapshot_is_isolated(self, compiled, batch):
         model, transform = _sparse_model()
         plan = compile_plan(model, transform)
