@@ -29,6 +29,8 @@ from repro.runtime import (
     compile_plan,
     get_backend,
 )
+from repro.runtime.backends import DenseEmulationBackend, EinsumGatherBackend
+from repro.runtime.plan import autotune_operand
 from repro.tasder.transform import TASDTransform
 
 # Representative series: single-term, multi-term uniform M, mixed block
@@ -39,6 +41,9 @@ SHAPES = [(4, 8), (16, 32), (7, 19), (32, 100), (1, 24), (64, 130)]
 
 EXACT = {name for name in backend_names() if get_backend(name).exact}
 INEXACT = set(backend_names()) - EXACT
+
+# perfbench's tolerance for an allclose workload's outputs.
+ALLCLOSE = {"rtol": 1e-6, "atol": 1e-9}
 
 
 def make_operand(rng, shape, config_text, sparsity=0.5, dtype=np.float64):
@@ -219,13 +224,72 @@ class TestPlanBackendDispatch:
         assert "dense-emulation" in plan.summary()
         assert set(plan.backend_choices().values()) == {"dense-emulation"}
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["allclose", "exact"])
+    def test_rule_on_conv_network(self, sparse_model, exact):
+        """Convs (and their folded epilogues) follow the rule like linears."""
+        model, transform = sparse_model
+        plan = compile_plan(model, transform, autotune=True, autotune_exact_only=exact)
+        rule = "einsum-gather" if exact else "dense-emulation"
+        assert len(plan.backend_choices()) == len(transform.weight_configs)
+        assert set(plan.backend_choices().values()) == {rule}
+        assert rule in plan.summary()
+        x = np.random.default_rng(5).normal(size=(2, 3, 8, 8))
+        with PlanExecutor(model, plan) as ex:
+            out = ex.run(x)
+        with PlanExecutor(model, compile_plan(model, transform)) as ex:
+            ref = ex.run(x)
+        if exact:
+            np.testing.assert_array_equal(out, ref)
+        else:
+            np.testing.assert_allclose(out, ref, **ALLCLOSE)
 
-# perfbench's tolerance for an allclose workload's outputs.
-ALLCLOSE = {"rtol": 1e-6, "atol": 1e-9}
+    def test_rule_overrides_backend_keyword(self, sparse_model):
+        model, transform = sparse_model
+        plan = compile_plan(model, transform, backend="einsum-gather", autotune=True)
+        assert set(plan.backend_choices().values()) == {"dense-emulation"}
+
+    @pytest.mark.parametrize("backend", backend_names())
+    def test_exact_only_without_autotune_honours_backend(self, sparse_model, backend):
+        model, transform = sparse_model
+        plan = compile_plan(model, transform, backend=backend, autotune_exact_only=True)
+        assert set(plan.backend_choices().values()) == {backend}
+
+    def test_rule_leaves_per_call_plans_alone(self, sparse_model):
+        model, transform = sparse_model
+        plan = compile_plan(model, transform, mode="per_call", autotune=True)
+        assert {lp.mode for lp in plan.layers.values()} <= {"per_call", "dense"}
+        assert plan.backend_choices() == {}
+        assert all(lp.operand is None for lp in plan.layers.values())
+
+    def test_rule_times_no_kernel(self, sparse_model, monkeypatch):
+        """Compiling by rule prepares state but never runs a GEMM kernel."""
+        model, transform = sparse_model
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("compile_plan ran a GEMM kernel")
+
+        with monkeypatch.context() as m:
+            for cls in (EinsumGatherBackend, DenseEmulationBackend):
+                m.setattr(cls, "matmul", forbidden)
+            plan = compile_plan(model, transform, autotune=True)
+        assert set(plan.backend_choices().values()) == {"dense-emulation"}
 
 
 class TestBackendRule:
     """``compile_plan(autotune=True)`` picks by rule, and the rule keeps outputs."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["allclose", "exact"])
+    def test_autotune_operand_prepares_only_the_rule_backend(self, rng, exact):
+        op = make_operand(rng, (16, 32), "2:4")
+        rule = "einsum-gather" if exact else "dense-emulation"
+        assert autotune_operand(op, exact_only=exact) == rule
+        assert set(op.backend_states) == {rule}
+
+    def test_prepared_matrix_keeps_operand_dtype(self, rng):
+        """A float32 operand's dense-emulation matrix is built in float32."""
+        op = make_operand(rng, (16, 32), "2:4", dtype=np.float32)
+        autotune_operand(op)
+        assert op.backend_states["dense-emulation"].dtype == np.float32
 
     @settings(max_examples=25)
     @given(

@@ -83,6 +83,19 @@ class TestProcessWorkerPool:
         for a, b in zip(ref, out):
             np.testing.assert_array_equal(b, a)
 
+    @pytest.mark.parametrize("exact", [False, True], ids=["allclose", "exact"])
+    def test_rule_plan_bit_identical_to_plan_executor(self, batch, exact):
+        """Workers forked after the rule prepared each operand serve what
+        the parent serves, on either rule backend."""
+        model, transform = _sparse_model()
+        plan = compile_plan(model, transform, autotune=True, autotune_exact_only=exact)
+        with PlanExecutor(model, plan) as ex:
+            ref = ex.run_many([batch] * 2)
+        with ProcessWorkerPool(model, plan, workers=2) as ppool:
+            out = ppool.run_many([batch] * 2)
+        for a, b in zip(ref, out):
+            np.testing.assert_array_equal(b, a)
+
     def test_run_racing_close_never_hangs(self, compiled, batch):
         """run() overlapping close() must resolve (reinstall), not block forever."""
         model, _, plan = compiled
@@ -318,6 +331,30 @@ class TestWorkerPoolSeam:
 # Served GEMM widths
 # ---------------------------------------------------------------------- #
 class TestServedWidths:
+    def test_gemm_records_served_widths(self, compiled, batch):
+        model, _, plan = compiled
+        with PlanExecutor(model, plan) as ex:
+            ex.run(batch)
+            layers = ex.stats().layers
+        # The head sees the flattened batch; conv layers see im2col widths.
+        assert layers["head"].col_widths == {batch.shape[0]: 1}
+        assert all(sum(c.col_widths.values()) == c.calls for c in layers.values())
+
+    def test_widths_count_every_forward(self, compiled):
+        model, _, plan = compiled
+        with PlanExecutor(model, plan) as ex:
+            for _ in range(2):
+                ex.run(np.zeros((1, 3, 8, 8)))
+            ex.run(np.zeros((4, 3, 8, 8)))
+            assert ex.stats().layers["head"].col_widths == {1: 2, 4: 1}
+
+    def test_pool_merges_worker_widths(self, compiled):
+        model, _, plan = compiled
+        batches = [np.zeros((n, 3, 8, 8)) for n in (1, 2, 1, 3)]
+        with ProcessWorkerPool(model, plan, workers=2) as ppool:
+            ppool.run_many(batches)
+            assert ppool.stats().layers["head"].col_widths == {1: 2, 2: 1, 3: 1}
+
     def test_counter_snapshot_is_isolated(self, compiled, batch):
         model, transform = _sparse_model()
         plan = compile_plan(model, transform)
