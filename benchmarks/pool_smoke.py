@@ -3,10 +3,12 @@
 Compiles a small sparse model, serves the same request stream through the
 in-process :class:`PlanExecutor` and the process worker pool (forked
 workers that inherit the compiled plan), and asserts the outputs
-are **bit-identical** and that both report consistent counters — the
-pool merging its per-worker counters into one ``stats()`` view.  Runs everywhere — including single-core CI
-boxes, where the scaling *fences* are skipped but correctness must still
-hold.  Run by CI on every push::
+are **bit-identical** and that both report the same counters — calls,
+structured and dense MACs, served widths and GEMM histogram counts, the
+pool summing its per-worker counter arrays into one ``stats()`` view.
+Runs everywhere — including single-core CI boxes, where the scaling
+*fences* are skipped but correctness must still hold.  Run by CI on
+every push::
 
     PYTHONPATH=src python benchmarks/pool_smoke.py
 """
@@ -73,8 +75,23 @@ def main() -> int:
         bad = {ln: c.calls for ln, c in stats.layers.items() if c.calls != REQUESTS}
         assert not bad, f"{name} counters out of step: {bad}"
         assert stats.total.structured_macs > 0
+    # Everything counted exactly agrees layer by layer: both MAC counts,
+    # the served widths and the GEMM histogram's count.  Which latency
+    # bucket a call lands in is timing, so only the buckets' sum is compared.
+    def exact(stats):
+        return {
+            ln: (c.calls, c.structured_macs, c.dense_macs, c.col_widths,
+                 c.gemm_seconds.count, sum(c.gemm_seconds.counts))
+            for ln, c in stats.layers.items()
+        }
+
+    local_exact, process_exact = exact(local_stats), exact(process_stats)
+    bad = sorted(ln for ln in local_exact if process_exact.get(ln) != local_exact[ln])
+    assert not bad and local_exact.keys() == process_exact.keys(), (
+        f"pool and in-process counters disagree on {bad}"
+    )
     print(f"per-worker counters merge consistently: {len(process_stats.layers)} layers x "
-          f"{REQUESTS} calls in both executors")
+          f"{REQUESTS} calls, MACs, widths and histogram counts equal in both executors")
     print("POOL SMOKE OK")
     return 0
 

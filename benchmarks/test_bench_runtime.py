@@ -254,7 +254,8 @@ def test_runtime_plan_persistence_warm_restart(serving_setup, tmp_path):
     The whole point of persistence — a restarted server skips
     re-decomposition and re-compression.  A load still pays its integrity
     checks (the model's weight digests, the member reads and the per-array
-    digests), which bound the ratio: about 4x on a 2-core host.  The loaded
+    digests) and builds dense-emulation's prepared matrices, as the compile
+    does; these bound the ratio: about 3x on a 2-core host.  The loaded
     plan must also be *the same plan*: identical ``backend_choices`` and
     bit-identical served outputs.
     """

@@ -1,129 +1,152 @@
 """Perf/telemetry structs shared across the inference runtime.
 
-Counters are plain mutable dataclasses: the layer plans update them in
-place on the hot path (no allocation), and reporting code snapshots them
-into tables.  MAC counts follow the compute model of Section 3.2 — each
-TASD term runs ``n/m`` of the dense MACs — so ``structured_macs /
-dense_macs`` reproduces the compute fraction TASDER optimises.
+This module alone decides the layer counter format.  Each
+:class:`LayerPlan` records its GEMM calls into a :class:`LayerCounters`:
+one int64 vector — calls, structured MACs, dense MACs, GEMM nanoseconds,
+then one column per :data:`LATENCY_BUCKETS` bucket, ``+Inf`` last — and a
+``col_widths`` dict beside it.  Snapshot, reset and merge are array
+operations, and a process-pool worker ships its plan's counters with
+every ``run`` reply as one ``(layers, COLUMNS)`` array plus the widths.
+
+MAC counts follow the compute model of Section 3.2 — each TASD term runs
+``n/m`` of the dense MACs — so ``structured_macs / dense_macs`` reproduces
+the compute fraction TASDER optimises.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
+from functools import reduce
+from typing import Mapping
 
-from repro.analysis.annotations import cross_process
+import numpy as np
 
-from .metrics import Histogram
+from .metrics import LATENCY_BUCKETS, Histogram
 
 __all__ = [
+    "COLUMNS",
     "LayerCounters",
     "ExecutorStats",
     "RequestStats",
     "ServeReport",
     "WorkerStat",
+    "reset",
+    "snapshot",
 ]
 
+# Columns of a counter row.  The GEMM latency histogram's count and sum
+# are the CALLS and GEMM_NS columns; only its buckets get columns of their own.
+CALLS, STRUCTURED_MACS, DENSE_MACS, GEMM_NS, FIRST_BUCKET = range(5)
+COLUMNS = FIRST_BUCKET + len(LATENCY_BUCKETS) + 1
+_BUCKETS_NS = tuple(b * 1e9 for b in LATENCY_BUCKETS)
 
-@cross_process
-@dataclass
+
+def _zeros(*shape: int) -> np.ndarray:
+    return np.zeros(shape + (COLUMNS,), dtype=np.int64)
+
+
+def _add_widths(into: dict[int, int], other: dict[int, int]) -> dict[int, int]:
+    for w, n in other.items():
+        into[w] = into.get(w, 0) + n
+    return into
+
+
+@dataclass(eq=False)
 class LayerCounters:
-    """Per-layer execution counters accumulated by a :class:`LayerPlan`.
+    """One layer's counter vector and served widths, or a read view of an
+    :class:`ExecutorStats` row.  A plan layer's vector is its own array, not
+    a view into a plan-wide one, so copies of a plan count separately."""
 
-    Shipped across the process-pool pipe with every ``run`` reply, so every
-    field must stay transitively picklable (the ``cross-process`` lint rule
-    enforces it; :class:`Histogram` participates via its state dunders).
-    """
-
-    calls: int = 0
-    structured_macs: int = 0  # MACs actually executed (compressed slots)
-    dense_macs: int = 0  # MACs a dense GEMM of the same shape would run
-    wall_time: float = 0.0  # seconds spent inside the layer's GEMM
-    # Observed GEMM column widths (batch rows of the 2-D input block, i.e.
-    # the im2col width x batch the layer actually served), width -> count.
-    # perfbench costs each kernel call's MACs and bytes from these widths
-    # for its per-backend rows of pool-served workloads.
+    counts: np.ndarray = field(default_factory=_zeros)
+    # GEMM column widths served (the 2-D input block's batch rows: im2col
+    # width x batch), width -> calls.  perfbench costs its per-backend rows
+    # of pool-served workloads from them.
     col_widths: dict[int, int] = field(default_factory=dict)
-    # Per-call GEMM latency over the runtime's fixed log-spaced buckets.
-    # Fixed bounds make the merge across workers (threads or processes)
-    # exact, so the /metrics per-layer histograms reflect every worker;
-    # the process pool ships this with its cumulative reply counters.
-    gemm_seconds: Histogram = field(default_factory=Histogram)
+
+    def record(self, structured: int, dense: int, ns: int, cols: int) -> None:
+        c = memoryview(self.counts)  # item updates without numpy scalar boxing
+        c[CALLS] += 1
+        c[STRUCTURED_MACS] += structured
+        c[DENSE_MACS] += dense
+        c[GEMM_NS] += ns
+        c[FIRST_BUCKET + bisect.bisect_left(_BUCKETS_NS, ns)] += 1
+        self.col_widths[cols] = self.col_widths.get(cols, 0) + 1
+
+    @property
+    def calls(self) -> int:
+        return int(self.counts[CALLS])
+
+    @property
+    def structured_macs(self) -> int:  # MACs executed (compressed slots)
+        return int(self.counts[STRUCTURED_MACS])
+
+    @property
+    def dense_macs(self) -> int:  # MACs a dense GEMM of the same shape runs
+        return int(self.counts[DENSE_MACS])
+
+    @property
+    def wall_time(self) -> float:  # seconds inside the layer's GEMM
+        return int(self.counts[GEMM_NS]) * 1e-9
+
+    @property
+    def gemm_seconds(self) -> Histogram:
+        h = Histogram()
+        h.counts = self.counts[FIRST_BUCKET:].tolist()
+        h.count, h.sum = self.calls, self.wall_time
+        return h
 
     @property
     def mac_fraction(self) -> float:
         """Executed MACs relative to dense (Section 3.2's cost model)."""
         return self.structured_macs / self.dense_macs if self.dense_macs else 1.0
 
-    def record(self, structured: int, dense: int, seconds: float, cols: int | None = None) -> None:
-        self.calls += 1
-        self.structured_macs += structured
-        self.dense_macs += dense
-        self.wall_time += seconds
-        self.gemm_seconds.observe(seconds)
-        if cols is not None:
-            self.col_widths[cols] = self.col_widths.get(cols, 0) + 1
 
-    def merged_with(self, other: "LayerCounters") -> "LayerCounters":
-        widths = dict(self.col_widths)
-        for w, n in other.col_widths.items():
-            widths[w] = widths.get(w, 0) + n
-        return LayerCounters(
-            calls=self.calls + other.calls,
-            structured_macs=self.structured_macs + other.structured_macs,
-            dense_macs=self.dense_macs + other.dense_macs,
-            wall_time=self.wall_time + other.wall_time,
-            col_widths=widths,
-            gemm_seconds=self.gemm_seconds.merged_with(other.gemm_seconds),
-        )
-
-    def snapshot(self) -> "LayerCounters":
-        """An independent copy — safe to hand out while recording continues.
-
-        ``dataclasses.replace`` would alias the mutable ``col_widths`` dict
-        into the copy; this copies it, so snapshots never see later updates.
-        """
-        return LayerCounters(
-            calls=self.calls,
-            structured_macs=self.structured_macs,
-            dense_macs=self.dense_macs,
-            wall_time=self.wall_time,
-            col_widths=dict(self.col_widths),
-            gemm_seconds=self.gemm_seconds.snapshot(),
-        )
-
-    def reset(self) -> None:
-        self.calls = self.structured_macs = self.dense_macs = 0
-        self.wall_time = 0.0
-        self.col_widths.clear()
-        self.gemm_seconds.reset()
-
-
-@dataclass
+@dataclass(eq=False)
 class ExecutorStats:
-    """Aggregate view of an executor's work since the last reset."""
+    """An executor's work since the last reset: a counter row and a width
+    dict per layer in ``names``, zero where omitted."""
 
     batches: int = 0
     samples: int = 0
     wall_time: float = 0.0
-    layers: dict[str, LayerCounters] = field(default_factory=dict)
+    names: tuple[str, ...] = ()
+    counts: np.ndarray | None = None
+    widths: list[dict[int, int]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.counts is None:
+            self.counts = _zeros(len(self.names))
+        if self.widths is None:
+            self.widths = [{} for _ in self.names]
+
+    @property
+    def layers(self) -> dict[str, LayerCounters]:
+        """Per-layer read views over the rows of ``counts``."""
+        return {
+            name: LayerCounters(row, widths)
+            for name, row, widths in zip(self.names, self.counts, self.widths)
+        }
 
     @property
     def total(self) -> LayerCounters:
-        out = LayerCounters()
-        for counters in self.layers.values():
-            out = out.merged_with(counters)
-        return out
+        return LayerCounters(self.counts.sum(axis=0), reduce(_add_widths, self.widths, {}))
 
     def merged_with(self, other: "ExecutorStats") -> "ExecutorStats":
-        layers = {name: c.snapshot() for name, c in self.layers.items()}
-        for name, c in other.layers.items():
-            layers[name] = layers[name].merged_with(c) if name in layers else c.snapshot()
-        return ExecutorStats(
-            batches=self.batches + other.batches,
-            samples=self.samples + other.samples,
-            wall_time=self.wall_time + other.wall_time,
-            layers=layers,
+        """Sums layer by layer, by name, over the union of both's layers."""
+        out = ExecutorStats(
+            self.batches + other.batches,
+            self.samples + other.samples,
+            self.wall_time + other.wall_time,
+            names=self.names + tuple(n for n in other.names if n not in self.names),
         )
+        index = {name: i for i, name in enumerate(out.names)}
+        for stats in (self, other):
+            rows = [index[name] for name in stats.names]
+            out.counts[rows] += stats.counts
+            for i, widths in zip(rows, stats.widths):
+                _add_widths(out.widths[i], widths)
+        return out
 
     @property
     def throughput(self) -> float:
@@ -150,6 +173,24 @@ class ExecutorStats:
             f"{self.wall_time * 1e3:.2f} ms total ({self.throughput:.1f} samples/s)"
         )
         return "\n".join(lines)
+
+
+def snapshot(
+    layers: Mapping[str, LayerCounters], batches: int = 0, samples: int = 0, wall_time: float = 0.0
+) -> ExecutorStats:
+    """An :class:`ExecutorStats` copy of ``layers``' counters, safe to hand
+    out while recording continues: ``np.stack`` of the rows, widths copied."""
+    rows = list(layers.values())
+    counts = np.stack([c.counts for c in rows]) if rows else _zeros(0)
+    widths = [dict(c.col_widths) for c in rows]
+    return ExecutorStats(batches, samples, wall_time, tuple(layers), counts, widths)
+
+
+def reset(layers: Mapping[str, LayerCounters]) -> None:
+    """Zero every counter in ``layers``, in place."""
+    for c in layers.values():
+        c.counts.fill(0)
+        c.col_widths.clear()
 
 
 @dataclass
@@ -262,14 +303,6 @@ class ServeReport:
         if not self.requests:
             return 0.0
         return sum(r.batch_size for r in self.requests) / len(self.requests)
-
-    def latency_percentile(self, q: float) -> float:
-        """Latency at percentile ``q`` (0..100) by nearest-rank."""
-        if not self.requests:
-            return 0.0
-        ordered = sorted(r.latency for r in self.requests)
-        rank = min(len(ordered) - 1, max(0, int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
 
     @property
     def p50(self) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.pruning.targets import gemm_layers
 
-from .counters import ExecutorStats, WorkerStat
+from .counters import ExecutorStats, WorkerStat, reset, snapshot
 from .plan import ExecutionPlan
 from .pool import _WORKER_UIDS, WorkerPool
 
@@ -93,7 +93,7 @@ class PlanExecutor(WorkerPool):
         self.plan.install(self.model)
         self.model.eval()
         if not self._counting:
-            self.plan.reset_counters()
+            reset(self.plan.counters())
             self._counting = True
         self._installed = True
 
@@ -138,12 +138,7 @@ class PlanExecutor(WorkerPool):
         across later forwards and :meth:`reset_stats` calls.
         """
         with self._lock:
-            return ExecutorStats(
-                batches=self._batches,
-                samples=self._samples,
-                wall_time=self._wall_time,
-                layers={name: lp.counters.snapshot() for name, lp in self.plan.layers.items()},
-            )
+            return snapshot(self.plan.counters(), self._batches, self._samples, self._wall_time)
 
     def worker_stats(self) -> list[WorkerStat]:
         """The degenerate pool's one worker: alive while installed."""
@@ -154,4 +149,4 @@ class PlanExecutor(WorkerPool):
         with self._lock:
             self._batches = self._samples = 0
             self._wall_time = 0.0
-            self.plan.reset_counters()
+            reset(self.plan.counters())

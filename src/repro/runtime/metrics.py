@@ -1,7 +1,7 @@
 """Runtime telemetry spine: metric primitives, registry, and live export.
 
 The runtime's layers already count everything that matters — per-layer
-MACs and wall time (:class:`~repro.runtime.counters.LayerCounters`),
+MACs and GEMM time (:class:`~repro.runtime.counters.LayerCounters`),
 per-request latencies — but until now the only way
 to see them was a blocking ``stats().table()`` dump after ``stop()``.
 This module turns those counters into *live* telemetry:
@@ -11,9 +11,10 @@ This module turns those counters into *live* telemetry:
   (:data:`LATENCY_BUCKETS`), so histograms recorded by different workers
   (threads *or* processes) merge exactly: bucket counts are integers over
   identical bounds, and merging is elementwise addition with no rebinning
-  error.  That is what lets :class:`~repro.runtime.pool.ProcessWorkerPool`
-  workers ship their per-layer histograms with every reply and the parent
-  render one coherent view.
+  error.  The per-layer GEMM histograms are kept as bucket columns of the
+  layer counter rows (:mod:`repro.runtime.counters`), which
+  :class:`~repro.runtime.pool.ProcessWorkerPool` workers ship with every
+  reply, so the parent renders one coherent view.
 - :class:`MetricsRegistry` — a named, labeled family store with a
   ``snapshot()`` plain-dict view (JSON-serializable) and Prometheus
   text-format rendering (:func:`render_prometheus`).
@@ -118,9 +119,9 @@ class Histogram:
     greater than the previous bound); ``counts[-1]`` is the overflow bucket
     (``+Inf``).  Two histograms over the same bounds merge by elementwise
     addition — an integer operation with no rebinning error — which is how
-    per-worker histograms (shipped across the process-pool pipe inside
-    :class:`~repro.runtime.counters.LayerCounters`) combine into one exact
-    cross-process view.
+    per-worker and per-thread observations combine into one exact view.
+    A histogram never crosses a process pipe: pool workers ship their
+    per-layer GEMM latencies as counter-array columns instead.
     """
 
     __slots__ = ("buckets", "counts", "sum", "count", "_lock")
@@ -135,23 +136,6 @@ class Histogram:
         self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
-        self._lock = threading.Lock()
-
-    # Locks don't pickle; the process pool ships histogram state across its
-    # pipe inside LayerCounters snapshots, so drop the lock and rebuild it.
-    def __getstate__(self) -> dict:
-        return {
-            "buckets": self.buckets,
-            "counts": list(self.counts),
-            "sum": self.sum,
-            "count": self.count,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.buckets = tuple(state["buckets"])
-        self.counts = list(state["counts"])
-        self.sum = state["sum"]
-        self.count = state["count"]
         self._lock = threading.Lock()
 
     def __eq__(self, other) -> bool:
@@ -183,12 +167,6 @@ class Histogram:
                 self.counts[i] += c
             self.sum += other.sum
             self.count += other.count
-
-    def merged_with(self, other: "Histogram") -> "Histogram":
-        out = Histogram(self.buckets)
-        out.merge_from(self)
-        out.merge_from(other)
-        return out
 
     def snapshot(self) -> "Histogram":
         """An independent copy, safe to hand out while recording continues."""

@@ -50,7 +50,7 @@ from repro.analysis.annotations import hot_path
 
 from .backends import DEFAULT_BACKEND, get_backend
 from .cache import CompiledOperand, compile_operand, tensor_digest
-from .counters import LayerCounters
+from .counters import LayerCounters, snapshot
 
 __all__ = ["LayerPlan", "ExecutionPlan", "compile_plan"]
 
@@ -65,6 +65,9 @@ class LayerPlan:
     ``(batch_rows, k)`` to ``(batch_rows, out)`` exactly as ``x2 @ W.T``
     would, routed through whichever kernel ``mode`` selects, and records
     MAC / wall-time counters as it goes.
+
+    A compiled layer builds its backend's prepared state when constructed
+    (compiled or loaded), so forked pool workers share one copy-on-write copy.
     """
 
     name: str
@@ -77,7 +80,8 @@ class LayerPlan:
     dense_weight: np.ndarray | None  # weight matrix (dense / per-call modes)
     backend: str = DEFAULT_BACKEND  # structured-GEMM kernel (compiled mode)
     weight_digest: str | None = None  # content digest of the source weight
-    counters: LayerCounters = field(default_factory=LayerCounters)
+    # Not an __init__ argument: a dataclasses.replace copy counts on its own.
+    counters: LayerCounters = field(default_factory=LayerCounters, init=False)
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
@@ -87,7 +91,8 @@ class LayerPlan:
         if self.mode in ("per_call", "dense") and self.dense_weight is None:
             raise ValueError(f"{self.mode} mode requires the dense weight matrix")
         if self.mode == "compiled":
-            get_backend(self.backend)  # fail at build time, not mid-forward
+            # An unknown backend fails here, at build time, not mid-forward.
+            self.operand.backend_state(get_backend(self.backend))
 
     # ------------------------------------------------------------------ #
     @property
@@ -116,7 +121,7 @@ class LayerPlan:
         The result is allocated by this call and owned by the caller: a
         conv's epilogue overwrites it in place.
         """
-        t0 = time.perf_counter()
+        t0 = time.perf_counter_ns()
         if x2.ndim != 2 or x2.shape[1] != self.reduction:
             # Never silently zero-pad a wrong-width input up to the padded
             # reduction: an (rows, k-1) block would "work" and compute
@@ -148,7 +153,7 @@ class LayerPlan:
         dense = batch_rows * self.reduction * self.out_features
         # batch_rows is the GEMM's column count once the operand side is
         # transposed: the width each kernel call actually served.
-        self.counters.record(structured, dense, time.perf_counter() - t0, cols=batch_rows)
+        self.counters.record(structured, dense, time.perf_counter_ns() - t0, batch_rows)
         return y
 
     __call__ = gemm
@@ -183,9 +188,9 @@ class ExecutionPlan:
     def compressed_bits(self) -> float:
         return sum(p.operand.compressed_bits for p in self.layers.values() if p.operand is not None)
 
-    def reset_counters(self) -> None:
-        for plan in self.layers.values():
-            plan.counters.reset()
+    def counters(self) -> dict[str, LayerCounters]:
+        """Each layer's live counters, by layer name."""
+        return {name: plan.counters for name, plan in self.layers.items()}
 
     def backend_choices(self) -> dict[str, str]:
         """Kernel backend per *compiled* layer."""
@@ -227,12 +232,7 @@ class ExecutionPlan:
             layer_nnz.labels(layer=name).set(lp.operand.total_nnz if lp.operand else 0)
             backend = lp.backend if lp.mode == "compiled" else lp.mode
             layer_info.labels(layer=name, mode=lp.mode, backend=backend).set(1)
-        from .counters import ExecutorStats
-
-        stats = ExecutorStats(
-            layers={name: lp.counters.snapshot() for name, lp in self.layers.items()},
-        )
-        export_executor_stats(registry, stats, self.backend_choices())
+        export_executor_stats(registry, snapshot(self.counters()), self.backend_choices())
         return registry
 
     # ------------------------------------------------------------------ #
@@ -300,16 +300,13 @@ def _layer_kind(layer: _GemmLayer) -> str:
     return "conv2d" if isinstance(layer, Conv2d) else "linear"
 
 
-def autotune_operand(operand: CompiledOperand, exact_only: bool = False) -> str:
+def autotune_operand(exact_only: bool = False) -> str:
     """The backend rule: ``einsum-gather`` if ``exact_only``, else ``dense-emulation``.
 
-    Builds that backend's prepared state now, at compile time, so forked
-    pool workers inherit it copy-on-write.  The name is kept for
-    perfbench, which looks it up and times it as the plan's backend choice.
+    The name is kept for perfbench, which looks it up and times it as the
+    plan's backend choice.
     """
-    name = DEFAULT_BACKEND if exact_only else "dense-emulation"
-    operand.backend_state(get_backend(name))
-    return name
+    return DEFAULT_BACKEND if exact_only else "dense-emulation"
 
 
 def compile_plan(
@@ -361,7 +358,7 @@ def compile_plan(
             operand, dense_weight = compile_operand(w, weight_config), None
         layer_backend = backend
         if autotune and layer_mode == "compiled":
-            layer_backend = autotune_operand(operand, exact_only=autotune_exact_only)
+            layer_backend = autotune_operand(exact_only=autotune_exact_only)
         plans[name] = LayerPlan(
             name=name,
             kind=_layer_kind(layer),

@@ -12,9 +12,10 @@ arithmetic over the stored terms, rederived bit-identically at load).
 
 Loading rebuilds a fully working :class:`ExecutionPlan` without touching
 ``tasder`` or ``pruning``: no decomposition, no compression — the arrays
-deserialize straight into :class:`CompiledOperand` storage, backend state
-rebuilds lazily on first dispatch, and every layer keeps the weight
-digest it was saved with.
+deserialize straight into :class:`CompiledOperand` storage, each
+:class:`LayerPlan` builds its backend's prepared state as it is
+constructed (so pool workers forked afterwards share it), and every layer
+keeps the weight digest it was saved with.
 
 Integrity is enforced on two axes:
 
@@ -398,9 +399,9 @@ def load_plan(path: str | Path, model: "Module") -> "ExecutionPlan":
     model identity (per-layer weight digests + whole-model fingerprint)
     before rebuilding anything: a stale or tampered artifact raises
     :class:`PlanDigestError` / :class:`PlanFormatError` instead of serving
-    wrong results.  Every layer keeps the weight digest it was saved with,
-    and per-backend prepared state rebuilds lazily on first dispatch —
-    load time is file I/O plus digest checks, never decomposition.
+    wrong results.  Every layer keeps the weight digest it was saved with
+    and builds its backend's prepared state — load time is file I/O,
+    digest checks and dense-emulation's decompress, never decomposition.
     """
     t0 = time.perf_counter()
     path = Path(path)

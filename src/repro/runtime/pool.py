@@ -20,12 +20,13 @@ outputs: process workers run the same kernels over the same operands.
 
 Every parent-to-worker exchange after the ready handshake — a forward, a
 health-check ping, a counter reset, a stop — is one command and one reply
-through a single method, and worker failure
-has one behaviour there: a broken pipe, an EOF or a missed reply deadline
-retires the worker and raises the *retryable* :class:`WorkerCrashError`,
-while an error the worker reports is re-raised with its
-:class:`RemoteTraceback` and leaves the worker serving.  No reply is ever
-left unread on a live worker's pipe.
+through a single method (a ``run`` reply is ``(y, elapsed, counts,
+widths)``: the worker's layer counters as :mod:`repro.runtime.counters`
+lays them out).  Worker failure has one behaviour there: a broken pipe,
+an EOF or a missed reply deadline retires the worker and raises the
+*retryable* :class:`WorkerCrashError`, while an error the worker reports
+is re-raised with its :class:`RemoteTraceback` and leaves the worker
+serving.  No reply is ever left unread on a live worker's pipe.
 
 A pool serves exactly one plan for its whole life.  Changing plans means
 building another pool (:meth:`WorkerPool.with_plan`) and switching to it;
@@ -59,7 +60,7 @@ import numpy as np
 from repro.analysis.annotations import hot_path
 from repro.nn.module import Module
 
-from .counters import ExecutorStats, LayerCounters, WorkerStat
+from .counters import ExecutorStats, WorkerStat, reset, snapshot
 from .plan import ExecutionPlan
 
 __all__ = [
@@ -195,10 +196,11 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
     parent's plan object may already carry counts — and serves
     ``("run", batch)`` requests over the pipe until told to stop.  Every
     command gets exactly one reply: ``("ok", result)`` or, when it raised,
-    ``("err", (exc, formatted_traceback))``.  Every ``run`` result carries
-    the worker's cumulative per-layer counters so the parent can merge
-    :meth:`stats` without an extra round-trip.  ``ping`` is the
-    supervisor's idle health check and ``reset`` zeroes the counters.
+    ``("err", (exc, formatted_traceback))``.  A ``run`` result is ``(y,
+    elapsed, counts, widths)``: the worker's cumulative counter array and
+    width dicts, so the parent sums :meth:`stats` with no extra round-trip.
+    ``ping`` is the supervisor's idle health check and ``reset`` zeroes the
+    counters.
 
     ``chaos`` (a :class:`~repro.runtime.chaos.ChaosSpec`) injects
     deterministic faults — crash/hang/slow at exact request counts — for
@@ -207,10 +209,11 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
     """
     if chaos is not None:
         chaos.on_start()
+    counters = plan.counters()
     try:
         plan.install(model)
         model.eval()
-        plan.reset_counters()
+        reset(counters)
     # lint: disable=broad-except — any install failure is shipped to the
     # parent as a ("fail", reason) message; the worker must not die silently
     except Exception as exc:
@@ -239,12 +242,10 @@ def _pool_worker_main(conn, model: Module, plan: ExecutionPlan, chaos=None) -> N
                     t0 = time.perf_counter()
                     y = model(payload)
                     elapsed = time.perf_counter() - t0
-                    counters = {
-                        name: lp.counters.snapshot() for name, lp in plan.layers.items()
-                    }
-                    reply = (y, elapsed, counters)
+                    snap = snapshot(counters)
+                    reply = (y, elapsed, snap.counts, snap.widths)
                 elif cmd == "reset":
-                    plan.reset_counters()
+                    reset(counters)
                 # "ping" needs no work: the reply itself is the health check.
             # lint: disable=broad-except — every command failure is shipped
             # to the parent as ("err", (exc, tb)); the serving loop must
@@ -368,9 +369,9 @@ class ProcessWorkerPool(WorkerPool):
         self._batches = 0  # guarded-by: _stats_lock
         self._samples = 0  # guarded-by: _stats_lock
         self._wall_time = 0.0  # guarded-by: _stats_lock
-        # Latest cumulative per-layer counters per worker uid.  Kept across
-        # close() so stats survive it (old generations merge with new ones).
-        self._counter_snapshots: dict[int, dict[str, LayerCounters]] = {}  # guarded-by: _stats_lock
+        # Latest cumulative (counts, widths) per worker uid.  Kept across close()
+        # and worker deaths: old generations and dead workers sum with new ones.
+        self._counter_snapshots: dict[int, tuple] = {}  # guarded-by: _stats_lock
         # Telemetry: liveness + served-forward count per worker uid.  Kept
         # across close() too, so a scrape can still see retired workers.
         self._worker_alive: dict[int, bool] = {}  # guarded-by: _stats_lock
@@ -731,7 +732,7 @@ class ProcessWorkerPool(WorkerPool):
             except queue.Empty:
                 continue  # re-check degraded/installed only on wakeup
         try:
-            y, elapsed, counters = self._call(worker, "run", x, self.request_timeout)
+            y, elapsed, counts, widths = self._call(worker, "run", x, self.request_timeout)
         except WorkerCrashError:
             raise  # the worker is retired
         except Exception:
@@ -742,35 +743,28 @@ class ProcessWorkerPool(WorkerPool):
             self._batches += 1
             self._samples += int(x.shape[0])
             self._wall_time += elapsed
-            self._counter_snapshots[worker.uid] = counters
+            self._counter_snapshots[worker.uid] = (counts, widths)
             self._worker_requests[worker.uid] = self._worker_requests.get(worker.uid, 0) + 1
         return y
 
     # ------------------------------------------------------------------ #
     def stats(self) -> ExecutorStats:
-        """Counters merged across all worker processes plus forward timing.
+        """Counters summed across all worker processes plus forward timing.
 
-        Each worker ships its cumulative per-layer counters with every
-        ``run`` reply, so merging here needs no cross-process round-trip.
+        Each worker ships its cumulative counter array with every ``run``
+        reply, so summing here needs no cross-process round-trip; a dead
+        worker's last counts stay in the sum.
         ``wall_time`` sums per-forward time across workers (compute volume,
         not elapsed wall-clock).
         """
         with self._stats_lock:
-            batches, samples, wall = self._batches, self._samples, self._wall_time
+            stats = ExecutorStats(
+                self._batches, self._samples, self._wall_time, names=tuple(self.plan.layers)
+            )
             snapshots = list(self._counter_snapshots.values())
-        layers: dict[str, LayerCounters] = {}
-        for name in self.plan.layers:
-            merged = LayerCounters()
-            for snap in snapshots:
-                if name in snap:
-                    merged = merged.merged_with(snap[name])
-            layers[name] = merged
-        return ExecutorStats(
-            batches=batches,
-            samples=samples,
-            wall_time=wall,
-            layers=layers,
-        )
+        for counts, widths in snapshots:
+            stats = stats.merged_with(ExecutorStats(names=stats.names, counts=counts, widths=widths))
+        return stats
 
     def worker_stats(self) -> list[WorkerStat]:
         """Liveness + served counts per worker process, retired ones included.

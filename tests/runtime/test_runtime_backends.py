@@ -279,17 +279,26 @@ class TestBackendRule:
     """``compile_plan(autotune=True)`` picks by rule, and the rule keeps outputs."""
 
     @pytest.mark.parametrize("exact", [False, True], ids=["allclose", "exact"])
-    def test_autotune_operand_prepares_only_the_rule_backend(self, rng, exact):
-        op = make_operand(rng, (16, 32), "2:4")
+    def test_plan_prepares_only_the_rule_backend(self, exact):
+        """Each compiled layer holds exactly its rule backend's prepared
+        state once the plan is built, before any forward."""
+        model = MLP(32, hidden=(24,), num_classes=8, rng=np.random.default_rng(9))
+        transform = TASDTransform(
+            weight_configs={name: TASDConfig.parse("2:4") for name, _ in gemm_layers(model)}
+        )
+        plan = compile_plan(model, transform, autotune=True, autotune_exact_only=exact)
         rule = "einsum-gather" if exact else "dense-emulation"
-        assert autotune_operand(op, exact_only=exact) == rule
-        assert set(op.backend_states) == {rule}
+        assert autotune_operand(exact_only=exact) == rule
+        compiled = [lp for lp in plan.layers.values() if lp.mode == "compiled"]
+        assert compiled
+        for lp in compiled:
+            assert lp.backend == rule
+            assert set(lp.operand.backend_states) == {rule}
 
     def test_prepared_matrix_keeps_operand_dtype(self, rng):
         """A float32 operand's dense-emulation matrix is built in float32."""
         op = make_operand(rng, (16, 32), "2:4", dtype=np.float32)
-        autotune_operand(op)
-        assert op.backend_states["dense-emulation"].dtype == np.float32
+        assert op.backend_state(get_backend("dense-emulation")).dtype == np.float32
 
     @settings(max_examples=25)
     @given(

@@ -10,11 +10,12 @@ import threading
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.counters import ExecutorStats, LayerCounters
+from repro.runtime.counters import COLUMNS, ExecutorStats, LayerCounters, reset, snapshot
 from repro.runtime.metrics import (
     BATCH_SIZE_BUCKETS,
     LATENCY_BUCKETS,
@@ -92,13 +93,10 @@ def test_histogram_merge_is_exact():
     for v in obs_b:
         b.observe(v)
         whole.observe(v)
-    merged = a.merged_with(b)
-    assert merged == whole
-    assert merged.counts == whole.counts  # integer bucket counts, no rebinning
-    # In-place merge matches too, and the operands are untouched by merged_with.
     a.merge_from(b)
     assert a == whole
-    assert b.count == len(obs_b)
+    assert a.counts == whole.counts  # integer bucket counts, no rebinning
+    assert b.count == len(obs_b)  # the merged-in operand is untouched
 
 
 _LATENCIES = st.one_of(
@@ -112,8 +110,7 @@ _LATENCIES = st.one_of(
 @given(st.lists(st.tuples(_LATENCIES, st.integers(0, 2)), max_size=60))
 def test_histogram_merge_is_associative_and_commutative(observations):
     """Any merge order and grouping of three histograms equals one histogram
-    that observed every value, also after each crosses a pickle round trip
-    (the process pool ships histograms that way).
+    that observed every value.
 
     ``counts`` and ``count`` are integer sums and must match exactly.
     ``sum`` is a float sum, and float addition is not associative, so a
@@ -125,14 +122,18 @@ def test_histogram_merge_is_associative_and_commutative(observations):
     for value, part in observations:
         parts[part].observe(value)
         whole.observe(value)
-    shipped = [pickle.loads(pickle.dumps(h)) for h in parts]
-    for a, b, c in itertools.permutations(shipped):
-        left = a.merged_with(b).merged_with(c)  # (a + b) + c
-        right = a.merged_with(b.merged_with(c))  # a + (b + c)
+    for a, b, c in itertools.permutations(parts):
+        left = a.snapshot()  # (a + b) + c
+        left.merge_from(b)
+        left.merge_from(c)
+        bc = b.snapshot()  # a + (b + c)
+        bc.merge_from(c)
+        right = a.snapshot()
+        right.merge_from(bc)
         in_place = Histogram()
         for h in (a, b, c):
             in_place.merge_from(h)
-        for merged in (left, right, in_place, pickle.loads(pickle.dumps(left))):
+        for merged in (left, right, in_place):
             assert merged.counts == whole.counts
             assert merged.count == whole.count == len(observations)
             assert math.isclose(merged.sum, whole.sum)
@@ -141,17 +142,6 @@ def test_histogram_merge_is_associative_and_commutative(observations):
 def test_histogram_merge_rejects_different_buckets():
     with pytest.raises(ValueError, match="different bucket bounds"):
         Histogram().merge_from(Histogram(buckets=BATCH_SIZE_BUCKETS))
-
-
-def test_histogram_pickle_roundtrip_preserves_state():
-    """Histograms cross the process-pool pipe inside LayerCounters."""
-    h = Histogram()
-    for v in (0.001, 0.01, 5.0):
-        h.observe(v)
-    clone = pickle.loads(pickle.dumps(h))
-    assert clone == h
-    clone.observe(0.1)  # the rebuilt lock must actually work
-    assert clone.count == h.count + 1
 
 
 def test_histogram_snapshot_is_independent():
@@ -314,20 +304,72 @@ def test_merge_snapshots_rejects_kind_conflicts():
 
 
 def test_merge_of_worker_layer_counters_matches_single_stream():
-    """The cross-process story end to end: N workers' LayerCounters merge
+    """The cross-process story end to end: N workers' counter arrays sum
     into exactly the histogram one worker recording everything would have."""
-    workers = [LayerCounters() for _ in range(4)]
+    workers = [{"conv1": LayerCounters()} for _ in range(4)]
     whole = LayerCounters()
-    lat = [1e-4, 5e-4, 0.002, 0.01, 0.05, 0.3, 1.2, 8.0]
-    for i, v in enumerate(lat):
-        workers[i % 4].record(structured=10, dense=20, seconds=v)
-        whole.record(structured=10, dense=20, seconds=v)
-    merged = LayerCounters()
+    lat_ns = [100_000, 500_000, 2_000_000, 10_000_000, 50_000_000, 300_000_000,
+              1_200_000_000, 8_000_000_000, 10**12]
+    for i, ns in enumerate(lat_ns):
+        workers[i % 4]["conv1"].record(structured=10, dense=20, ns=ns, cols=i % 2 + 1)
+        whole.record(structured=10, dense=20, ns=ns, cols=i % 2 + 1)
+    merged = ExecutorStats(names=("conv1",))
     for w in workers:
+        snap = snapshot(w)
         # Simulate the pipe crossing the process pool does on every reply.
-        merged = merged.merged_with(pickle.loads(pickle.dumps(w)))
-    assert merged.gemm_seconds == whole.gemm_seconds
-    assert merged.calls == whole.calls == len(lat)
+        counts, widths = pickle.loads(pickle.dumps((snap.counts, snap.widths)))
+        merged = merged.merged_with(ExecutorStats(names=snap.names, counts=counts, widths=widths))
+    got = merged.layers["conv1"]
+    assert got.gemm_seconds == whole.gemm_seconds
+    assert got.gemm_seconds.counts[-1] == 1  # 1000 s lands in +Inf
+    assert got.calls == whole.calls == len(lat_ns)
+    assert got.col_widths == whole.col_widths == {1: 5, 2: 4}
+    np.testing.assert_array_equal(got.counts, whole.counts)
+
+
+def test_layer_counter_row_layout():
+    """One int64 row: calls, both MAC counts, GEMM ns, then the buckets;
+    the histogram's count and sum are the calls and GEMM-time columns."""
+    c = LayerCounters()
+    c.record(structured=3, dense=8, ns=2_000_000, cols=4)
+    c.record(structured=3, dense=8, ns=20_000, cols=4)
+    assert c.counts.dtype == np.int64 and c.counts.shape == (COLUMNS,)
+    assert COLUMNS == 4 + len(LATENCY_BUCKETS) + 1
+    assert (c.calls, c.structured_macs, c.dense_macs) == (2, 6, 16)
+    assert c.wall_time == pytest.approx(2.02e-3)
+    h = c.gemm_seconds
+    assert h.count == c.calls and h.sum == c.wall_time
+    reference = Histogram()
+    reference.observe(2e-3)
+    reference.observe(2e-5)
+    assert h.counts == reference.counts
+
+
+def test_snapshot_is_independent_and_reset_zeroes_in_place():
+    layers = {"a": LayerCounters(), "b": LayerCounters()}
+    layers["a"].record(structured=1, dense=2, ns=5, cols=3)
+    snap = snapshot(layers)
+    assert snap.names == ("a", "b") and snap.counts.shape == (2, COLUMNS)
+    row = layers["a"].counts
+    layers["a"].record(structured=1, dense=2, ns=5, cols=3)
+    assert snap.layers["a"].calls == 1 and snap.layers["a"].col_widths == {3: 1}
+    reset(layers)
+    assert layers["a"].counts is row and not row.any()
+    assert layers["a"].col_widths == {}
+    assert snap.layers["a"].calls == 1
+
+
+def test_executor_stats_merge_unions_layers_by_name():
+    a = {"x": LayerCounters(), "y": LayerCounters()}
+    b = {"y": LayerCounters(), "z": LayerCounters()}
+    for layers in (a, b):
+        for c in layers.values():
+            c.record(structured=1, dense=2, ns=10, cols=1)
+    merged = snapshot(a, batches=1).merged_with(snapshot(b, batches=2))
+    assert merged.names == ("x", "y", "z") and merged.batches == 3
+    assert {n: c.calls for n, c in merged.layers.items()} == {"x": 1, "y": 2, "z": 1}
+    assert merged.layers["y"].col_widths == {1: 2}
+    assert merged.total.calls == 4 and merged.total.col_widths == {1: 4}
 
 
 # ---------------------------------------------------------------------- #
@@ -335,9 +377,9 @@ def test_merge_of_worker_layer_counters_matches_single_stream():
 # ---------------------------------------------------------------------- #
 def test_export_executor_stats_fills_families():
     c = LayerCounters()
-    c.record(structured=100, dense=400, seconds=0.01)
-    c.record(structured=100, dense=400, seconds=0.03)
-    stats = ExecutorStats(batches=2, samples=8, wall_time=0.05, layers={"conv1": c})
+    c.record(structured=100, dense=400, ns=10_000_000, cols=4)
+    c.record(structured=100, dense=400, ns=30_000_000, cols=4)
+    stats = snapshot({"conv1": c}, batches=2, samples=8, wall_time=0.05)
     reg = MetricsRegistry()
     export_executor_stats(reg, stats, backends={"conv1": "einsum-gather"})
     snap = reg.snapshot()

@@ -266,6 +266,40 @@ def test_stats_snapshot_survives_reset(sparse_resnet, batch):
     assert executor.stats().total.calls == 0
 
 
+def test_plan_copies_count_separately(sparse_resnet, batch):
+    """A ``skewed_plan`` deep copy and a ``dataclasses.replace`` copy each
+    record into counters of their own: the source plan's counts stay as
+    they were, and each copy's executor sees only its own forwards."""
+    import dataclasses
+
+    from repro.runtime import skewed_plan
+
+    model, transform = sparse_resnet
+    plan = compile_plan(model, transform)
+    with PlanExecutor(model, plan) as executor:
+        executor.run_many([batch] * 2)
+    source = {name: lp.counters.counts.copy() for name, lp in plan.layers.items()}
+    copies = {
+        "deepcopy": skewed_plan(plan),
+        "replace": dataclasses.replace(
+            plan, layers={n: dataclasses.replace(lp) for n, lp in plan.layers.items()}
+        ),
+    }
+    for forwards, copy in enumerate(copies.values(), start=3):
+        for name, lp in copy.layers.items():
+            assert not np.shares_memory(lp.counters.counts, plan.layers[name].counters.counts)
+        with PlanExecutor(model, copy) as executor:
+            executor.run_many([batch] * forwards)
+            stats = executor.stats()
+        assert stats.batches == forwards
+        assert all(c.calls == forwards for c in stats.layers.values())
+    assert copies["deepcopy"].layers["head"].counters.calls == 3
+    assert copies["replace"].layers["head"].counters.calls == 4
+    for name, lp in plan.layers.items():
+        np.testing.assert_array_equal(lp.counters.counts, source[name])
+        assert lp.counters.calls == 2
+
+
 def test_install_clears_applied_transform(sparse_resnet, batch):
     """Installing a plan on a tasder.apply'ed model must not decompose twice."""
     model, _ = sparse_resnet

@@ -128,6 +128,30 @@ class TestRoundTrip:
             loaded = load_plan(path, model)
         assert loaded.backend_choices() == plan.backend_choices()
 
+    @pytest.mark.parametrize("via", ["load_plan", "compile_plan"])
+    def test_dense_emulation_state_prepared_before_any_forward(
+        self, sparse_resnet, batch, tmp_path, via
+    ):
+        """A dense-emulation plan holds every operand's prepared matrix as
+        soon as it is built, loaded or compiled with a fixed backend, so
+        pool workers forked from it share one copy-on-write matrix."""
+        model, transform = sparse_resnet
+        plan = compile_plan(model, transform, backend="dense-emulation")
+        if via == "load_plan":
+            plan = load_plan(plan.save(tmp_path / "plan.npz"), model)
+        compiled = [lp for lp in plan.layers.values() if lp.mode == "compiled"]
+        assert compiled
+        prepared = {}
+        for lp in compiled:
+            assert set(lp.operand.backend_states) == {"dense-emulation"}
+            prepared[lp.name] = lp.operand.backend_states["dense-emulation"]
+            assert isinstance(prepared[lp.name], np.ndarray)
+        with PlanExecutor(model, plan) as executor:
+            executor.run(batch)
+        # The forward served from those matrices; it built no others.
+        assert all(lp.operand.backend_states["dense-emulation"] is prepared[lp.name]
+                   for lp in compiled)
+
     def test_layer_metadata_preserved(self, sparse_resnet, tmp_path):
         model, transform = sparse_resnet
         plan = compile_plan(model, transform)
@@ -150,22 +174,6 @@ class TestRoundTrip:
                 for a, b in zip(got.operand.flat_rows, lp.operand.flat_rows):
                     np.testing.assert_array_equal(a, b)
         assert loaded.transform.weight_configs.keys() == transform.weight_configs.keys()
-
-    def test_backend_state_rebuilds_lazily(self, sparse_resnet, batch, tmp_path):
-        model, transform = sparse_resnet
-        plan = compile_plan(model, transform, backend="dense-emulation")
-        loaded = load_plan(plan.save(tmp_path / "plan.npz"), model)
-        for lp in loaded.layers.values():
-            if lp.operand is not None:
-                assert lp.operand.backend_states == {}
-        with PlanExecutor(model, loaded) as executor:
-            executor.run(batch)
-        states = [
-            lp.operand.backend_states
-            for lp in loaded.layers.values()
-            if lp.operand is not None
-        ]
-        assert all("dense-emulation" in s for s in states)
 
     def test_serving_engine_over_loaded_plan(self, sparse_resnet, tmp_path):
         model, transform = sparse_resnet

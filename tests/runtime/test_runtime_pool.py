@@ -364,3 +364,70 @@ class TestServedWidths:
             before = dict(snap.layers["head"].col_widths)
             ex.run(np.zeros((5, 3, 8, 8)))
             assert snap.layers["head"].col_widths == before  # no aliasing
+
+
+# ---------------------------------------------------------------------- #
+# Counter arrays: pool and executor agree, dead workers keep their counts
+# ---------------------------------------------------------------------- #
+def _integer_counters(stats) -> dict:
+    """Everything a substrate counts exactly: calls, both MAC counts, the
+    served widths and the per-layer GEMM histogram's count (the bucket
+    columns sum to the calls; which bucket a call lands in is timing)."""
+    return {
+        name: (c.calls, c.structured_macs, c.dense_macs, c.col_widths,
+               c.gemm_seconds.count, sum(c.gemm_seconds.counts))
+        for name, c in stats.layers.items()
+    }
+
+
+class TestCounterArrays:
+    def test_pool_and_executor_report_equal_integer_totals(self, compiled):
+        model, _, plan = compiled
+        batches = [np.zeros((n, 3, 8, 8)) for n in (1, 2, 1, 3, 2)]
+        with PlanExecutor(model, plan) as ex:
+            ex.run_many(batches)
+            local = ex.stats()
+        with ProcessWorkerPool(model, plan, workers=2) as ppool:
+            ppool.run_many(batches)
+            remote = ppool.stats()
+        assert _integer_counters(remote) == _integer_counters(local)
+        assert remote.total.calls == local.total.calls == 5 * len(plan.layers)
+
+    def test_killed_worker_keeps_its_counts(self, compiled, batch):
+        """Every reply the parent received stays counted after its worker
+        is SIGKILLed, and the respawned worker's counts add on top."""
+        from repro.runtime import WorkerCrashError
+
+        model, _, plan = compiled
+
+        def serve(pool, n):
+            served = 0
+            while served < n:
+                try:
+                    pool.run(batch)
+                except WorkerCrashError:
+                    continue  # the dead worker was dispatched to: retry
+                served += 1
+
+        with ProcessWorkerPool(model, plan, workers=2, health_interval=0.05) as pool:
+            serve(pool, 4)
+            victim = pool.worker_pids()[0]
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while pool.respawns < 1 or len(pool.worker_pids()) < 2:
+                assert time.monotonic() < deadline, "killed worker never respawned"
+                time.sleep(0.02)
+            stats = pool.stats()
+            assert stats.batches == 4
+            assert all(c.calls == 4 for c in stats.layers.values())
+            serve(pool, 4)
+            stats = pool.stats()
+            workers = pool.worker_stats()
+        assert stats.batches == 8
+        assert all(c.calls == 8 for c in stats.layers.values())
+        assert stats.layers["head"].col_widths == {batch.shape[0]: 8}
+        assert sum(w.requests for w in workers) == 8
+        dead = [w for w in workers if not w.alive and w.requests]
+        assert dead, "the killed worker's served requests vanished"
+        respawned = max(w.uid for w in workers)
+        assert any(w.uid == respawned and w.requests for w in workers)
