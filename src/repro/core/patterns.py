@@ -144,25 +144,47 @@ def pattern_mask(x: np.ndarray, pattern: NMPattern, axis: int = -1) -> np.ndarra
     """Boolean mask of the elements a pattern view keeps.
 
     Per ``m``-block, marks the ``n`` largest-magnitude elements.  Elements
-    that are exactly zero are never marked (keeping them is pointless), so the
-    mask of an already-legal tensor marks exactly its non-zeros.  Ties break
-    toward the lowest index within the block, deterministically.
+    that are exactly zero (or NaN) are never marked (keeping them is
+    pointless), so the mask of an already-legal tensor marks exactly its
+    non-zeros.  Ties break toward the lowest index within the block,
+    deterministically.
+
+    One top-n pass: ``axis`` is split in place into ``(length / m, m)``,
+    a reshape that is a view of a contiguous ``x`` (for NCHW blocks along
+    channels, ``(b, c/m, m, h*w)``), so no ``moveaxis`` copy is made.  A
+    stable ``argsort`` of ``-|x|`` along the block axis ranks each block;
+    its first ``n`` entries, ANDed with ``|x| > 0``, are the mask.  A
+    series whose terms share one block size keeps exactly this mask for
+    its :attr:`~repro.core.series.TASDConfig.effective_pattern`, so
+    :meth:`~repro.core.series.TASDConfig.view` is one such pass.
     """
     x = np.asarray(x)
     if pattern.n == 0:
         return np.zeros_like(x, dtype=bool)
-    blocks = block_view(x, pattern.m, axis=axis)
-    mag = np.abs(blocks)
-    if pattern.is_dense:
-        keep = mag > DENSE_LIKE_EPS
-        return unblock_view(keep, axis=axis)
-    # Stable sort on negated magnitude: among equal magnitudes the lower
-    # index wins, which makes extraction deterministic across runs.
-    order = np.argsort(-mag, axis=-1, kind="stable")
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(pattern.m).reshape((1,) * (blocks.ndim - 1) + (pattern.m,)), axis=-1)
-    keep = (ranks < pattern.n) & (mag > DENSE_LIKE_EPS)
-    return unblock_view(keep, axis=axis)
+    axis = axis % x.ndim
+    length = x.shape[axis]
+    m = pattern.m
+    if length % m != 0:
+        raise ValueError(
+            f"axis length {length} is not divisible by block size {m}; "
+            "pad the tensor first (see repro.tensor.blocks.pad_to_multiple)"
+        )
+    # (outer, blocks, m, inner): a view of a contiguous x, blocks on axis 2.
+    outer = math.prod(x.shape[:axis])
+    inner = math.prod(x.shape[axis + 1:])
+    n_blocks = length // m
+    mag = np.abs(x.reshape(outer, n_blocks, m, inner))
+    keep = mag > DENSE_LIKE_EPS
+    if not pattern.is_dense:
+        # Stable sort on negated magnitude: among equal magnitudes the lower
+        # index wins, which makes extraction deterministic across runs.
+        kept = np.argsort(-mag, axis=2, kind="stable")[:, :, : pattern.n]
+        # Flat position of each kept slot in the (outer, blocks, m, inner) array.
+        base = np.arange(outer * n_blocks).reshape(outer, n_blocks, 1, 1) * (m * inner)
+        top = np.zeros(keep.size, dtype=bool)
+        top[base + kept * inner + np.arange(inner)] = True
+        keep &= top.reshape(keep.shape)
+    return keep.reshape(x.shape)
 
 
 def pattern_view(x: np.ndarray, pattern: NMPattern, axis: int = -1) -> np.ndarray:

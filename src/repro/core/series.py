@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .decompose import Decomposition, decompose
-from .patterns import NMPattern
+from .patterns import NMPattern, pattern_view
 
 __all__ = ["TASDConfig", "DENSE_CONFIG", "compose_menu", "menu_table"]
 
@@ -44,7 +45,10 @@ class TASDConfig:
         """Number of terms in the series."""
         return len(self.patterns)
 
-    @property
+    # The series is immutable, so the derived properties the per-request
+    # TASD-A path reads are computed once (cached_property writes the
+    # instance __dict__ directly, which a frozen dataclass allows).
+    @cached_property
     def is_dense(self) -> bool:
         """True for the no-decomposition configuration."""
         return self.order == 0 or all(p.is_dense for p in self.patterns)
@@ -66,7 +70,7 @@ class TASDConfig:
         """Sparsity degree of the series view (``1 - density``), Fig. 14's x-axis."""
         return 1.0 - self.density
 
-    @property
+    @cached_property
     def block_lcm(self) -> int:
         """Least common multiple of the series' block sizes.
 
@@ -75,7 +79,7 @@ class TASDConfig:
         """
         return int(np.lcm.reduce([p.m for p in self.patterns])) if self.patterns else 1
 
-    @property
+    @cached_property
     def effective_pattern(self) -> NMPattern | None:
         """The single N:M pattern this series is exactly equivalent to, if any.
 
@@ -101,10 +105,17 @@ class TASDConfig:
     def view(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """The approximation of ``x`` under this series (``Σ Ai``).
 
-        The dense configuration returns ``x`` unchanged.
+        The dense configuration returns ``x`` unchanged.  A series with one
+        block size is a single :func:`~repro.core.patterns.pattern_view`
+        under its :attr:`effective_pattern`: kept values are copied, never
+        summed, so the one pass is bit-identical to ``apply(x).reconstruct()``.
+        Mixed block sizes take that greedy term-by-term path.
         """
         if self.is_dense:
             return np.asarray(x)
+        effective = self.effective_pattern
+        if effective is not None:
+            return pattern_view(x, effective, axis=axis)
         return self.apply(x, axis=axis).reconstruct()
 
     # ------------------------------------------------------------------ #

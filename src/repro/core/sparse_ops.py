@@ -22,6 +22,7 @@ from .patterns import NMPattern, block_view, is_pattern_legal, pattern_view
 from .series import TASDConfig
 
 __all__ = [
+    "GATHER_TILE_ELEMENTS",
     "CompressedNM",
     "nm_compress",
     "nm_decompress",
@@ -30,6 +31,10 @@ __all__ = [
     "nm_matmul_from_tables",
     "tasd_matmul",
 ]
+
+#: Element budget of one row tile's gathered ``(tile_rows, slots, N)``
+#: temporary in :func:`nm_matmul_from_tables` (4 MiB of float64).
+GATHER_TILE_ELEMENTS = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -155,11 +160,32 @@ def nm_matmul_from_tables(
 
     Single source of the kernel arithmetic: every structured execution path
     (direct :func:`nm_matmul`, compiled runtime plans) funnels through this
-    einsum, which is what keeps their results bit-identical.
+    contraction, which is what keeps their results bit-identical.
+
+    Output row ``r`` is ``Σ_k flat_vals[r, k] * b[flat_rows[r, k]]``,
+    computed by ``np.einsum("rk,rkn->rn", ...)`` over the gathered rows of
+    ``b``.  The gather is ``np.take`` along axis 0 (a 2-D index array with
+    a trailing slice, ``b[flat_rows]``, takes NumPy's much slower general
+    fancy-indexing path), and it runs one tile of output rows at a time so
+    each tile's ``(tile_rows, slots, N)`` temporary stays under
+    :data:`GATHER_TILE_ELEMENTS` elements (or one row, if a row alone is
+    larger).  Tiling over rows leaves each output element's reduction
+    untouched, so the bits do not depend on the tile size.  einsum sums
+    over ``k`` in slot order when ``N >= 2`` but takes a SIMD reduction
+    with partial sums when ``N == 1``; reordering or fusing the
+    contraction would change the ``N == 1`` bits.
     """
-    # Gathered B slices: (rows, n_blocks*n, N_out); contract per output row.
-    # einsum keeps this a single vectorised pass over all rows.
-    return np.einsum("rk,rkn->rn", flat_vals, b[flat_rows])
+    # np.take copies a non-C-contiguous source whole on every call; copy once.
+    b = np.ascontiguousarray(b)
+    rows, slots = flat_rows.shape
+    n_out = b.shape[1]
+    out = np.empty((rows, n_out), dtype=np.result_type(flat_vals, b))
+    step = max(1, GATHER_TILE_ELEMENTS // max(1, slots * n_out))
+    for r0 in range(0, rows, step):
+        tile = slice(r0, r0 + step)
+        gathered = np.take(b, flat_rows[tile], axis=0)
+        np.einsum("rk,rkn->rn", flat_vals[tile], gathered, out=out[tile])
+    return out
 
 
 def nm_matmul(c: CompressedNM, b: np.ndarray) -> np.ndarray:

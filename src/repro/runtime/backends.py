@@ -14,11 +14,17 @@ run ``dense-emulation``.
   with the reference to rounding error (``allclose``).  It is the faster
   backend at every width this repo's workloads serve.
 
-Bit-exactness note (verified empirically against this NumPy build): a
-faster exact kernel may tile the contraction over output *rows*, which
-preserves bits (each output element's reduction is untouched), but not
-over output *columns* — NumPy's einsum picks a different inner
-accumulation strategy for narrow contiguous trailing dimensions.
+Bit-exactness note (verified against this NumPy build): the reference
+gathers with ``np.take`` one tile of output rows at a time, so a term's
+gathered temporary is at most
+:data:`repro.core.sparse_ops.GATHER_TILE_ELEMENTS` elements (or one row)
+instead of the whole ``(rows, slots, N)`` tensor.  Tiling over output
+*rows* preserves bits, since each output element's reduction is
+untouched; tiling over output *columns* would not.  einsum accumulates
+over the slots in order when ``N >= 2`` and through a SIMD reduction with
+partial sums when ``N == 1`` (a narrow contiguous trailing dimension), so
+a faster exact kernel must keep the einsum on each tile: any reordered or
+fused contraction changes the ``N == 1`` layers' bits.
 """
 
 from __future__ import annotations
@@ -83,8 +89,10 @@ class EinsumGatherBackend(GemmBackend):
     """Reference kernel: per-term gather + einsum, accumulated in term order.
 
     This is the arithmetic every exact backend must reproduce bit-for-bit
-    and the per-call ``tasd_matmul`` path is verified against.  It
-    materialises a ``(rows, slots, N)`` gather tensor per term per call.
+    and the per-call ``tasd_matmul`` path is verified against.  Each term
+    runs :func:`~repro.core.sparse_ops.nm_matmul_from_tables`, which
+    gathers ``b``'s rows tile by tile of output rows, so its temporary
+    stays near ``GATHER_TILE_ELEMENTS`` elements whatever the width ``N``.
     """
 
     name = DEFAULT_BACKEND
@@ -92,6 +100,7 @@ class EinsumGatherBackend(GemmBackend):
 
     def matmul(self, operand: "CompiledOperand", state: Any, b: np.ndarray) -> np.ndarray:
         rows = operand.padded_shape[0]
+        b = np.ascontiguousarray(b)  # once for all terms, not once per term
         out = np.zeros((rows, b.shape[1]), dtype=self._out_dtype(operand, b))
         for vals, rows_idx in zip(operand.flat_values, operand.flat_rows):
             out += nm_matmul_from_tables(vals, rows_idx, b)

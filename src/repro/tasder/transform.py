@@ -46,7 +46,15 @@ def decompose_weight_matrix(w: np.ndarray, config: TASDConfig) -> np.ndarray:
 
 
 def decompose_activation(x: np.ndarray, config: TASDConfig, axis: int) -> np.ndarray:
-    """TASD view of an activation tensor along ``axis`` (dynamic TASD-A path)."""
+    """TASD view of an activation tensor along ``axis`` (dynamic TASD-A path).
+
+    Pads ``axis`` with zeros to the series' block size, takes
+    :meth:`TASDConfig.view` and crops back.  When the series has one block
+    size (A ``4:8``, ``2:8+2:8``) that view is one top-n pass of
+    :func:`~repro.core.patterns.pattern_mask` over the blocks in place
+    (``(b, c/m, m, h*w)`` for NCHW) and one ``np.where``, bit-identical to
+    the greedy term-by-term decomposition; mixed block sizes stay greedy.
+    """
     if config.is_dense:
         return np.asarray(x)
     original_shape = x.shape

@@ -130,6 +130,11 @@ class TestPatternView:
         out = pattern_view(x, NMPattern(1, 4), axis=0)
         assert is_pattern_legal(out, NMPattern(1, 4), axis=0)
 
+    @pytest.mark.parametrize("shape, axis", [((0, 8), -1), ((0, 8, 2, 2), 1), ((3, 0), -1)])
+    def test_empty_tensor(self, shape, axis):
+        mask = pattern_mask(np.zeros(shape), NMPattern(2, 4), axis=axis)
+        assert mask.shape == shape and not mask.any()
+
 
 class TestIsPatternLegal:
     def test_legal(self):

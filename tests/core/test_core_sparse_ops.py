@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.patterns import NMPattern, pattern_view
 from repro.core.series import DENSE_CONFIG, TASDConfig
-from repro.core.sparse_ops import nm_compress, nm_decompress, nm_matmul, tasd_matmul
+from repro.core.sparse_ops import (
+    GATHER_TILE_ELEMENTS,
+    nm_compress,
+    nm_decompress,
+    nm_matmul,
+    nm_matmul_from_tables,
+    tasd_matmul,
+)
 from repro.tensor.random import random_nm_legal, sparse_normal
 
 
@@ -57,6 +66,82 @@ class TestNmMatmul:
         c = nm_compress(a, NMPattern(2, 4))
         with pytest.raises(ValueError, match="mismatch"):
             nm_matmul(c, rng.normal(size=(16, 3)))
+
+
+def plain_gather_matmul(flat_vals, flat_rows, b):
+    """The kernel as one einsum over the whole ``(rows, slots, N)`` gather."""
+    return np.einsum("rk,rkn->rn", flat_vals, b[flat_rows])
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+# The plain spelling materialises rows * slots * N elements; keep that small.
+PLAIN_GATHER_CAP = 1 << 22
+
+
+class TestGatherKernelProperty:
+    """The take-based, row-tiled kernel against the single-einsum spelling."""
+
+    @settings(max_examples=80)
+    @given(
+        n_out=st.sampled_from([1, 2, 3, 4, 16, 64, 4096]),
+        slots=st.integers(1, 600),
+        rows_wanted=st.integers(1, 200),
+        k=st.integers(1, 300),
+        vals_dtype=st.sampled_from([np.float32, np.float64]),
+        b_dtype=st.sampled_from([np.float32, np.float64]),
+        fortran=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_plain_einsum_bit_for_bit(
+        self, n_out, slots, rows_wanted, k, vals_dtype, b_dtype, fortran, seed
+    ):
+        rows = max(1, min(rows_wanted, PLAIN_GATHER_CAP // (slots * n_out)))
+        rng = np.random.default_rng(seed)
+        vals = rng.normal(size=(rows, slots)).astype(vals_dtype)
+        # Padding slots (value 0 at a real row) and signed zeros in both
+        # operands, so a changed sign of zero would show.
+        vals[rng.random(vals.shape) < 0.2] = 0.0
+        vals[rng.random(vals.shape) < 0.1] = -0.0
+        flat_rows = rng.integers(0, k, size=(rows, slots))
+        b = rng.normal(size=(k, n_out)).astype(b_dtype)
+        b[rng.random(b.shape) < 0.1] = -0.0
+        if fortran:
+            b = np.asfortranarray(b)
+        assert_same_bits(
+            nm_matmul_from_tables(vals, flat_rows, b), plain_gather_matmul(vals, flat_rows, b)
+        )
+
+    def test_crosses_row_tiles(self, rng):
+        """Several tiles (and a ragged last one) give the one-tile bits."""
+        vals = rng.normal(size=(37, 600))
+        flat_rows = rng.integers(0, 96, size=vals.shape)
+        b = rng.normal(size=(96, 64))
+        assert 37 * 600 * 64 > 2 * GATHER_TILE_ELEMENTS
+        assert_same_bits(
+            nm_matmul_from_tables(vals, flat_rows, b), plain_gather_matmul(vals, flat_rows, b)
+        )
+
+    def test_gather_temporary_stays_near_the_tile_budget(self, rng):
+        """At 16 rows, 72 slots, N 4096 the whole gather would be 38 MB."""
+        vals = rng.normal(size=(16, 72))
+        flat_rows = rng.integers(0, 144, size=vals.shape)
+        b = rng.normal(size=(144, 4096))
+        whole_gather = vals.size * b.shape[1] * b.itemsize
+        tracemalloc.start()
+        try:
+            out = nm_matmul_from_tables(vals, flat_rows, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = GATHER_TILE_ELEMENTS * b.itemsize
+        assert whole_gather > 8 * budget
+        assert peak <= budget + out.nbytes + (1 << 20), peak
+        assert_same_bits(out, plain_gather_matmul(vals, flat_rows, b))
 
 
 class TestTasdMatmul:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.core.patterns import NMPattern, is_pattern_legal
+from repro.core.decompose import decompose
+from repro.core.patterns import NMPattern, is_pattern_legal, pattern_mask
 from repro.core.series import DENSE_CONFIG, TASDConfig
 from repro.nn import synthetic_images
 from repro.nn.models import MLP, resnet18
@@ -25,6 +31,7 @@ from repro.tasder import (
     decompose_activation,
     decompose_weight_matrix,
 )
+from repro.tensor.blocks import crop_to_shape, pad_to_multiple
 
 
 class TestHardwareMenu:
@@ -93,6 +100,81 @@ class TestDecomposeHelpers:
         x = rng.normal(size=(2, 10))  # ragged feature dim
         out = decompose_activation(x, TASDConfig.parse("4:8"), axis=-1)
         assert out.shape == x.shape
+
+
+# Quantised values tie often; signed zeros, infinities and NaN are the
+# inputs a reordered or re-summed mask would get wrong.
+TASD_A_VALUES = st.sampled_from(
+    [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -2.0, np.inf, -np.inf, np.nan]
+)
+
+
+@st.composite
+def activations(draw):
+    """``(x, axis)``: an NCHW map blocked on channels, or feature-last rows."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(1, 3)), draw(st.integers(1, 20)),
+                 draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+        axis = 1
+    else:
+        shape = (draw(st.integers(1, 4)), draw(st.integers(1, 40)))
+        axis = -1
+    x = draw(hnp.arrays(dtype, shape, elements=TASD_A_VALUES.map(dtype)))
+    return x, axis
+
+
+def greedy_activation(x, config, axis):
+    """TASD-A as the term-by-term decomposition, padded and cropped."""
+    padded = pad_to_multiple(x, config.block_lcm, axis=axis)
+    with np.errstate(invalid="ignore"):  # inf - inf in the residual
+        return crop_to_shape(decompose(padded, config.patterns, axis=axis).reconstruct(), x.shape)
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+class TestOnePassTasdA:
+    """The one-pass top-n mask against the greedy decomposition, bit for bit."""
+
+    @given(
+        data=activations(),
+        config_text=st.sampled_from(["4:8", "2:8+2:8", "4:8+4:8", "1:8+1:8+2:8", "2:4"]),
+    )
+    def test_same_block_series_is_one_pass(self, data, config_text):
+        x, axis = data
+        config = TASDConfig.parse(config_text)
+        expected = greedy_activation(x, config, axis)
+        with mock.patch.object(
+            TASDConfig, "apply", autospec=True, side_effect=TASDConfig.apply
+        ) as greedy:
+            out = decompose_activation(x, config, axis)
+        greedy.assert_not_called()
+        assert_same_bits(out, expected)
+        padded = pad_to_multiple(x, config.block_lcm, axis=axis)
+        keep = pattern_mask(padded, config.effective_pattern, axis=axis)
+        assert_same_bits(crop_to_shape(np.where(keep, padded, 0), x.shape), expected)
+
+    @given(data=activations())
+    def test_mixed_block_series_stays_greedy(self, data):
+        x, axis = data
+        config = TASDConfig.parse("2:4+2:8")
+        assert config.effective_pattern is None
+        with mock.patch.object(
+            TASDConfig, "apply", autospec=True, side_effect=TASDConfig.apply
+        ) as greedy, np.errstate(invalid="ignore"):
+            out = decompose_activation(x, config, axis)
+        greedy.assert_called_once()
+        assert_same_bits(out, greedy_activation(x, config, axis))
+
+    def test_same_block_series_keeping_all_keeps_every_nonzero(self):
+        x = np.array([[3.0, -0.0, np.nan, -np.inf, 0.0, 1.0, -1.0, 2.0, 5.0]])
+        out = decompose_activation(x, TASDConfig.parse("4:8+4:8"), axis=-1)
+        expected = np.array([[3.0, 0.0, 0.0, -np.inf, 0.0, 1.0, -1.0, 2.0, 5.0]])
+        assert_same_bits(out, expected)
 
 
 class TestTransforms:
