@@ -63,7 +63,7 @@ def main() -> int:
     requests = [rng.normal(size=(1, 3, 8, 8)) for _ in range(REQUESTS)]
 
     with ProcessWorkerPool(model, plan, workers=WORKERS) as pool:
-        with ServingEngine(pool, max_batch=4, batch_window=0.002, workers=WORKERS) as engine:
+        with ServingEngine(pool, max_batch=4, workers=WORKERS) as engine:
             with engine.serve_metrics(port=0) as server:
                 futures = [engine.submit(x) for x in requests]
                 for f in futures:

@@ -33,7 +33,7 @@ REQUESTS = 12
 
 def _serve(pool, requests) -> tuple[list[np.ndarray], object, object]:
     with pool:
-        with ServingEngine(pool, max_batch=1, batch_window=0.0, workers=WORKERS) as engine:
+        with ServingEngine(pool, max_batch=1, workers=WORKERS) as engine:
             futures = [engine.submit(x) for x in requests]
             outputs = [f.result(timeout=120.0) for f in futures]
         stats = pool.stats()

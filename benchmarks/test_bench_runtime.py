@@ -111,7 +111,7 @@ def test_bench_serving_engine(benchmark, serving_setup):
 
     def serve_eight():
         with PlanExecutor(model, compile_plan(model, transform)) as executor:
-            with ServingEngine(executor, max_batch=4, batch_window=0.002) as engine:
+            with ServingEngine(executor, max_batch=4) as engine:
                 futures = [engine.submit(x[:1]) for _ in range(8)]
                 for f in futures:
                     f.result(timeout=120.0)
@@ -138,7 +138,7 @@ def test_bench_process_pool_serving(benchmark, serving_setup):
 
     def serve_round():
         with ProcessWorkerPool(model, plan, workers=2) as executor:
-            with ServingEngine(executor, max_batch=4, batch_window=0.0, workers=2) as engine:
+            with ServingEngine(executor, max_batch=4, workers=2) as engine:
                 futures = [engine.submit(x[:1]) for _ in range(16)]
                 for f in futures:
                     f.result(timeout=120.0)
@@ -193,7 +193,7 @@ def test_process_pool_scaling_throughput(serving_setup):
         for workers in (1, SCALING_WORKERS):
             pool = stack.enter_context(ProcessWorkerPool(model, plan, workers=workers))
             sides[workers] = stack.enter_context(
-                ServingEngine(pool, max_batch=1, batch_window=0.0, workers=workers)
+                ServingEngine(pool, max_batch=1, workers=workers)
             )
         rates: dict[int, list[float]] = {workers: [] for workers in sides}
         for engine in sides.values():  # warm outside the clock
@@ -260,19 +260,21 @@ def test_runtime_plan_persistence_warm_restart(serving_setup, tmp_path):
     bit-identical served outputs.
     """
     model, transform, x = serving_setup
-    # Each side is the median of a few repeats: one sample of either is at
-    # the mercy of whatever else the host runs in that instant.
+    plan = compile_plan(model, transform, autotune=True)
+    path = plan.save(tmp_path / "plan.npz")
+    load_plan(path, model)  # warm the file cache / import paths
+    # Each side is the median of a few repeats, and the repeats alternate
+    # compile and load, so a burst of host load lands on both sides alike
+    # rather than on whichever side it happened to coincide with.
     compile_times, load_times = [], []
     for _ in range(WARM_RESTART_REPEATS):
         t0 = time.perf_counter()
-        plan = compile_plan(model, transform, autotune=True)
-        compile_times.append(time.perf_counter() - t0)
-    path = plan.save(tmp_path / "plan.npz")
-    load_plan(path, model)  # warm the file cache / import paths
-    for _ in range(WARM_RESTART_REPEATS):
-        t0 = time.perf_counter()
+        compile_plan(model, transform, autotune=True)
+        t1 = time.perf_counter()
         loaded = load_plan(path, model)
-        load_times.append(time.perf_counter() - t0)
+        t2 = time.perf_counter()
+        compile_times.append(t1 - t0)
+        load_times.append(t2 - t1)
     compile_time = statistics.median(compile_times)
     load_time = statistics.median(load_times)
     speedup = compile_time / load_time

@@ -92,7 +92,7 @@ assert plan.backend_choices() == fresh_choices  # choices survived the restart
 # ---------------------------------------------------------------------------
 rng = np.random.default_rng(0)
 with PlanExecutor(model, plan) as executor:
-    with ServingEngine(executor, max_batch=4, batch_window=0.002) as engine:
+    with ServingEngine(executor, max_batch=4) as engine:
         futures = [engine.submit(rng.normal(size=(1, 3, 8, 8))) for _ in range(16)]
         outputs = [f.result(timeout=120.0) for f in futures]
     print(engine.report().summary(), "\n")
@@ -141,7 +141,7 @@ if __name__ == "__main__":
     import urllib.request
 
     with ProcessWorkerPool(model, plan, workers=2) as pool:
-        with ServingEngine(pool, max_batch=4, batch_window=0.002, workers=2) as engine:
+        with ServingEngine(pool, max_batch=4, workers=2) as engine:
             with engine.serve_metrics(port=0) as server:  # port=0: ephemeral
                 print(f"\nmetrics live at {server.url}/metrics")
                 futures = [engine.submit(x) for x in inputs]

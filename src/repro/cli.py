@@ -251,7 +251,6 @@ def _serve(args: argparse.Namespace) -> str:
         with ServingEngine(
             executor,
             max_batch=args.max_batch,
-            batch_window=args.window,
             workers=workers,
             max_queue=args.max_queue,
             max_retries=args.max_retries,
@@ -401,9 +400,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--max-batch", type=int, default=4, help="micro-batch size cap (serve)"
-    )
-    parser.add_argument(
-        "--window", type=float, default=0.002, help="micro-batching window in seconds (serve)"
     )
     parser.add_argument(
         "--backend",

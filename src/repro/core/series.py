@@ -105,13 +105,16 @@ class TASDConfig:
     def view(self, x: np.ndarray, axis: int = -1) -> np.ndarray:
         """The approximation of ``x`` under this series (``Σ Ai``).
 
-        The dense configuration returns ``x`` unchanged.  A series with one
-        block size is a single :func:`~repro.core.patterns.pattern_view`
-        under its :attr:`effective_pattern`: kept values are copied, never
-        summed, so the one pass is bit-identical to ``apply(x).reconstruct()``.
-        Mixed block sizes take that greedy term-by-term path.
+        The empty configuration (no decomposition) returns ``x`` unchanged.
+        Every series of one or more terms equals ``apply(x).reconstruct()``
+        bit for bit, all-dense ones (``4:4``, ``2:2+2:2``) included: NaN
+        and zeros are never kept, so both come out as ``+0.0``.  A series
+        with one block size is a single
+        :func:`~repro.core.patterns.pattern_view` under its
+        :attr:`effective_pattern`, whose kept values are copied, never
+        summed; mixed block sizes take the greedy term-by-term path.
         """
-        if self.is_dense:
+        if self.order == 0:
             return np.asarray(x)
         effective = self.effective_pattern
         if effective is not None:

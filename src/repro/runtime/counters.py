@@ -241,8 +241,9 @@ class RequestStats:
     def spans(self) -> dict[str, float]:
         """Span durations in seconds, tiling submit → resolve:
         ``enqueue`` (waiting to be pulled off the queue), ``batch_form``
-        (waiting for the micro-batch window), ``execute`` (the pool's
-        forward) and ``reply`` (resolving the future)."""
+        (pickup to dispatch: draining the queued batchmates and, for a
+        carried request, the batch dispatched before it), ``execute`` (the
+        pool's forward) and ``reply`` (resolving the future)."""
         return {
             "enqueue": self.collected_at - self.submitted_at,
             "batch_form": self.dispatched_at - self.collected_at,

@@ -60,7 +60,7 @@ LATENCY_BUCKETS = tuple(10.0 ** (e / 4.0) for e in range(-20, 9))
 # Micro-batch sizes are small integers; powers-of-two-ish bounds resolve them.
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 64.0, 128.0)
 
-# Batch-window occupancy is a fraction of ``max_batch`` in (0, 1].
+# Micro-batch occupancy is a fraction of ``max_batch`` in (0, 1].
 OCCUPANCY_BUCKETS = (0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0)
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")

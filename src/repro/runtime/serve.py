@@ -1,10 +1,13 @@
 """Serving engine: request queue, micro-batching, worker loop, telemetry.
 
 Requests are single inputs (or small batches) submitted from any thread.
-Workers coalesce up to ``max_batch`` queued requests within a
-``batch_window`` seconds time window into one micro-batch, run it through
-the shared executor, split the outputs back per request, and resolve each
-request's future with its result and latency stats.
+Batching is *work-conserving*: a worker blocks only for its first request,
+then takes whatever is already queued, up to ``max_batch``, and dispatches
+at once; it never waits on a timer for company.  Under load batches still
+fill, because requests queue while every pool worker is busy.
+The micro-batch runs through the shared executor, its outputs are split
+back per request, and each request's future resolves with its result and
+latency stats.
 
 The engine talks only to the :class:`~repro.runtime.pool.WorkerPool` seam
 (``install`` / ``run`` / ``stats``) and never cares what substrate sits
@@ -33,7 +36,7 @@ The engine is *observable while running* (the telemetry spine):
   :class:`~repro.runtime.counters.RequestStats` record (:meth:`records`)
   whose stamps give its ``enqueue → batch_form → execute → reply`` spans,
   and a served one feeds latency / queue-wait / batch-size /
-  window-occupancy histograms in the engine's
+  batch-occupancy histograms in the engine's
   :class:`~repro.runtime.metrics.MetricsRegistry`;
 - :meth:`metrics_snapshot` assembles one scrape from the engine's own
   registry plus scrape-time views of the pool (per-layer GEMM histograms
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import os
 import queue
 import threading
 import time
@@ -133,9 +137,9 @@ class ServingEngine:
         :class:`~repro.runtime.pool.ProcessWorkerPool` runs workers'
         forwards concurrently.
     max_batch : int
-        Maximum requests coalesced into one micro-batch.
-    batch_window : float
-        Seconds a worker waits for additional requests after the first.
+        Maximum requests coalesced into one micro-batch: a worker takes
+        up to this many of the requests already queued, and never waits
+        on a timer for more.
     workers : int
         Worker threads draining the queue.  Pair ``workers=N`` with a
         pool of ``N`` workers (``ProcessWorkerPool(..., workers=N)``) to
@@ -171,7 +175,6 @@ class ServingEngine:
         self,
         executor: WorkerPool,
         max_batch: int = 8,
-        batch_window: float = 0.002,
         workers: int = 1,
         max_queue: int | None = None,
         max_retries: int = 2,
@@ -186,7 +189,6 @@ class ServingEngine:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self.executor = executor
         self.max_batch = max_batch
-        self.batch_window = batch_window
         self.workers = workers
         self.max_queue = max_queue
         self.max_retries = max_retries
@@ -634,24 +636,33 @@ class ServingEngine:
                 self._pending_cond.notify_all()
 
     def _gather_batch(self, first: _Request) -> tuple[list[_Request], "_Request | None"]:
-        """Coalesce compatible requests behind ``first`` within the window.
+        """Add to ``first`` the compatible requests queued right now, up
+        to ``max_batch``, without waiting for time to pass.
+
+        A batch the queue leaves short yields the processor once and then
+        takes what that added: threads already runnable — typically the
+        clients whose replies this worker just resolved, about to submit
+        again — enqueue first.  With nobody runnable the yield returns at
+        once, so a lone request is dispatched alone.
 
         Returns the batch plus an optional *carry*: a request whose sample
-        shape did not match the batch.  The carry stays with this worker (it
-        opens the next batch) rather than being requeued — requeueing could
-        land it behind a shutdown sentinel and strand its future forever.
+        shape or dtype did not match the batch.  The carry stays with this
+        worker (it opens the next batch) rather than being requeued —
+        requeueing could land it behind a shutdown sentinel and strand its
+        future forever.
         """
         batch = [first]
         carry: _Request | None = None
-        deadline = time.perf_counter() + self.batch_window
+        yielded = False
         while len(batch) < self.max_batch:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
             try:
-                req = self._queue.get(timeout=remaining)
+                req = self._queue.get_nowait()
             except queue.Empty:
-                break
+                if yielded:
+                    break
+                os.sched_yield()  # releases the GIL to runnable submitters
+                yielded = True
+                continue
             if req is None:  # shutdown sentinel: hand it to another worker
                 self._queue.put(None)
                 break

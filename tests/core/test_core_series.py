@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.patterns import NMPattern, pattern_view
 from repro.core.series import DENSE_CONFIG, TASDConfig, compose_menu, menu_table
@@ -118,3 +119,50 @@ def test_property_menu_entries_within_budget(max_terms):
     for density, config in menu.items():
         assert config.order <= max_terms
         assert config.density == pytest.approx(density)
+
+
+# Signed zeros, infinities and NaN are where two spellings of one view can
+# differ; the quantised values tie often.
+SPECIAL_VALUES = st.sampled_from(
+    [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan]
+)
+PATTERNS = st.sampled_from([1, 2, 4, 8]).flatmap(
+    lambda m: st.integers(0, m).map(lambda n: NMPattern(n, m))
+)
+
+
+@st.composite
+def series_and_tensor(draw):
+    """A series of 1-3 terms (all-dense ones included) and a tensor whose
+    last axis is a whole number of the series' blocks."""
+    if draw(st.booleans()):
+        config = TASDConfig.parse(draw(st.sampled_from(["4:4", "2:2+2:2", "8:8+1:8", "2:2+4:4"])))
+    else:
+        config = TASDConfig(tuple(draw(st.lists(PATTERNS, min_size=1, max_size=3))))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 3)), config.block_lcm * draw(st.integers(1, 3)))
+    return config, draw(hnp.arrays(dtype, shape, elements=SPECIAL_VALUES.map(dtype)))
+
+
+def assert_same_bits(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(actual, expected)
+    np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
+
+
+@given(series_and_tensor())
+def test_property_view_is_reconstruct_bit_for_bit(data):
+    """Both spellings of a series view agree on every bit, NaN, signed
+    zeros and infinities included, whatever the series."""
+    config, x = data
+    with np.errstate(invalid="ignore"):  # inf - inf in the greedy residual
+        expected = config.apply(x).reconstruct()
+    assert_same_bits(config.view(x), expected)
+
+
+def test_all_dense_series_view_drops_nan_and_negative_zero():
+    x = np.array([[np.nan, -0.0, -np.inf, 3.0]])
+    expected = np.array([[0.0, 0.0, -np.inf, 3.0]])
+    for text in ("4:4", "2:2+2:2"):
+        assert_same_bits(TASDConfig.parse(text).view(x), expected)
+    assert DENSE_CONFIG.view(x) is x  # no decomposition at all

@@ -196,7 +196,9 @@ class TestEngineRecovery:
             assert pool.deaths >= 1
             assert pool.respawns >= 1
 
-    def test_poison_request_isolated_from_batchmates(self, compiled, batch, reference):
+    def test_poison_request_isolated_from_batchmates(
+        self, compiled, batch, reference, gated, batches
+    ):
         model, plan = compiled
         pool = ProcessWorkerPool(
             model,
@@ -207,22 +209,30 @@ class TestEngineRecovery:
             **FAST,
         )
         with pool:
-            engine = ServingEngine(
-                pool, workers=1, max_batch=4, batch_window=0.2, max_retries=1
-            )
+            gate = gated(pool)
+            engine = ServingEngine(gate, workers=1, max_batch=4, max_retries=1)
             with engine:
+                # Queue all four behind a plug, so they form one batch.
+                gate.hold()
+                plug = engine.submit(batch)
+                assert gate.entered.wait(30.0)
                 good = [engine.submit(batch) for _ in range(2)]
                 bad = engine.submit(poison_batch(batch))
                 more = engine.submit(batch)
-                for f in good + [more]:
+                gate.release()
+                for f in [plug] + good + [more]:
                     assert np.array_equal(f.result(timeout=60.0), reference)
                 with pytest.raises(WorkerCrashError):
                     bad.result(timeout=60.0)
-                # The survivors record the retries/splitting as extra attempts.
-                stats = engine.report().requests
-                assert len(stats) == 3  # the three non-poison requests
-                assert max(s.attempts for s in stats) >= 2
-        assert pool.deaths >= 1
+                records = {r.request_id: r for r in engine.records()}
+        # The batch [1, 2, bad, 4] crashed twice (one retry), then split:
+        # [1, 2] was served on its first try; [bad, 4] crashed twice and
+        # split again, and 4 was served alone.  The poison request failed
+        # alone after its own two attempts.
+        assert {i: r.attempts for i, r in records.items()} == {0: 1, 1: 3, 2: 3, 3: 6, 4: 5}
+        assert batches([r for r in records.values() if r.error is None]) == [[0], [1, 2], [4]]
+        assert "WorkerCrashError" in records[3].error
+        assert pool.deaths >= 6
 
     def test_breaker_collapse_degrades_to_in_process_fallback(
         self, compiled, batch, reference
@@ -356,11 +366,19 @@ class TestChaosMonkey:
 # Deadlines, admission control, cancellation
 # --------------------------------------------------------------------- #
 class TestDeadlinesAndAdmission:
-    def test_expired_deadline_dropped_before_dispatch(self, compiled, batch):
+    def test_expired_deadline_dropped_before_dispatch(self, compiled, batch, gated):
         model, plan = compiled
-        with ServingEngine(PlanExecutor(model, plan), workers=1) as engine:
+        gate = gated(PlanExecutor(model, plan))
+        with ServingEngine(gate, workers=1) as engine:
+            # The worker is busy with a plug while the deadline lapses, so
+            # the request is still queued when it expires.
+            gate.hold()
+            plug = engine.submit(batch)
+            assert gate.entered.wait(30.0)
             future = engine.submit(batch, deadline=1e-4)
             time.sleep(0.02)
+            gate.release()
+            plug.result(timeout=30.0)
             with pytest.raises(DeadlineExceeded):
                 future.result(timeout=30.0)
             record = engine.records()[-1]

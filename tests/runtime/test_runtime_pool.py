@@ -254,7 +254,7 @@ class TestProcessWorkerPool:
         with PlanExecutor(model, plan) as ex:
             singles = [ex.run(x) for x in inputs]
         with ProcessWorkerPool(model, plan, workers=2) as pool:
-            with ServingEngine(pool, max_batch=3, batch_window=0.01, workers=2) as engine:
+            with ServingEngine(pool, max_batch=3, workers=2) as engine:
                 futures = [engine.submit(x) for x in inputs]
                 outputs = [f.result(timeout=120.0) for f in futures]
         assert engine.report().count == 8

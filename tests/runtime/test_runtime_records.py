@@ -125,9 +125,7 @@ def test_concurrent_submitters_leave_one_record_each(compiled):
     once, with no bound on how many are kept."""
     model, plan = compiled
     threads, per_thread = 8, 40
-    with ServingEngine(
-        PlanExecutor(model, plan), max_batch=4, batch_window=0.001
-    ) as engine:
+    with ServingEngine(PlanExecutor(model, plan), max_batch=4) as engine:
 
         def work():
             for _ in range(per_thread):
@@ -234,9 +232,7 @@ def test_every_admitted_request_resolves_once_and_is_counted(
     leaves one record whose outcome matches its future, and the served,
     expired and failed records equal their metrics counters."""
     model, plan = compiled
-    engine = ServingEngine(
-        PlanExecutor(model, plan), max_batch=max_batch, batch_window=0.001
-    ).start()
+    engine = ServingEngine(PlanExecutor(model, plan), max_batch=max_batch).start()
     futures = []
     resolutions: list[int] = []
     lock = threading.Lock()

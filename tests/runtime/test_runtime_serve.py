@@ -14,6 +14,7 @@ from repro.core import TASDConfig
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
 from repro.pruning.targets import gemm_layers
+from repro.runtime import serve as serve_module
 from repro.runtime import (
     PlanExecutor,
     ProcessWorkerPool,
@@ -37,28 +38,86 @@ def executor():
         yield ex
 
 
-def test_micro_batched_output_matches_single_request(executor):
+def _queue_behind_plug(engine, gate, inputs):
+    """Park the engine's one worker in ``run`` with a plug request, queue
+    ``inputs`` behind it, and release the gate: the batches after the plug
+    are formed from a queue that already held every input.  Returns the
+    plug's future and the inputs' futures."""
+    gate.hold()
+    plug = engine.submit(inputs[0])
+    assert gate.entered.wait(30.0)
+    futures = [engine.submit(x) for x in inputs]
+    assert engine.queue_depth == len(inputs)
+    gate.release()
+    return plug, futures
+
+
+def test_micro_batched_output_matches_single_request(executor, gated, batches):
+    """Requests queued while the worker is busy ride the next batch,
+    ``max_batch`` of them, and the rest ride the batches after; each
+    one's output is its single-request output."""
     rng = np.random.default_rng(11)
-    inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(6)]
+    inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(7)]
     singles = [executor.run(x) for x in inputs]
-    with ServingEngine(executor, max_batch=3, batch_window=0.05) as engine:
-        futures = [engine.submit(x) for x in inputs]
+    with ServingEngine(gated(executor), max_batch=3) as engine:
+        plug, futures = _queue_behind_plug(engine, engine.executor, inputs)
         outputs = [f.result(timeout=60.0) for f in futures]
+        plug.result(timeout=60.0)
     for single, served in zip(singles, outputs):
         np.testing.assert_allclose(served, single, atol=1e-12)
+    # The plug is request 0.
+    assert batches(engine.records()) == [[0], [1, 2, 3], [4, 5, 6], [7]]
 
 
-def test_requests_are_coalesced(executor):
+def test_requests_are_coalesced(executor, gated, batches):
     rng = np.random.default_rng(12)
-    with ServingEngine(executor, max_batch=4, batch_window=0.25) as engine:
-        futures = [engine.submit(rng.normal(size=(1, 3, 8, 8))) for _ in range(4)]
-        for f in futures:
+    inputs = [rng.normal(size=(1, 3, 8, 8)) for _ in range(4)]
+    with ServingEngine(gated(executor), max_batch=4) as engine:
+        plug, futures = _queue_behind_plug(engine, engine.executor, inputs)
+        for f in [plug] + futures:
             f.result(timeout=60.0)
     report = engine.report()
-    assert report.count == 4
-    # All four requests were submitted inside one window, so at least some
-    # of them must have shared a micro-batch.
-    assert report.mean_batch_size > 1.0
+    assert report.count == 5
+    # All four requests queued while the worker was busy with the plug, so
+    # they share the next micro-batch.
+    assert batches(engine.records()) == [[0], [1, 2, 3, 4]]
+    assert report.mean_batch_size == (1 + 4 * 4) / 5
+
+
+def test_idle_engine_dispatches_a_lone_request_at_once(executor, gated, batches):
+    """Batching never waits for company: with nothing queued behind it, a
+    request is dispatched alone, however large max_batch is."""
+    rng = np.random.default_rng(17)
+    with ServingEngine(gated(executor), max_batch=8) as engine:
+        for _ in range(3):
+            engine.infer(rng.normal(size=(1, 3, 8, 8)), timeout=60.0)
+    assert batches(engine.records()) == [[0], [1], [2]]
+
+
+def test_short_batch_yields_once_to_runnable_submitters(executor, gated, batches, monkeypatch):
+    """A batch the queue leaves short yields the processor once and takes
+    what runnable threads enqueued meanwhile; a batch the queue fills is
+    dispatched without yielding."""
+    x = np.random.default_rng(19).normal(size=(1, 3, 8, 8))
+    yields, late = [], []
+    with ServingEngine(gated(executor), max_batch=4) as engine:
+
+        def yield_to_a_client():
+            yields.append(engine.queue_depth)
+            if len(yields) == 1:  # two clients submit during the first yield
+                late.extend(engine.submit(x) for _ in range(2))
+
+        monkeypatch.setattr(serve_module.os, "sched_yield", yield_to_a_client)
+        engine.infer(x, timeout=60.0)
+        for f in late:
+            f.result(timeout=60.0)
+        plug, futures = _queue_behind_plug(engine, engine.executor, [x] * 4)
+        for f in [plug] + futures:
+            f.result(timeout=60.0)
+    # Request 0 was joined by the two submitted in its yield; the plug's
+    # batch was short and yielded too; the four behind it filled theirs.
+    assert batches(engine.records()) == [[0, 1, 2], [3], [4, 5, 6, 7]]
+    assert yields == [0, 0]
 
 
 def test_multi_sample_requests_split_correctly(executor):
@@ -66,7 +125,7 @@ def test_multi_sample_requests_split_correctly(executor):
     a = rng.normal(size=(2, 3, 8, 8))
     b = rng.normal(size=(3, 3, 8, 8))
     expect_a, expect_b = executor.run(a), executor.run(b)
-    with ServingEngine(executor, max_batch=8, batch_window=0.05) as engine:
+    with ServingEngine(executor, max_batch=8) as engine:
         fa, fb = engine.submit(a), engine.submit(b)
         out_a, out_b = fa.result(timeout=60.0), fb.result(timeout=60.0)
     assert out_a.shape == (2, 10) and out_b.shape == (3, 10)
@@ -76,7 +135,7 @@ def test_multi_sample_requests_split_correctly(executor):
 
 def test_report_latency_stats_populated(executor):
     rng = np.random.default_rng(14)
-    with ServingEngine(executor, max_batch=2, batch_window=0.01) as engine:
+    with ServingEngine(executor, max_batch=2) as engine:
         engine.infer(rng.normal(size=(1, 3, 8, 8)), timeout=60.0)
         engine.infer(rng.normal(size=(1, 3, 8, 8)), timeout=60.0)
     report = engine.report()
@@ -103,7 +162,7 @@ def test_restart_resets_report_window(executor):
     """stop() → start() must not leak the previous run's telemetry."""
     rng = np.random.default_rng(18)
     x = rng.normal(size=(1, 3, 8, 8))
-    engine = ServingEngine(executor, max_batch=2, batch_window=0.01)
+    engine = ServingEngine(executor, max_batch=2)
     engine.start()
     engine.infer(x, timeout=60.0)
     engine.infer(x, timeout=60.0)
@@ -134,33 +193,57 @@ def test_invalid_parameters(executor):
         ServingEngine(executor, workers=0)
 
 
-def test_mismatched_request_survives_immediate_stop(executor):
+def test_mismatched_request_survives_immediate_stop(executor, gated):
     """A shape-incompatible request gathered mid-shutdown must still resolve."""
     rng = np.random.default_rng(15)
     a = rng.normal(size=(1, 3, 8, 8))
     b = rng.normal(size=(1, 3, 16, 16))  # incompatible with a's micro-batch
-    engine = ServingEngine(executor, max_batch=4, batch_window=0.1).start()
+    engine = ServingEngine(gated(executor), max_batch=4).start()
+    gate = engine.executor
+    gate.hold()
+    plug = engine.submit(a)
+    assert gate.entered.wait(30.0)
     fa, fb = engine.submit(a), engine.submit(b)
-    engine.stop()  # races the gather window on purpose
+    # stop() while a and b are still queued: the worker gathers them, and
+    # carries b, with the engine already stopped.
+    stopper = threading.Thread(target=engine.stop)
+    stopper.start()
+    deadline = time.perf_counter() + 30.0
+    while engine.running and time.perf_counter() < deadline:
+        time.sleep(0.001)
+    gate.release()
+    assert not engine.running
+    stopper.join(60.0)
+    assert not stopper.is_alive()
+    assert plug.result(timeout=30.0).shape == (1, 10)
     assert fa.result(timeout=30.0).shape == (1, 10)
     assert fb.result(timeout=30.0).shape == (1, 10)
 
 
-def test_mixed_dtype_requests_keep_exact_results(executor):
+def test_mixed_dtype_requests_keep_exact_results(executor, gated, batches):
     """float32 and float64 requests must not be coalesced (concat upcasts),
-    nor requests of different sample shapes: each is carried into its own
-    batch and answered exactly."""
+    nor requests of different sample shapes: the first mismatched request
+    is carried to open the next batch, which its compatible followers
+    join, and each request is answered exactly."""
     rng = np.random.default_rng(16)
     a32 = rng.normal(size=(1, 3, 8, 8)).astype(np.float32)
     b64 = rng.normal(size=(1, 3, 8, 8))
     c16 = rng.normal(size=(1, 3, 16, 16))
-    requests = [a32, b64, c16]
-    expected = [executor.run(x) for x in requests]
-    with ServingEngine(executor, max_batch=4, batch_window=0.05) as engine:
-        futures = [engine.submit(x) for x in requests]
+    requests = [a32, a32, b64, b64, c16]
+    # Each batch's exact output: a request coalesced with a mismatched one
+    # would be computed at another shape or dtype and differ in its bits.
+    expected = [
+        *executor.run(np.concatenate([a32, a32]))[:, None],
+        *executor.run(np.concatenate([b64, b64]))[:, None],
+        executor.run(c16),
+    ]
+    with ServingEngine(gated(executor), max_batch=4) as engine:
+        plug, futures = _queue_behind_plug(engine, engine.executor, requests)
         outputs = [f.result(timeout=30.0) for f in futures]
+        plug.result(timeout=30.0)
     for out, expect in zip(outputs, expected):
         np.testing.assert_array_equal(out, expect)
+    assert batches(engine.records()) == [[0], [1, 2], [3, 4], [5]]
 
 
 # ---------------------------------------------------------------------- #
@@ -188,7 +271,7 @@ def test_empty_report_is_well_defined(executor):
 
 def test_report_percentiles_come_from_the_live_histogram(executor):
     rng = np.random.default_rng(21)
-    with ServingEngine(executor, max_batch=2, batch_window=0.01) as engine:
+    with ServingEngine(executor, max_batch=2) as engine:
         for _ in range(6):
             engine.infer(rng.normal(size=(1, 3, 8, 8)), timeout=60.0)
     report = engine.report()
@@ -219,7 +302,7 @@ def test_concurrent_report_never_sees_a_torn_batch(executor):
                 if len(members) != batch_size:
                     torn.append(f"saw {len(members)} of a {batch_size}-request batch")
 
-    with ServingEngine(executor, max_batch=4, batch_window=0.02, workers=2) as engine:
+    with ServingEngine(executor, max_batch=4, workers=2) as engine:
         threads = [threading.Thread(target=hammer, args=(engine,)) for _ in range(3)]
         for t in threads:
             t.start()
@@ -235,7 +318,7 @@ def test_concurrent_report_never_sees_a_torn_batch(executor):
 
 def test_records_carry_the_request_timeline(executor):
     rng = np.random.default_rng(24)
-    with ServingEngine(executor, max_batch=2, batch_window=0.01) as engine:
+    with ServingEngine(executor, max_batch=2) as engine:
         futures = [engine.submit(rng.normal(size=(1, 3, 8, 8))) for _ in range(6)]
         for f in futures:
             f.result(timeout=60.0)
@@ -265,7 +348,7 @@ def test_live_metrics_endpoint_end_to_end():
     plan = compile_plan(model, transform)
     rng = np.random.default_rng(25)
     with ProcessWorkerPool(model, plan, workers=2) as pool:
-        with ServingEngine(pool, max_batch=4, batch_window=0.005, workers=2) as engine:
+        with ServingEngine(pool, max_batch=4, workers=2) as engine:
             uids = {str(w.uid) for w in pool.worker_stats()}
             with engine.serve_metrics(port=0) as server:
                 futures = [engine.submit(rng.normal(size=(2, 3, 8, 8))) for _ in range(8)]

@@ -203,7 +203,7 @@ class TestBlueGreenSwap:
         model, plan = compiled
         bad = skewed_plan(plan)
         with _substrate(kind, model, plan, workers=1) as live:
-            with ServingEngine(live, max_batch=1, batch_window=0.0, workers=2) as engine:
+            with ServingEngine(live, max_batch=1, workers=2) as engine:
                 futures = []
                 swapping = threading.Event()
                 swapping.set()
@@ -216,9 +216,15 @@ class TestBlueGreenSwap:
                 submitter = threading.Thread(target=submit_loop)
                 submitter.start()
                 try:
-                    for _ in range(5):
+                    # Five swaps at least, and more until traffic has flowed
+                    # through them: an in-process candidate can be rejected
+                    # five times before the submitter gets the interpreter lock.
+                    swaps, deadline = 0, time.monotonic() + 60.0
+                    while swaps < 5 or len(futures) <= 5:
+                        assert time.monotonic() < deadline, "no traffic during the swaps"
                         with pytest.raises(SwapRejected, match="diverge"):
                             engine.swap_plan(bad, canary=batch)
+                        swaps += 1
                 finally:
                     swapping.clear()
                     submitter.join(timeout=30.0)
@@ -245,7 +251,7 @@ class TestBlueGreenSwap:
         sys.setswitchinterval(1e-5)
         try:
             with _substrate(kind, model, plan) as live:
-                with ServingEngine(live, max_batch=1, batch_window=0.0, workers=4) as engine:
+                with ServingEngine(live, max_batch=1, workers=4) as engine:
 
                     def client():
                         for _ in range(per_client):
@@ -345,9 +351,7 @@ class TestEngineSwap:
         # every request computes exactly the GEMM the reference ran, so
         # bit-identity across the swap is well-defined.
         with ProcessWorkerPool(model, plan, workers=2, **FAST) as pool:
-            with ServingEngine(
-                pool, max_batch=2, batch_window=0.01, workers=2
-            ) as engine:
+            with ServingEngine(pool, max_batch=2, workers=2) as engine:
                 futures = [engine.submit(x) for x in inputs[:20]]
                 info = engine.swap_plan(candidate, canary=batch)
                 futures += [engine.submit(x) for x in inputs[20:]]
@@ -483,7 +487,7 @@ class TestDrainAndDepth:
     ):
         model, plan = compiled
         executor = _GatedExecutor(model, plan).install()
-        engine = ServingEngine(executor, max_batch=1, batch_window=0.0, workers=1)
+        engine = ServingEngine(executor, max_batch=1, workers=1)
         engine.start()
         executor.gate.clear()
         futures = [engine.submit(batch) for _ in range(4)]
@@ -514,7 +518,7 @@ class TestDrainAndDepth:
     def test_drain_timeout_reports_false_with_work_pending(self, compiled, batch):
         model, plan = compiled
         executor = _GatedExecutor(model, plan).install()
-        engine = ServingEngine(executor, max_batch=1, batch_window=0.0, workers=1)
+        engine = ServingEngine(executor, max_batch=1, workers=1)
         engine.start()
         executor.gate.clear()
         future = engine.submit(batch)
@@ -527,9 +531,7 @@ class TestDrainAndDepth:
     def test_queue_depth_counter_is_exact(self, compiled, batch, reference):
         model, plan = compiled
         executor = _GatedExecutor(model, plan).install()
-        with ServingEngine(
-            executor, max_batch=1, batch_window=0.0, workers=1
-        ) as engine:
+        with ServingEngine(executor, max_batch=1, workers=1) as engine:
             assert engine.queue_depth == 0
             executor.gate.clear()
             futures = [engine.submit(batch) for _ in range(5)]
@@ -546,9 +548,7 @@ class TestDrainAndDepth:
     def test_admission_bound_reads_the_exact_counter(self, compiled, batch):
         model, plan = compiled
         executor = _GatedExecutor(model, plan).install()
-        with ServingEngine(
-            executor, max_batch=1, batch_window=0.0, workers=1, max_queue=2
-        ) as engine:
+        with ServingEngine(executor, max_batch=1, workers=1, max_queue=2) as engine:
             executor.gate.clear()
             blocker = engine.submit(batch)
             _wait_until(lambda: engine.queue_depth == 0)
@@ -564,7 +564,7 @@ class TestDrainAndDepth:
     ):
         model, plan = compiled
         executor = _GatedExecutor(model, plan).install()
-        engine = ServingEngine(executor, max_batch=1, batch_window=0.0, workers=1)
+        engine = ServingEngine(executor, max_batch=1, workers=1)
         engine.start()
         executor.gate.clear()
         blocker = engine.submit(batch)
