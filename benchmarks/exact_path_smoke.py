@@ -7,12 +7,16 @@ exact plan (ResNet-18, weights ``2:4+2:8``, TASD-A ``4:8``) twice: once with
 the library's kernels, and once with the plain spellings they replace
 patched in:
 
-- the gather GEMM as one ``np.einsum("rk,rkn->rn", vals, b[rows])``;
+- the gather GEMM as one ``np.einsum("rk,rkn->rn", vals, b[rows])`` per
+  term, in place of the native gather-MAC;
 - ``TASDConfig.view`` as the greedy ``apply(x).reconstruct()``;
 - ``pattern_mask`` as a full rank of each block moved to the last axis.
 
 Outputs at 1x3x8x8 and 4x3x32x32 must be equal bit for bit, signs of zero
-included.  Run by CI on every push::
+included.  The smoke prints which gather kernel served the library run.  It
+fails if a C compiler (``cc``) is on PATH and the native gather-MAC still did
+not load, or did not serve every float64 GEMM: a silent fallback to the
+einsum loop would otherwise pass.  Run by CI on every push::
 
     PYTHONPATH=src python benchmarks/exact_path_smoke.py
 """
@@ -20,6 +24,7 @@ included.  Run by CI on every push::
 from __future__ import annotations
 
 import contextlib
+import shutil
 import sys
 import time
 from collections import Counter
@@ -27,9 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
+import repro.core.native as native
 import repro.core.patterns as patterns
 import repro.core.sparse_ops as sparse_ops
-import repro.runtime.backends as backends
 from repro.core.series import TASDConfig
 from repro.runtime import PlanExecutor, compile_plan
 
@@ -72,8 +77,8 @@ def ranked_mask(x, pattern, axis=-1):
 def plain_spellings():
     """Swap the plain spellings in wherever the plan path looks them up."""
     swaps = [
+        (native, "gather_mac", lambda: None),
         (sparse_ops, "nm_matmul_from_tables", plain_gather),
-        (backends, "nm_matmul_from_tables", plain_gather),
         (TASDConfig, "view", greedy_view),
         (patterns, "pattern_mask", ranked_mask),
     ]
@@ -85,6 +90,22 @@ def plain_spellings():
     finally:
         for owner, name, fn in saved:
             setattr(owner, name, fn)
+
+
+@contextlib.contextmanager
+def counted_einsum_loop():
+    """Count the library run's calls of the einsum loop's per-term kernel."""
+    kernel = sparse_ops.nm_matmul_from_tables
+
+    def counted(*args):
+        calls["library einsum loop"] += 1
+        return kernel(*args)
+
+    sparse_ops.nm_matmul_from_tables = counted
+    try:
+        yield
+    finally:
+        sparse_ops.nm_matmul_from_tables = kernel
 
 
 def run_plan(model, transform, inputs) -> tuple[list[np.ndarray], float]:
@@ -101,7 +122,16 @@ def main() -> int:
     rng = np.random.default_rng(0)
     inputs = [rng.normal(size=shape) for shape in SHAPES]
 
-    new, new_s = run_plan(model, transform, inputs)
+    print(f"gather kernel: {native.kernel_status()}")
+    if native.gather_mac() is None and shutil.which(native.COMPILER):
+        print(f"FAIL: {native.COMPILER} is on PATH but the native gather-MAC did not load")
+        return 1
+    with counted_einsum_loop():
+        new, new_s = run_plan(model, transform, inputs)
+    if native.gather_mac() is not None and calls["library einsum loop"]:
+        print(f"FAIL: the einsum loop served {calls['library einsum loop']} GEMM terms "
+              "of the library run; the native gather-MAC should serve them all")
+        return 1
     with plain_spellings():
         plain, plain_s = run_plan(model, transform, inputs)
     missing = {"gather", "view", "mask"} - set(calls)

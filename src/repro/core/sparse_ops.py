@@ -158,9 +158,12 @@ def nm_matmul_from_tables(
 ) -> np.ndarray:
     """The structured GEMM contraction over precomputed gather tables.
 
-    Single source of the kernel arithmetic: every structured execution path
-    (direct :func:`nm_matmul`, compiled runtime plans) funnels through this
-    contraction, which is what keeps their results bit-identical.
+    Single source of the kernel arithmetic: direct :func:`nm_matmul` runs
+    this contraction, and compiled runtime plans either run it per term
+    (:func:`repro.core.native.einsum_gather`) or, for float64 operands,
+    the native gather-MAC of :mod:`repro.core.native`, which repeats its
+    additions in the same order and is probed against it before it
+    serves.  That is what keeps their results bit-identical.
 
     Output row ``r`` is ``Σ_k flat_vals[r, k] * b[flat_rows[r, k]]``,
     computed by ``np.einsum("rk,rkn->rn", ...)`` over the gathered rows of
@@ -171,9 +174,9 @@ def nm_matmul_from_tables(
     :data:`GATHER_TILE_ELEMENTS` elements (or one row, if a row alone is
     larger).  Tiling over rows leaves each output element's reduction
     untouched, so the bits do not depend on the tile size.  einsum sums
-    over ``k`` in slot order when ``N >= 2`` but takes a SIMD reduction
-    with partial sums when ``N == 1``; reordering or fusing the
-    contraction would change the ``N == 1`` bits.
+    over ``k`` in slot order when ``N >= 2`` but takes a two-lane SIMD
+    reduction when ``N == 1`` (``gather_mac.c`` spells out both orders);
+    any other order, or a fused multiply-add, changes the ``N == 1`` bits.
     """
     # np.take copies a non-C-contiguous source whole on every call; copy once.
     b = np.ascontiguousarray(b)

@@ -78,25 +78,29 @@ def im2col(
     in ``(c, kh, kw, b, oh, ow)`` order by one copy.  The plan's GEMM
     contracts ``cols.T`` against the compressed weights, and every kernel
     backend reads that C-contiguous ``(K, cols)`` right-hand side as is, so
-    the served operand needs no further copy.  Padding goes through a zero buffer in ``x``'s own memory order
-    (a channel-major conv output stays channel-major), so the windows are
-    read along contiguous rows.
+    the served operand needs no further copy.  The windows are read from
+    a channel-major ``(c, b, h, w)`` source: a zero-padded buffer when
+    ``padding`` is set (a conv output, channel-major already, fills it
+    along contiguous rows), else ``x`` itself.
     """
     b, c, h, w = x.shape
     oh = conv_out_size(h, kernel, stride, padding)
     ow = conv_out_size(w, kernel, stride, padding)
     if padding > 0:
-        xp = np.zeros_like(x, shape=(b, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-        x = xp
-    # Strided window view: (c, kh, kw, b, oh, ow), zero-copy.
-    sb, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(c, kernel, kernel, b, oh, ow),
-        strides=(sc, sh, sw, sb, sh * stride, sw * stride),
-        writeable=False,
-    )
+        src = np.zeros((c, b, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        src[:, :, padding : padding + h, padding : padding + w] = x.transpose(1, 0, 2, 3)
+    else:
+        src = x.transpose(1, 0, 2, 3)
+    # Strided window view: (c, kh, kw, b, oh, ow), zero-copy and read-only.
+    sc, sb, sh, sw = src.strides
+    shape = (c, kernel, kernel, b, oh, ow)
+    strides = (sc, sh, sw, sb, sh * stride, sw * stride)
+    if src.flags.c_contiguous:
+        # Over the buffer directly: a fifth of as_strided's call cost.
+        windows = np.ndarray(shape, src.dtype, src, 0, strides)
+        windows.flags.writeable = False
+    else:
+        windows = np.lib.stride_tricks.as_strided(src, shape, strides, writeable=False)
     # -> C-contiguous (c*k*k, b*oh*ow); its transpose is the M x K operand.
     cols_t = np.ascontiguousarray(windows).reshape(c * kernel * kernel, b * oh * ow)
     return cols_t.T, (oh, ow)

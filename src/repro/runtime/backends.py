@@ -7,24 +7,28 @@ it: two fixed :class:`GemmBackend` implementations of the
 rule, not by measurement: exact plans run the reference, allclose plans
 run ``dense-emulation``.
 
-- ``einsum-gather`` is the reference: the per-term einsum of
-  :func:`repro.core.sparse_ops.nm_matmul_from_tables` accumulated in term
-  order, bit-identical to the per-call ``tasd_matmul`` path.
+- ``einsum-gather`` is the reference: each term's gather + einsum
+  (:func:`repro.core.native.einsum_gather`) accumulated in term order,
+  bit-identical to the per-call ``tasd_matmul`` path.  Float64 operands
+  run it as one native gather-MAC call per GEMM (:mod:`repro.core.native`)
+  with the same bits.
 - ``dense-emulation`` reassociates the reduction through BLAS and agrees
   with the reference to rounding error (``allclose``).  It is the faster
   backend at every width this repo's workloads serve.
 
-Bit-exactness note (verified against this NumPy build): the reference
-gathers with ``np.take`` one tile of output rows at a time, so a term's
-gathered temporary is at most
-:data:`repro.core.sparse_ops.GATHER_TILE_ELEMENTS` elements (or one row)
-instead of the whole ``(rows, slots, N)`` tensor.  Tiling over output
-*rows* preserves bits, since each output element's reduction is
-untouched; tiling over output *columns* would not.  einsum accumulates
-over the slots in order when ``N >= 2`` and through a SIMD reduction with
-partial sums when ``N == 1`` (a narrow contiguous trailing dimension), so
-a faster exact kernel must keep the einsum on each tile: any reordered or
-fused contraction changes the ``N == 1`` layers' bits.
+Bit-exactness note (verified against this NumPy build): einsum sums a
+term's slots in slot order when ``N >= 2`` and through a two-lane SIMD
+reduction when ``N == 1`` (a narrow contiguous trailing dimension), and
+the native kernel repeats both orders addition for addition; any other
+reordered or fused contraction changes the ``N == 1`` layers' bits.  The
+kernel is compiled once per host, into a cache outside the checkout, the
+first time a plan is built or loaded (``prepare``), and probed against
+the einsum spelling before it serves; forked pool workers inherit it.
+Without a compiler, or if the build or the probe fails, a warning names
+the reason and every GEMM runs the einsum loop, whose ``np.take`` gathers
+one tile of output rows at a time (at most
+:data:`repro.core.sparse_ops.GATHER_TILE_ELEMENTS` elements).  Operands
+that are not float64 always run the loop.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.sparse_ops import nm_decompress, nm_matmul_from_tables
+from repro.core import native
+from repro.core.sparse_ops import nm_decompress
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports us)
     from .cache import CompiledOperand
@@ -78,33 +83,31 @@ class GemmBackend:
         """
         raise NotImplementedError
 
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _out_dtype(operand: "CompiledOperand", b: np.ndarray) -> np.dtype:
-        """Accumulator dtype across *all* terms' values and ``b``."""
-        return np.result_type(*(t.values for t in operand.terms), b)
-
 
 class EinsumGatherBackend(GemmBackend):
     """Reference kernel: per-term gather + einsum, accumulated in term order.
 
     This is the arithmetic every exact backend must reproduce bit-for-bit
-    and the per-call ``tasd_matmul`` path is verified against.  Each term
-    runs :func:`~repro.core.sparse_ops.nm_matmul_from_tables`, which
-    gathers ``b``'s rows tile by tile of output rows, so its temporary
-    stays near ``GATHER_TILE_ELEMENTS`` elements whatever the width ``N``.
+    and the per-call ``tasd_matmul`` path is verified against.  ``prepare``
+    binds the operand's gather tables to the native gather-MAC when it is
+    loaded and they are float64; ``matmul`` runs that binding for a float64
+    ``b`` and :func:`~repro.core.native.einsum_gather` for anything else.
     """
 
     name = DEFAULT_BACKEND
     exact = True
 
+    def prepare(self, operand: "CompiledOperand") -> native.BoundGatherMAC | None:
+        kernel = native.gather_mac()
+        if kernel is None:
+            return None
+        return kernel.bind(operand.flat_values, operand.flat_rows, operand.padded_shape[1])
+
     def matmul(self, operand: "CompiledOperand", state: Any, b: np.ndarray) -> np.ndarray:
-        rows = operand.padded_shape[0]
         b = np.ascontiguousarray(b)  # once for all terms, not once per term
-        out = np.zeros((rows, b.shape[1]), dtype=self._out_dtype(operand, b))
-        for vals, rows_idx in zip(operand.flat_values, operand.flat_rows):
-            out += nm_matmul_from_tables(vals, rows_idx, b)
-        return out
+        if state is not None and b.dtype == np.float64:
+            return state(b)
+        return native.einsum_gather(operand.flat_values, operand.flat_rows, b)
 
 
 class DenseEmulationBackend(GemmBackend):

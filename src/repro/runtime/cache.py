@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,9 +88,12 @@ class CompiledOperand:
         """Non-zeros held across all compressed terms."""
         return sum(t.nnz for t in self.terms)
 
-    @property
+    @cached_property
     def slots(self) -> int:
-        """Compressed value slots (the MACs hardware runs per output column)."""
+        """Compressed value slots (the MACs hardware runs per output column).
+
+        Read on every GEMM; the terms never change, so it is summed once.
+        """
         return sum(t.values.size for t in self.terms)
 
     @property

@@ -32,3 +32,14 @@ def fig4_matrix() -> np.ndarray:
         ],
         dtype=float,
     )
+
+
+@pytest.fixture
+def fresh_native(tmp_path, monkeypatch):
+    """A process that has not loaded the native gather-MAC, with an empty
+    kernel cache under ``tmp_path``; returns that cache directory."""
+    from repro.core import native
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_state", None)
+    return tmp_path / "cache" / "repro"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import native
 from repro.core.patterns import NMPattern, pattern_view
 from repro.core.series import DENSE_CONFIG, TASDConfig
 from repro.core.sparse_ops import (
@@ -79,12 +80,63 @@ def assert_same_bits(actual, expected):
     np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
 
 
+def assert_same_bits_but_nan_sign(actual, expected):
+    """Same bits wherever ``expected`` is a number; NaN wherever it is NaN.
+
+    A NaN's sign and payload follow the order an addition's operands
+    happen to take, which IEEE 754 leaves open and a compiler may commute.
+    """
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(actual), nan)
+    assert_same_bits(actual[~nan], expected[~nan])
+
+
+def plain_terms_matmul(flat_values, flat_rows, b):
+    """The einsum spelling of a whole operand: every term's plain einsum, from zeros."""
+    out = np.zeros((flat_rows[0].shape[0], b.shape[1]), dtype=np.result_type(*flat_values, b))
+    for vals, rows in zip(flat_values, flat_rows):
+        out += plain_gather_matmul(vals, rows, b)
+    return out
+
+
+def native_kernel() -> native.GatherMAC:
+    kernel = native.gather_mac()
+    if kernel is None:
+        pytest.skip(f"native gather-MAC unavailable: {native.fallback_reason()}")
+    return kernel
+
+
+def native_matmul(flat_values, flat_rows, b):
+    bound = native_kernel().bind(flat_values, flat_rows, b.shape[0])
+    assert bound is not None
+    return bound(b)
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1e308, 5e-324])
+
+
+def term_tables(rng, n_rows, slots, k, special=0.0):
+    """Gather tables of one term per slot count: normal values at mixed
+    scales, a tenth ``-0.0``, and a ``special`` share of SPECIAL_VALUES."""
+    flat_values, flat_rows = [], []
+    for s in slots:
+        vals = rng.normal(size=(n_rows, s)) * np.exp2(rng.integers(-30, 30, size=(n_rows, s)))
+        vals[rng.random(vals.shape) < 0.1] = -0.0
+        picked = rng.random(vals.shape) < special
+        vals[picked] = rng.choice(SPECIAL_VALUES, size=int(picked.sum()))
+        flat_values.append(vals)
+        flat_rows.append(rng.integers(0, max(k, 1), size=(n_rows, s)))
+    return tuple(flat_values), tuple(flat_rows)
+
+
 # The plain spelling materialises rows * slots * N elements; keep that small.
 PLAIN_GATHER_CAP = 1 << 22
 
 
 class TestGatherKernelProperty:
-    """The take-based, row-tiled kernel against the single-einsum spelling."""
+    """The take-based, row-tiled kernel, and the native gather-MAC that
+    replaces a whole operand's term loop, against the single-einsum spelling."""
 
     @settings(max_examples=80)
     @given(
@@ -142,6 +194,69 @@ class TestGatherKernelProperty:
         assert whole_gather > 8 * budget
         assert peak <= budget + out.nbytes + (1 << 20), peak
         assert_same_bits(out, plain_gather_matmul(vals, flat_rows, b))
+
+    @settings(max_examples=60)
+    @given(
+        n_out=st.sampled_from([1, 1, 2, 3, 4, 8, 16, 17, 40, 128]),
+        slots=st.lists(st.integers(0, 400), min_size=1, max_size=3),
+        n_rows=st.integers(0, 13),
+        k=st.integers(1, 200),
+        special=st.sampled_from([0.0, 0.05, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_native_matches_plain_einsum_bit_for_bit(
+        self, n_out, slots, n_rows, k, special, seed
+    ):
+        """Any width (the kernel's register-blocked ones and others), one
+        to three terms, row counts off the interleave, and NaN, ±inf, ±0
+        and subnormals in both operands."""
+        rng = np.random.default_rng(seed)
+        flat_values, flat_rows = term_tables(rng, n_rows, slots, k, special)
+        b = rng.normal(size=(k, n_out))
+        picked = rng.random(b.shape) < special
+        b[picked] = rng.choice(SPECIAL_VALUES, size=int(picked.sum()))
+        b[rng.random(b.shape) < 0.1] = -0.0
+        with np.errstate(all="ignore"):
+            assert_same_bits_but_nan_sign(
+                native_matmul(flat_values, flat_rows, b),
+                plain_terms_matmul(flat_values, flat_rows, b),
+            )
+
+    @pytest.mark.parametrize("n_rows", [1, 4, 7])
+    def test_native_n1_every_slot_remainder(self, n_rows, rng):
+        """At N == 1 einsum's two-lane dot goes 8 slots a chunk, then 2 at
+        a time; every ``slots % 8``, with and without a whole chunk."""
+        b = rng.normal(size=(50, 1))
+        for s in range(0, 33):
+            flat_values, flat_rows = term_tables(rng, n_rows, (s, 2 * s + 1), 50)
+            assert_same_bits(
+                native_matmul(flat_values, flat_rows, b),
+                plain_terms_matmul(flat_values, flat_rows, b),
+            )
+
+    @pytest.mark.parametrize(
+        "n_rows, slots, n_out, k",
+        [(0, 5, 3, 10), (4, 0, 3, 10), (4, 5, 0, 10), (4, 0, 1, 0), (0, 0, 0, 0), (3, 0, 2, 7)],
+    )
+    def test_native_zero_sizes(self, n_rows, slots, n_out, k, rng):
+        flat_values, flat_rows = term_tables(rng, n_rows, (slots,), k)
+        b = rng.normal(size=(k, n_out))
+        assert_same_bits(
+            native_matmul(flat_values, flat_rows, b),
+            plain_terms_matmul(flat_values, flat_rows, b),
+        )
+
+    @pytest.mark.parametrize("n_out", [1, 2, 4, 5, 16])
+    def test_native_special_values(self, n_out, rng):
+        """Products of ±0, ±inf and NaN, sums that overflow, and subnormals."""
+        b = rng.choice(SPECIAL_VALUES, size=(12, n_out))
+        for s in (1, 3, 8, 11, 19):
+            flat_values, flat_rows = term_tables(rng, 5, (s, s + 2), 12, special=0.5)
+            with np.errstate(all="ignore"):
+                assert_same_bits_but_nan_sign(
+                    native_matmul(flat_values, flat_rows, b),
+                    plain_terms_matmul(flat_values, flat_rows, b),
+                )
 
 
 class TestTasdMatmul:

@@ -66,7 +66,8 @@ class TestIm2col:
         self, batch, channels, height, width, kernel, stride, padding, layout, seed
     ):
         """Bitwise equal to a per-position loop, whatever the input's memory
-        order, and ``cols.T`` is the C-contiguous (K, M) GEMM operand."""
+        order, and ``cols.T`` is the C-contiguous (K, M) GEMM operand; a
+        ``cols`` that is a view of ``x`` cannot write through to it."""
         try:
             oh = conv_out_size(height, kernel, stride, padding)
             ow = conv_out_size(width, kernel, stride, padding)
@@ -95,6 +96,7 @@ class TestIm2col:
         assert out_hw == (oh, ow)
         np.testing.assert_array_equal(cols, expected)
         assert cols.T.flags.c_contiguous
+        assert not (np.shares_memory(cols, x) and cols.flags.writeable)
 
     def test_gemm_shape_table4_l1(self):
         """Table 4's L1 comes from a 3x3 conv on 28x28 with 128 channels."""

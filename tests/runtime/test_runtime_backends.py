@@ -9,12 +9,16 @@ without changing what it computes beyond rounding.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import shutil
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NMPattern, TASDConfig
+from repro.core import NMPattern, TASDConfig, native
 from repro.core.sparse_ops import nm_compress, nm_gather_tables
 from repro.nn.models.mlp import MLP
 from repro.nn.models.resnet import resnet18
@@ -178,6 +182,85 @@ class TestMixedDtypeAccumulation:
         # terms[0] is float32 and b is float32, but the float64 second term
         # must widen the accumulator.
         assert op.matmul(b).dtype == np.float64
+
+
+class TestNativeGatherPath:
+    """``einsum-gather`` serves float64 operands through the native gather-MAC."""
+
+    @staticmethod
+    def loaded():
+        if native.gather_mac() is None:
+            pytest.skip(f"native gather-MAC unavailable: {native.fallback_reason()}")
+
+    @staticmethod
+    def einsum_loop_counter(monkeypatch):
+        calls = []
+        loop = native.einsum_gather
+
+        def counted(*args):
+            calls.append(args)
+            return loop(*args)
+
+        monkeypatch.setattr(native, "einsum_gather", counted)
+        return calls
+
+    def test_float64_operands_take_the_native_path(self, rng, monkeypatch):
+        self.loaded()
+        op = make_operand(rng, (37, 100), "2:4+1:8")
+        b = rng.normal(size=(op.padded_shape[1], 5))
+        assert isinstance(op.backend_state(get_backend(DEFAULT_BACKEND)), native.BoundGatherMAC)
+        expected = native.einsum_gather(op.flat_values, op.flat_rows, b)
+        calls = self.einsum_loop_counter(monkeypatch)
+        out = op.matmul(b)
+        assert calls == []
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(expected))
+
+    def test_other_dtypes_keep_the_einsum_loop(self, rng, monkeypatch):
+        self.loaded()
+        calls = self.einsum_loop_counter(monkeypatch)
+        op32 = make_operand(rng, (8, 16), "2:4", dtype=np.float32)
+        assert op32.backend_state(get_backend(DEFAULT_BACKEND)) is None
+        op32.matmul(rng.normal(size=(16, 3)).astype(np.float32))
+        op64 = make_operand(rng, (8, 16), "2:4")
+        op64.matmul(rng.normal(size=(16, 3)).astype(np.float32))  # a float32 b
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("compiler", ["missing", "failing"])
+    def test_failed_build_serves_the_same_bits(self, rng, tmp_path, monkeypatch, compiler):
+        """Without a kernel (no compiler, or a build that fails) the einsum
+        loop serves, and gives the native kernel's bits."""
+        self.loaded()
+        op = make_operand(rng, (64, 130), "2:4+1:8")
+        b = rng.normal(size=(op.padded_shape[1], 7))
+        expected = [op.matmul(b), op.matmul(b[:, :1])]  # native
+        if compiler == "missing":
+            compiler = str(tmp_path / "no-such-cc")
+        else:
+            compiler = shutil.which("false") or pytest.skip("no false(1)")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(native, "_state", None)
+        monkeypatch.setattr(native, "COMPILER", compiler)
+        unprepared = dataclasses.replace(op, backend_states={})
+        with pytest.warns(RuntimeWarning, match="native gather-MAC unavailable"):
+            assert unprepared.backend_state(get_backend(DEFAULT_BACKEND)) is None
+        assert native.fallback_reason() is not None
+        for out, ref in zip([unprepared.matmul(b), unprepared.matmul(b[:, :1])], expected):
+            np.testing.assert_array_equal(out, ref)
+            np.testing.assert_array_equal(np.signbit(out), np.signbit(ref))
+        assert not list((tmp_path / "cache").rglob("*.so"))
+
+    def test_a_copied_operand_serves_its_own_tables(self, rng):
+        """``copy.deepcopy`` (as the chaos helper uses) rebinds the kernel."""
+        self.loaded()
+        op = make_operand(rng, (16, 32), "2:4")
+        b = rng.normal(size=(32, 4))
+        expected = op.matmul(b)
+        clone = copy.deepcopy(op)
+        np.testing.assert_array_equal(clone.matmul(b), expected)
+        clone.flat_values[0][...] *= 3.0
+        np.testing.assert_allclose(clone.matmul(b), 3.0 * expected)
+        np.testing.assert_array_equal(op.matmul(b), expected)
 
 
 class TestPlanBackendDispatch:

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import TASDConfig
+from repro.core import TASDConfig, native
 from repro.nn import Linear, Sequential
 from repro.nn.models.resnet import resnet18
 from repro.pruning.magnitude import global_magnitude_prune
@@ -95,6 +95,43 @@ class TestProcessWorkerPool:
             out = ppool.run_many([batch] * 2)
         for a, b in zip(ref, out):
             np.testing.assert_array_equal(b, a)
+
+    def test_exact_plan_workers_inherit_the_native_kernel(
+        self, batch, fresh_native, tmp_path, monkeypatch
+    ):
+        """The plan build compiles the gather-MAC once, in this process;
+        forked workers serve with the inherited kernel, invoke no compiler
+        and never fall back to the einsum loop, bit for bit with the
+        in-process executor."""
+        builds = tmp_path / "builds"
+        build = native.build
+
+        def logged_build(compiler):
+            with open(builds, "a") as log:
+                log.write(f"{os.getpid()}\n")
+            return build(compiler)
+
+        monkeypatch.setattr(native, "build", logged_build)
+        model, transform = _sparse_model()
+        plan = compile_plan(model, transform, autotune=True, autotune_exact_only=True)
+        if native.gather_mac() is None:
+            pytest.skip(f"native gather-MAC unavailable: {native.fallback_reason()}")
+        states = [lp.operand.backend_states.get("einsum-gather") for lp in plan.layers.values()
+                  if lp.operand is not None]
+        assert states and all(isinstance(s, native.BoundGatherMAC) for s in states)
+
+        def no_einsum_loop(*args):
+            raise AssertionError("the einsum loop served a float64 GEMM")
+
+        monkeypatch.setattr(native, "einsum_gather", no_einsum_loop)
+        with PlanExecutor(model, plan) as ex:
+            ref = ex.run_many([batch] * 2)
+        with ProcessWorkerPool(model, plan, workers=2) as ppool:
+            out = ppool.run_many([batch] * 4)
+        for a, b in zip(ref + ref, out):
+            np.testing.assert_array_equal(b, a)
+            np.testing.assert_array_equal(np.signbit(b), np.signbit(a))
+        assert builds.read_text().split() == [str(os.getpid())]
 
     def test_run_racing_close_never_hangs(self, compiled, batch):
         """run() overlapping close() must resolve (reinstall), not block forever."""
